@@ -3,8 +3,8 @@ selftest.
 
 Each subcommand validates its inputs, writes outputs atomically, and is
 idempotent given identical inputs and seeds. Exit codes: 2 for missing or
-invalid inputs, 3 for violated internal invariants. KGRANK_THREADS caps
-parallel candidate scoring in rerank (default: machine cores).
+invalid inputs, 3 for violated internal invariants. KGRANK_THREADS caps how
+many queries rerank scores in parallel (default: machine cores).
 """
 
 from __future__ import annotations
@@ -49,6 +49,17 @@ def _require(path: str, kind: str) -> Path:
     return p
 
 
+def _check_run(run: dict[str, list[tuple[str, float]]], queries: dict, docs: dict) -> None:
+    """Every run query must be in the queries file and every run document in
+    the corpus."""
+    for qid in sorted(run):
+        if qid not in queries:
+            raise ValidationError(f"run query {qid!r} missing from queries file")
+        for did, _ in run[qid]:
+            if did not in docs:
+                raise ValidationError(f"run document {did!r} missing from corpus")
+
+
 # ---------------------------------------------------------------------------
 # Subcommands.
 
@@ -76,13 +87,10 @@ def cmd_subgraphs(args) -> int:
     queries = {q.id: q for q in cx.load_queries(_require(args.queries, "queries"))}
     docs = {d.id: d for d in cx.load_documents(_require(args.corpus, "corpus"))}
     run = ev.load_run(_require(args.run, "run"))
+    _check_run(run, queries, docs)
     cache = {}
     for qid in sorted(run):
-        if qid not in queries:
-            raise ValidationError(f"run query {qid!r} missing from queries file")
         for did, _ in run[qid]:
-            if did not in docs:
-                raise ValidationError(f"run document {did!r} missing from corpus")
             cache[(qid, did)] = subgraph_for_pair(kg, queries[qid].text, docs[did].text,
                                                   max_nodes=args.max_nodes)
     save_subgraph_cache(args.out, cache)
@@ -150,6 +158,7 @@ def cmd_rerank(args) -> int:
     run = ev.load_run(_require(args.run, "run"))
     docs = {d.id: d for d in cx.load_documents(_require(args.corpus, "corpus"))}
     queries = {q.id: q for q in cx.load_queries(_require(args.queries, "queries"))}
+    _check_run(run, queries, docs)
     cache = load_subgraph_cache(_require(args.cache, "subgraph cache")) if args.cache else None
     kg = None
     if args.kg:

@@ -7,8 +7,18 @@ interaction node trade information through a Gaussian bottleneck. A one-step
 decoder cross-attends over the final token states and emits the probability of
 the true token, which is the document's relevance score.
 
-Parameters are plain named tensors; forward passes over shared parameters are
-read-only and may run concurrently.
+Two implementations of that network share the parameters. forward scores one
+pair on the autodiff tape and serves training. score_batch, used for
+re-ranking, scores all candidates of one query at once in plain numpy with no
+tape: the prompts are padded into one (candidates x L x d_l) batch with the
+padded keys masked, the subgraphs are joined into one node array whose graph
+attention is a softmax over each node's in-edges, the bottleneck uses its mean
+(eps = 0), and the input-independent decoder self-attention runs once. Both
+call the same elementwise kernels in kgrank.tensor, and their scores agree per
+pair to round-off.
+
+Parameters are plain named tensors; forward and score_batch only read them,
+so calls over shared parameters may run concurrently.
 """
 
 from __future__ import annotations
@@ -37,6 +47,9 @@ RESERVED_TOKENS = (PAD, UNK, T_INT, TRUE_TOK, FALSE_TOK, START_TOK,
 INIT_STD = 0.02
 EMB_STD = 0.1
 SIGMA_BIAS_INIT = -2.0
+# Elements in one head's (candidates x L x L) attention-score array of the
+# batched scorer; a query's candidates are scored in chunks that fit in it.
+ATTENTION_BUDGET = 1 << 18
 
 
 @dataclass
@@ -103,7 +116,6 @@ class ForwardTrace:
     kl_terms: list[float]
     score_tensor: Tensor
     kl_tensors: list[Tensor]
-    activations: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
         if not (0.0 < self.score < 1.0) or not math.isfinite(self.score):
@@ -402,18 +414,159 @@ class RankerModel:
         return tz.reshape(p_true, ())
 
     def forward(self, query: Query, doc: Document, subgraph: QuerySubgraph | None,
-                noise: list[np.ndarray] | None = None,
-                keep_activations: bool = False) -> ForwardTrace:
+                noise: list[np.ndarray] | None = None) -> ForwardTrace:
         """Score one query-document pair; noise=None means inference (eps = 0)."""
         if self.cfg.text_only or subgraph is None:
             subgraph = empty_subgraph()
         token_ids = self.build_prompt(query.text, doc.text)
-        h, u, kl_tensors = self.encode_fused(token_ids, subgraph, noise)
+        h, _, kl_tensors = self.encode_fused(token_ids, subgraph, noise)
         score = self.decode_relevance(h)
-        activations = {}
-        if keep_activations:
-            activations = {"h_final": h.data.copy(), "u_final": u.data.copy()}
         return ForwardTrace(score=score.item(),
                             kl_terms=[kl.item() for kl in kl_tensors],
-                            score_tensor=score, kl_tensors=kl_tensors,
-                            activations=activations)
+                            score_tensor=score, kl_tensors=kl_tensors)
+
+    # ------------------------------------------------------------------
+    # Tape-free batched inference.
+
+    def score_batch(self, query: Query, docs: list[Document],
+                    subgraphs: list[QuerySubgraph | None]) -> np.ndarray:
+        """p(true) for every candidate document of one query (eps = 0).
+
+        The same network as forward, in plain numpy without a tape: prompts
+        are padded into one (candidates x L x d_l) batch with padded keys
+        masked, and the subgraphs are joined into one node array. Candidates
+        are scored in chunks, in order, so that one head's attention scores
+        stay within ATTENTION_BUDGET elements. Every score must be finite and
+        inside (0, 1); the per-op finite checks of the tape do not run here.
+        """
+        if len(docs) != len(subgraphs):
+            raise UsageError(f"{len(docs)} documents but {len(subgraphs)} subgraphs")
+        prompts = [self.build_prompt(query.text, doc.text) for doc in docs]
+        if not prompts:
+            return np.zeros(0)
+        longest = max(len(ids) for ids in prompts)
+        chunk = max(1, ATTENTION_BUDGET // (longest * longest))
+        with np.errstate(over="ignore", invalid="ignore"):  # caught by the check below
+            scores = np.concatenate([
+                self._score_chunk(prompts[lo:lo + chunk], subgraphs[lo:lo + chunk])
+                for lo in range(0, len(prompts), chunk)])
+        bad = ~((scores > 0.0) & (scores < 1.0))  # NaN fails both comparisons
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ComputationError(
+                f"relevance score {scores[i]} outside (0, 1) for document {docs[i].id!r}")
+        return scores
+
+    def _score_chunk(self, prompts: list[list[int]],
+                     subgraphs: list[QuerySubgraph | None]) -> np.ndarray:
+        cfg = self.cfg
+        p = {name: t.data for name, t in self.params.items()}
+        n_batch, length = len(prompts), max(len(ids) for ids in prompts)
+        ids = np.zeros((n_batch, length), dtype=np.intp)
+        for b, row in enumerate(prompts):
+            ids[b, :len(row)] = row
+        lengths = np.array([len(row) for row in prompts])
+        key_bias = np.where(np.arange(length) < lengths[:, None], 0.0, -np.inf)[:, None, :]
+        h = (p["tok_emb"][ids] + p["pos_emb"][:length]).reshape(n_batch * length, cfg.d_l)
+        token_rows = np.arange(n_batch) * length
+
+        graphs = [empty_subgraph() if cfg.text_only or sub is None else sub
+                  for sub in subgraphs]
+        offsets = np.cumsum([0] + [g.num_nodes for g in graphs[:-1]])
+        u = np.concatenate([init_node_embeddings(g, cfg.d_g, cfg.node_init_seed)
+                            for g in graphs])
+        u[offsets] = p["graph_int_emb"]
+        src, dst, rel_ids = [], [], []
+        for g, offset in zip(graphs, offsets):
+            g_src, g_dst, g_rel, _ = self._edge_arrays(g)
+            src.append(g_src + offset)
+            dst.append(g_dst + offset)
+            rel_ids.append(g_rel)
+        src, dst, rel_ids = np.concatenate(src), np.concatenate(dst), np.concatenate(rel_ids)
+        order = np.argsort(dst, kind="stable")  # in-edges of a node, in edge order
+        src, dst, rel_ids = src[order], dst[order], rel_ids[order]
+        # every node has its self-loop, so segment i holds the in-edges of node i
+        starts = np.flatnonzero(np.diff(dst, prepend=-1))
+        graph = (src, dst, rel_ids, starts)
+
+        for layer in range(cfg.R):
+            h = self._text_layer_np(p, h, key_bias, layer)
+        for s_i in range(cfg.S):
+            h = self._text_layer_np(p, h, key_bias, cfg.R + s_i)
+            u = self._gnn_layer_np(p, u, graph, s_i)
+            h[token_rows], u[offsets] = self._fuse_np(p, h[token_rows], u[offsets], s_i)
+        return self._decode_np(p, self._ln_np(p, h, "enc_ln"), key_bias)
+
+    @staticmethod
+    def _ln_np(p: dict[str, np.ndarray], x: np.ndarray, prefix: str) -> np.ndarray:
+        return tz.layer_norm_kernel(x)[0] * p[prefix + ".g"] + p[prefix + ".b"]
+
+    def _attention_np(self, p: dict[str, np.ndarray], x: np.ndarray, kv: np.ndarray,
+                      prefix: str, key_bias: np.ndarray) -> np.ndarray:
+        """_mha for a batch: queries from the (B*Lq, d_l) rows of x, keys and
+        values from the (B*Lk, d_l) rows of kv; key_bias is (B, 1, Lk) with
+        -inf on padded keys."""
+        n_batch, n_keys = key_bias.shape[0], key_bias.shape[2]
+        d_l, heads = self.cfg.d_l, self.cfg.heads
+        q = (x @ p[prefix + ".wq"] + p[prefix + ".bq"]).reshape(n_batch, -1, d_l)
+        k, v = ((kv @ p[f"{prefix}.w{c}"] + p[f"{prefix}.b{c}"]).reshape(n_batch, n_keys, d_l)
+                for c in "kv")
+        dh = d_l // heads
+        outs = []
+        for lo in range(0, d_l, dh):
+            qh, kh, vh = q[..., lo:lo + dh], k[..., lo:lo + dh], v[..., lo:lo + dh]
+            scores = qh @ kh.transpose(0, 2, 1)
+            scores *= 1.0 / math.sqrt(dh)
+            scores += key_bias
+            outs.append(tz.softmax_kernel(scores) @ vh)
+        o = np.concatenate(outs, axis=2).reshape(-1, d_l)
+        return o @ p[prefix + ".wo"] + p[prefix + ".bo"]
+
+    def _text_layer_np(self, p: dict[str, np.ndarray], h: np.ndarray,
+                       key_bias: np.ndarray, layer: int) -> np.ndarray:
+        prefix = f"enc{layer}"
+        x = self._ln_np(p, h, prefix + ".ln1")
+        h = h + self._attention_np(p, x, x, prefix + ".attn", key_bias)
+        y = self._ln_np(p, h, prefix + ".ln2")
+        ff = tz.gelu_kernel(y @ p[prefix + ".ff.w1"] + p[prefix + ".ff.b1"])[0]
+        return h + (ff @ p[prefix + ".ff.w2"] + p[prefix + ".ff.b2"])
+
+    def _gnn_layer_np(self, p: dict[str, np.ndarray], u: np.ndarray, graph,
+                      layer: int) -> np.ndarray:
+        """gnn_layer over all joined subgraphs: a segment softmax over in-edges."""
+        src, dst, rel_ids, starts = graph
+        prefix = f"gnn{layer}"
+        q, k, v = (u @ p[f"{prefix}.w{c}"] for c in "qkv")
+        er = p[prefix + ".rel_emb"][rel_ids]
+        ke, ve = k[src] + er, v[src] + er
+        logits = (q[dst] * ke).sum(axis=1) * (1.0 / math.sqrt(self.cfg.d_g))
+        e = np.exp(logits - np.maximum.reduceat(logits, starts)[dst])
+        att = e / np.add.reduceat(e, starts)[dst]
+        mixed = u + np.add.reduceat(att[:, None] * ve, starts, axis=0) @ p[prefix + ".wo"]
+        ff = tz.gelu_kernel(mixed @ p[prefix + ".ff.w1"] + p[prefix + ".ff.b1"])[0]
+        return mixed + (ff @ p[prefix + ".ff.w2"] + p[prefix + ".ff.b2"])
+
+    def _fuse_np(self, p: dict[str, np.ndarray], h_int: np.ndarray, u_int: np.ndarray,
+                 layer: int) -> tuple[np.ndarray, np.ndarray]:
+        """fuse_interaction at eps = 0, where the sample z is the mean mu."""
+        prefix = f"fuse{layer}"
+        x = np.concatenate([h_int, u_int], axis=1)
+        hidden = tz.gelu_kernel(x @ p[prefix + ".w1"] + p[prefix + ".b1"])[0]
+        mu = (hidden @ p[prefix + ".w2"] + p[prefix + ".b2"])[:, :self.cfg.d_z]
+        half = self.cfg.d_z // 2
+        return h_int + mu[:, :half] @ p[prefix + ".wh"], u_int + mu[:, half:] @ p[prefix + ".wu"]
+
+    def _decode_np(self, p: dict[str, np.ndarray], h_final: np.ndarray,
+                   key_bias: np.ndarray) -> np.ndarray:
+        """decode_relevance for every candidate. The start token and its
+        self-attention block do not depend on the input, so they run once."""
+        s = p["dec.start_emb"]
+        x = self._ln_np(p, s, "dec.ln1")
+        s = s + self._attention_np(p, x, x, "dec.self", np.zeros((1, 1, 1)))
+        # every candidate's decoder step starts from the same state s
+        x = np.repeat(self._ln_np(p, s, "dec.ln2"), key_bias.shape[0], axis=0)
+        s = s + self._attention_np(p, x, h_final, "dec.cross", key_bias)
+        y = self._ln_np(p, s, "dec.ln3")
+        ff = tz.gelu_kernel(y @ p["dec.ff.w1"] + p["dec.ff.b1"])[0]
+        s = s + (ff @ p["dec.ff.w2"] + p["dec.ff.b2"])
+        return tz.softmax_kernel(s @ p["dec.out_w"] + p["dec.out_b"])[:, 0]

@@ -12,6 +12,11 @@ finite-difference checker at the bottom of this module.
 Design constraints: float64 everywhere; no broadcasting beyond Python scalars
 (use repeat_rows for explicit expansion); non-finite values raise at the
 producing operation.
+
+The elementwise kernels (softmax_kernel, layer_norm_kernel, gelu_kernel) are
+plain-numpy functions shared by the tape primitives and the model's tape-free
+batched scorer, so both compute the same numerics. The per-op finite checks
+belong to the tape only; the batched scorer checks its scores instead.
 """
 
 from __future__ import annotations
@@ -227,11 +232,35 @@ def repeat_rows(a: Tensor, n: int) -> Tensor:
                    (a,), (lambda g: g.sum(axis=0, keepdims=True),))
 
 
+def softmax_kernel(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis of a plain array. Entries of -inf get weight
+    0, which is how batched attention masks padded keys."""
+    e = x - x.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
+
+
+def layer_norm_kernel(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Normalize the last axis of a plain array; returns (y, 1 / std)."""
+    centered = x - x.mean(axis=-1, keepdims=True)
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
+    return centered * inv, inv
+
+
+_GELU_C = math.sqrt(2.0 / math.pi)
+
+
+def gelu_kernel(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """tanh-form GELU of a plain array; returns (y, tanh of the inner term)."""
+    t = np.tanh(_GELU_C * (x + 0.044715 * (x * x * x)))
+    return 0.5 * x * (1.0 + t), t
+
+
 def softmax(a: Tensor) -> Tensor:
     """Softmax over the last axis; rows sum to 1 and stay strictly positive."""
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = softmax_kernel(a.data)
 
     def fn(g: np.ndarray) -> np.ndarray:
         return y * (g - (g * y).sum(axis=-1, keepdims=True))
@@ -241,11 +270,7 @@ def softmax(a: Tensor) -> Tensor:
 
 def layer_norm(a: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance (no affine part)."""
-    mean = a.data.mean(axis=-1, keepdims=True)
-    centered = a.data - mean
-    var = (centered ** 2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    y = centered * inv
+    y, inv = layer_norm_kernel(a.data)
 
     def fn(g: np.ndarray) -> np.ndarray:
         return inv * (g - g.mean(axis=-1, keepdims=True)
@@ -254,19 +279,14 @@ def layer_norm(a: Tensor) -> Tensor:
     return _result("layer_norm", y, (a,), (fn,))
 
 
-_GELU_C = math.sqrt(2.0 / math.pi)
-
-
 def gelu(a: Tensor) -> Tensor:
     """tanh-form GELU with its exact analytic derivative."""
     x = a.data
-    inner = _GELU_C * (x + 0.044715 * x ** 3)
-    t = np.tanh(inner)
-    y = 0.5 * x * (1.0 + t)
+    y, t = gelu_kernel(x)
 
     def fn(g: np.ndarray) -> np.ndarray:
-        d_inner = _GELU_C * (1.0 + 3 * 0.044715 * x ** 2)
-        return g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * d_inner)
+        d_inner = _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
+        return g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner)
 
     return _result("gelu", y, (a,), (fn,))
 

@@ -229,23 +229,29 @@ def rerank_run(model: RankerModel, run: dict[str, list[tuple[str, float]]],
                provider: SubgraphProvider, workers: int = 1,
                ) -> dict[str, list[tuple[str, float]]]:
     """Re-score every candidate with the model (eps = 0); the candidate set per
-    query is preserved exactly."""
-    pairs = [(qid, did) for qid in sorted(run) for did, _ in run[qid]]
+    query is preserved exactly.
 
-    def score(pair: tuple[str, str]) -> float:
-        qid, did = pair
-        sub = None if model.cfg.text_only else provider.get(qid, did)
-        return model.forward(queries_by_id[qid], docs_by_id[did], sub).score
+    Each query's candidates are scored as one tape-free batch
+    (RankerModel.score_batch). Subgraphs are fetched first, in run order;
+    workers > 1 then spreads the queries over threads, which cannot change
+    any score.
+    """
+    batches = []
+    for qid in sorted(run):
+        dids = [did for did, _ in run[qid]]
+        if dids:
+            subs = [None if model.cfg.text_only else provider.get(qid, did) for did in dids]
+            batches.append((qid, dids, subs))
+
+    def score(batch) -> np.ndarray:
+        qid, dids, subs = batch
+        return model.score_batch(queries_by_id[qid], [docs_by_id[did] for did in dids], subs)
 
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            scores = list(pool.map(score, pairs))
+            scores = list(pool.map(score, batches))
     else:
-        scores = [score(pair) for pair in pairs]
-    out: dict[str, list[tuple[str, float]]] = {}
-    for (qid, did), s in zip(pairs, scores):
-        out.setdefault(qid, []).append((did, s))
-    for qid in out:
-        out[qid].sort(key=lambda item: (-item[1], item[0]))
-    return out
+        scores = [score(batch) for batch in batches]
+    return {qid: sorted(zip(dids, s.tolist()), key=lambda item: (-item[1], item[0]))
+            for (qid, dids, _), s in zip(batches, scores)}

@@ -85,6 +85,20 @@ class TestPipeline:
                      "--k", "100", "--out", str(out2)]) == 0
         assert out2.read_bytes() == (pipeline_dir / "run_bm25.txt").read_bytes()
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_rerank_rerun_is_byte_identical(self, pipeline_dir, tmp_path, monkeypatch,
+                                            threads):
+        monkeypatch.setenv("KGRANK_THREADS", threads)
+        out2 = tmp_path / "run_rr_again.txt"
+        assert main(["rerank", "--checkpoint", str(pipeline_dir / "ckpt.json"),
+                     "--model-config", str(pipeline_dir / "model.json"),
+                     "--run", str(pipeline_dir / "run_bm25.txt"),
+                     "--corpus", str(pipeline_dir / "task/corpus.jsonl"),
+                     "--queries", str(pipeline_dir / "task/queries.jsonl"),
+                     "--cache", str(pipeline_dir / "cache.jsonl"),
+                     "--out", str(out2)]) == 0
+        assert out2.read_bytes() == (pipeline_dir / "run_rr.txt").read_bytes()
+
     def test_eval_of_bm25_run_works(self, pipeline_dir, capsys):
         assert main(["eval", "--run", str(pipeline_dir / "run_bm25.txt"),
                      "--qrels", str(pipeline_dir / "task/qrels_test.txt")]) == 0
@@ -115,6 +129,30 @@ class TestErrorHandling:
                      "--corpus", str(pipeline_dir / "task/corpus.jsonl"),
                      "--queries", str(pipeline_dir / "task/queries.jsonl"),
                      "--out", str(tmp_path / "x.txt")]) == 2
+
+    @pytest.mark.parametrize("field,bad_id,message", [
+        (2, "no_such_doc", "run document 'no_such_doc' missing from corpus"),
+        (0, "no_such_query", "run query 'no_such_query' missing from queries file"),
+    ])
+    def test_rerank_of_unknown_run_ids_exits_2(self, pipeline_dir, tmp_path, capsys,
+                                               field, bad_id, message):
+        lines = (pipeline_dir / "run_bm25.txt").read_text().splitlines()
+        parts = lines[0].split()
+        parts[field] = bad_id
+        bad_run = tmp_path / "bad_run.txt"
+        bad_run.write_text("\n".join([" ".join(parts)] + lines[1:]) + "\n")
+        capsys.readouterr()
+        assert main(["rerank", "--checkpoint", str(pipeline_dir / "ckpt.json"),
+                     "--model-config", str(pipeline_dir / "model.json"),
+                     "--run", str(bad_run),
+                     "--corpus", str(pipeline_dir / "task/corpus.jsonl"),
+                     "--queries", str(pipeline_dir / "task/queries.jsonl"),
+                     "--cache", str(pipeline_dir / "cache.jsonl"),
+                     "--out", str(tmp_path / "x.txt")]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x.txt").exists()
 
     def test_infeasible_gen_knobs_exit_2(self, tmp_path):
         assert main(["gen", "--out", str(tmp_path / "t"), "--seed", "1",

@@ -12,9 +12,11 @@ import pytest
 
 import kgrank.tensor as tz
 from conftest import frozen_noise, tiny_config, tiny_subgraph
+from kgrank import model as model_module
 from kgrank.corpus import Document, Query
-from kgrank.errors import ComputationError, ConfigurationError, ValidationError
-from kgrank.kg import SELF_RELATION, empty_subgraph
+from kgrank.errors import ComputationError, ConfigurationError, UsageError, ValidationError
+from kgrank.kg import (INTERACTION_NODE, INTERACTION_RELATION, SELF_RELATION,
+                       QuerySubgraph, empty_subgraph)
 from kgrank.model import (RESERVED_TOKENS, ModelConfig, RankerModel,
                           build_vocab, kl_gaussian_std_normal)
 from kgrank.oracles import kl_closed_form_direct, kl_mc_estimate, mutual_information_mc
@@ -438,6 +440,92 @@ class TestForward:
         vocab = build_vocab([Document("d", "Zebra alpha zebra")])
         assert tuple(vocab[:len(RESERVED_TOKENS)]) == RESERVED_TOKENS
         assert vocab[len(RESERVED_TOKENS):] == ["alpha", "zebra"]
+
+
+def linked_subgraph(provenance: list[str], edges: list[tuple[int, str, int]]) -> QuerySubgraph:
+    """The interaction node plus one node per provenance entry, each tied to
+    the interaction node in both directions."""
+    n = len(provenance)
+    edges = list(edges)
+    for i in range(1, n + 1):
+        edges += [(0, INTERACTION_RELATION, i), (i, INTERACTION_RELATION, 0)]
+    return QuerySubgraph(node_ids=[INTERACTION_NODE] + [f"m{i}" for i in range(1, n + 1)],
+                         provenance=["interaction"] + provenance, edges=edges)
+
+
+def bridged_parallel_subgraph() -> QuerySubgraph:
+    """Seeds 1 and 2 joined through bridge 3, by parallel edges of two relations."""
+    return linked_subgraph(["query-seed", "doc-seed", "bridge"],
+                           [(1, "rel_a", 3), (1, "rel_b", 3), (3, "rel_a", 2),
+                            (3, "rel_b", 2), (2, "rel_a", 1)])
+
+
+def capped_subgraph() -> QuerySubgraph:
+    """Ten retained nodes, the node cap, plus the interaction node."""
+    provenance = ["both", "query-seed", "query-seed", "doc-seed", "doc-seed"] + ["bridge"] * 5
+    edges = [(1 + i, "rel_a" if i % 2 else "rel_b", 1 + (i + 1) % 10) for i in range(10)]
+    edges += [(1 + i, "rel_a", 1 + (i + 3) % 10) for i in range(0, 10, 2)]
+    return linked_subgraph(provenance, edges)
+
+
+def no_subgraph() -> None:
+    """No subgraph given: the model falls back to the interaction node alone."""
+    return None
+
+
+LONG_DOC = " ".join(["gamma delta epsilon alpha beta"] * 8)  # truncated at max_len
+MIXED_DOCS = ["alpha", "beta gamma delta", LONG_DOC, "", "zeta eta gamma", "delta alpha beta"]
+
+# (case, config overrides, document texts, subgraph builders, chunk budget)
+SCORE_BATCH_CASES = [
+    ("mixed lengths", {}, MIXED_DOCS, [tiny_subgraph] * 6, None),
+    ("text only", {"text_only": True}, MIXED_DOCS[:4],
+     [tiny_subgraph, no_subgraph, bridged_parallel_subgraph, empty_subgraph], None),
+    ("empty next to bridged", {}, MIXED_DOCS[:4],
+     [empty_subgraph, bridged_parallel_subgraph, no_subgraph, tiny_subgraph], None),
+    ("capped", {"R": 0, "S": 2}, MIXED_DOCS[:3],
+     [capped_subgraph, bridged_parallel_subgraph, capped_subgraph], None),
+    ("one candidate", {}, MIXED_DOCS[2:3], [bridged_parallel_subgraph], None),
+    ("several chunks", {"heads": 4}, MIXED_DOCS,
+     [tiny_subgraph, capped_subgraph, empty_subgraph, bridged_parallel_subgraph,
+      tiny_subgraph, capped_subgraph], 2 * 24 * 24),
+]
+
+
+class TestScoreBatch:
+    @pytest.mark.parametrize("case,overrides,texts,builders,budget", SCORE_BATCH_CASES,
+                             ids=[c[0] for c in SCORE_BATCH_CASES])
+    def test_matches_per_pair_forward(self, case, overrides, texts, builders, budget,
+                                      monkeypatch):
+        """score_batch agrees with forward to 1e-12 per pair and ranks the
+        candidates identically."""
+        model = RankerModel.build(tiny_config(**overrides), seed=31)
+        query = Query("q", "alpha beta")
+        docs = [Document(f"d{i}", text) for i, text in enumerate(texts)]
+        subs = [build() for build in builders]
+        chunks = []
+        if budget is not None:
+            monkeypatch.setattr(model_module, "ATTENTION_BUDGET", budget)
+            score_chunk = model._score_chunk
+            monkeypatch.setattr(model, "_score_chunk",
+                                lambda *args: chunks.append(1) or score_chunk(*args))
+
+        batched = model.score_batch(query, docs, subs)
+        direct = [model.forward(query, doc, sub).score for doc, sub in zip(docs, subs)]
+
+        assert batched.shape == (len(docs),)
+        assert np.max(np.abs(batched - np.array(direct))) <= 1e-12
+        order = lambda scores: sorted(range(len(docs)), key=lambda i: (-scores[i], docs[i].id))
+        assert order(list(batched)) == order(direct)
+        if budget is not None:
+            assert len(chunks) == 3  # two candidates of 24 tokens per chunk
+
+    def test_empty_batch(self, tiny_model):
+        assert tiny_model.score_batch(Query("q", "alpha"), [], []).shape == (0,)
+
+    def test_length_mismatch_rejected(self, tiny_model):
+        with pytest.raises(UsageError):
+            tiny_model.score_batch(Query("q", "alpha"), [Document("d", "beta")], [])
 
 
 class TestFullModelGradient:

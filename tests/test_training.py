@@ -317,7 +317,21 @@ class TestRerankRun:
         run = {"q0": [("d0_rel", 3.0), ("d1_noise", 2.0)],
                "q2": [("d2_rel", 4.0), ("d3_noise", 2.0), ("d0_noise", 1.0)]}
         args = ({q.id: q for q in queries}, {d.id: d for d in docs})
-        provider = SubgraphProvider(kg, *args)
-        serial = rerank_run(model, run, *args, provider, workers=1)
-        threaded = rerank_run(model, run, *args, provider, workers=4)
-        assert serial == threaded
+        serial = rerank_run(model, run, *args, SubgraphProvider(kg, *args), workers=1)
+        threaded = rerank_run(model, run, *args, SubgraphProvider(kg, *args), workers=4)
+        again = rerank_run(model, run, *args, SubgraphProvider(kg, *args), workers=1)
+        assert serial == threaded == again
+        assert list(serial) == ["q0", "q2"]
+
+    @pytest.mark.parametrize("name", ["tok_emb", "gnn0.wq", "fuse0.w1", "dec.out_w"])
+    def test_non_finite_parameter_raises(self, name):
+        docs, queries, qrels, kg = tiny_task()
+        from kgrank.model import build_vocab
+        cfg = tiny_config(vocab=build_vocab(docs), relations=sorted(kg.relations),
+                          max_len=16)
+        model = RankerModel.build(cfg, seed=10)
+        model.params[name].data[...] = np.inf
+        args = ({q.id: q for q in queries}, {d.id: d for d in docs})
+        with pytest.raises(ComputationError, match="outside"):
+            rerank_run(model, {"q1": [("d1_rel", 2.0), ("d1_noise", 1.0)]}, *args,
+                       SubgraphProvider(kg, *args))
