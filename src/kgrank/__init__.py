@@ -4,7 +4,8 @@ Pipeline: BM25 first-stage retrieval over an inverted index, 2-hop subgraph
 extraction per query-document pair, a small text+graph encoder-decoder scoring
 p(true), trained with a likelihood objective plus a bottleneck KL penalty, and
 TREC-style evaluation. Everything differentiable is checkable by finite
-differences and every metric by a brute-force oracle (see `kgrank selftest`).
+differences and every metric by a brute-force oracle; the checks live in
+`kgrank.selftest` and run with `kgrank selftest`.
 """
 
 from .corpus import (Document, InvertedIndex, Query, bm25_score, build_index,

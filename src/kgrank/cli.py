@@ -4,7 +4,9 @@ selftest.
 Each subcommand validates its inputs, writes outputs atomically, and is
 idempotent given identical inputs and seeds. Exit codes: 2 for missing or
 invalid inputs, 3 for violated internal invariants. KGRANK_THREADS caps how
-many queries rerank scores in parallel (default: machine cores).
+many queries rerank scores in parallel (default: machine cores). `selftest`
+runs the oracle checks of `kgrank.selftest`, the same ones the acceptance
+tests for criteria 1-5 call, and exits 3 if any fails.
 """
 
 from __future__ import annotations
@@ -17,19 +19,15 @@ import time
 from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
-
 from . import corpus as cx
 from . import evaluation as ev
-from . import oracles
-from . import tensor as tz
+from . import selftest
 from .errors import ConfigurationError, InputError, KgrankError, ValidationError
 from .kg import load_kg, load_subgraph_cache, save_subgraph_cache, subgraph_for_pair
-from .model import ModelConfig, RankerModel, build_vocab, kl_gaussian_std_normal
+from .model import ModelConfig, RankerModel, build_vocab
 from .synth import TaskKnobs, generate, write_task
-from .tensor import Tensor, load_checkpoint, save_checkpoint
-from .training import (SubgraphProvider, loss_from_trace, rerank_run,
-                       save_metrics, train_model)
+from .tensor import load_checkpoint, save_checkpoint
+from .training import SubgraphProvider, rerank_run, save_metrics, train_model
 
 
 def worker_count() -> int:
@@ -201,211 +199,17 @@ def cmd_gen(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    failures = []
-
-    def check(name: str, ok: bool, detail: str = "") -> None:
-        print(f"[{'PASS' if ok else 'FAIL'}] {name}" + (f" ({detail})" if detail else ""))
-        if not ok:
-            failures.append(name)
-
     started = time.time()
-    rng = np.random.default_rng(20240917)
-
-    # gradient checks, per primitive
-    worst = 0.0
-    for name, build in _primitive_cases():
-        f, params = build(rng)
-        err = tz.finite_diff_check(f, params, step=1e-5, max_coords=40, seed=3)
-        worst = max(worst, err)
-        if err >= 1e-6:
-            check(f"gradient: {name}", False, f"err={err:.2e}")
-    check("gradient: primitives", worst < 1e-6, f"max err={worst:.2e}")
-
-    # small full-model gradient check
-    model, query, doc, sub, noise = _tiny_model_fixture()
-    f = lambda: loss_from_trace(model.forward(query, doc, sub, noise=noise),
-                                True, model.cfg.alpha, model.cfg.S)
-    err = tz.finite_diff_check(f, model.params, step=1e-4, max_coords=120, seed=5)
-    check("gradient: full model", err < 1e-4, f"err={err:.2e}")
-
-    # metric oracles on random instances
-    agree = _metric_oracle_trials(rng, trials=100)
-    check("metrics: brute-force agreement", agree, "100 random instances per metric")
-
-    # subgraph extraction vs brute-force 2-hop enumeration
-    agree = _subgraph_oracle_trials(rng, trials=50)
-    check("subgraph: 2-hop oracle", agree, "50 random graphs")
-
-    # KL closed form vs Monte Carlo
-    ok = True
-    for _ in range(5):
-        mu = rng.uniform(-1.5, 1.5, size=4)
-        sigma = rng.uniform(0.4, 1.8, size=4)
-        closed = kl_gaussian_std_normal(Tensor(mu), Tensor(sigma)).item()
-        estimate, se = oracles.kl_mc_estimate(mu, sigma, 200_000, seed=int(rng.integers(2**31)))
-        ok = ok and abs(closed - estimate) < max(2e-2, 4 * se)
-    check("bottleneck: KL closed form vs Monte Carlo", ok)
-
-    # BM25 vs direct formula
-    ok = _bm25_oracle_trials(rng, trials=50)
-    check("bm25: direct-formula agreement", ok, "50 random corpora")
-
-    # determinism of a forward pass
-    t1 = model.forward(query, doc, sub, noise=noise).score
-    t2 = model.forward(query, doc, sub, noise=noise).score
-    check("determinism: repeated forward", t1 == t2)
-
+    failed = 0
+    for name, check in selftest.CHECKS:
+        failures, summary = check()
+        print(f"[{'FAIL' if failures else 'PASS'}] {name}: {summary}")
+        for message in failures:
+            print(f"    {message}")
+        failed += bool(failures)
     print(f"selftest finished in {time.time() - started:.1f}s: "
-          f"{'OK' if not failures else f'{len(failures)} failure(s)'}")
-    return 0 if not failures else 3
-
-
-def _primitive_cases():
-    def elementwise(op):
-        def build(rng):
-            x = Tensor(rng.normal(size=(3, 5)) + 0.1, requires_grad=True)
-            w = Tensor(rng.normal(size=(3, 5)))
-            return (lambda: tz.tsum(op(x) * w)), {"x": x}
-        return build
-
-    def positive(op):
-        def build(rng):
-            x = Tensor(rng.uniform(0.2, 3.0, size=(3, 5)), requires_grad=True)
-            w = Tensor(rng.normal(size=(3, 5)))
-            return (lambda: tz.tsum(op(x) * w)), {"x": x}
-        return build
-
-    def build_matmul(rng):
-        a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-        return (lambda: tz.tsum(a @ b)), {"a": a, "b": b}
-
-    def build_concat_split(rng):
-        a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-        b = Tensor(rng.normal(size=(2, 2)), requires_grad=True)
-        def f():
-            c = tz.concat([a, b], axis=1)
-            lo, hi = tz.split(c, [2, 3], axis=1)
-            return tz.tsum(lo * lo) + tz.tsum(hi)
-        return f, {"a": a, "b": b}
-
-    def build_gather(rng):
-        a = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
-        idx = np.array([0, 2, 2, 5])
-        w = Tensor(rng.normal(size=(4, 3)))
-        return (lambda: tz.tsum(tz.gather_rows(a, idx) * w)), {"a": a}
-
-    def build_masked(rng):
-        a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        mask = rng.random(size=(3, 4)) > 0.5
-        return (lambda: tz.tsum(tz.masked_fill(a, mask, -2.0))), {"a": a}
-
-    return [
-        ("softmax", elementwise(tz.softmax)),
-        ("layer_norm", elementwise(tz.layer_norm)),
-        ("gelu", elementwise(tz.gelu)),
-        ("relu", elementwise(tz.relu)),
-        ("softplus", elementwise(tz.softplus)),
-        ("exp", elementwise(tz.exp)),
-        ("log", positive(tz.log)),
-        ("matmul", build_matmul),
-        ("concat/split", build_concat_split),
-        ("gather_rows", build_gather),
-        ("masked_fill", build_masked),
-    ]
-
-
-def _tiny_model_fixture():
-    from .corpus import Document, Query
-    from .kg import INTERACTION_NODE, INTERACTION_RELATION, QuerySubgraph
-    from .model import RESERVED_TOKENS
-    cfg = ModelConfig(d_l=16, d_g=8, heads=2, R=1, S=1, d_z=4, d_proj=8, max_len=16,
-                      vocab=list(RESERVED_TOKENS) + ["alpha", "beta", "gamma"],
-                      relations=["rel_a"])
-    model = RankerModel.build(cfg, seed=11)
-    sub = QuerySubgraph(
-        node_ids=[INTERACTION_NODE, "n1", "n2"],
-        provenance=["interaction", "query-seed", "doc-seed"],
-        edges=[(1, "rel_a", 2), (0, INTERACTION_RELATION, 1), (1, INTERACTION_RELATION, 0),
-               (0, INTERACTION_RELATION, 2), (2, INTERACTION_RELATION, 0)])
-    noise = [np.random.default_rng(9).normal(size=(1, cfg.d_z)) for _ in range(cfg.S)]
-    return model, Query("q", "alpha beta"), Document("d", "gamma alpha"), sub, noise
-
-
-def _metric_oracle_trials(rng, trials: int) -> bool:
-    for _ in range(trials):
-        n = int(rng.integers(1, 20))
-        docs = [f"d{i}" for i in range(n)]
-        ranking = [(d, float(s)) for d, s in
-                   zip(docs, sorted(rng.normal(size=n), reverse=True))]
-        grades = {d: int(rng.integers(0, 4)) for d in docs if rng.random() < 0.5}
-        relevant = {d for d, g in grades.items() if g > 0}
-        ids = [d for d, _ in ranking]
-        k = int(rng.integers(1, 15))
-        if ev.average_precision(ranking, relevant) != oracles.ap_direct(ids, relevant):
-            return False
-        if abs(ev.ndcg_at_k(ranking, grades, k) - oracles.ndcg_direct(ids, grades, k)) > 1e-12:
-            return False
-        for capped in (False, True):
-            if ev.recall_at_k(ranking, relevant, k, capped) != \
-                    oracles.recall_direct(ids, relevant, k, capped):
-                return False
-    return True
-
-
-def _subgraph_oracle_trials(rng, trials: int) -> bool:
-    from .kg import KnowledgeGraph, extract_subgraph
-    for _ in range(trials):
-        n = int(rng.integers(4, 30))
-        nodes = [f"v{i}" for i in range(n)]
-        triples = set()
-        for _ in range(int(rng.integers(n, 4 * n))):
-            h, t = rng.choice(n, size=2, replace=False)
-            triples.add((nodes[int(h)], f"r{int(rng.integers(3))}", nodes[int(t)]))
-        kg = KnowledgeGraph()
-        kg.triples = sorted(triples)
-        for h, r, t in kg.triples:
-            kg.nodes.update((h, t))
-            kg.relations.add(r)
-        kg.nodes.update(nodes)
-        n_seeds = int(rng.integers(0, min(6, n)))
-        seeds = set(str(s) for s in rng.choice(nodes, size=n_seeds, replace=False))
-        v_q = {s for s in seeds if rng.random() < 0.6} or seeds
-        v_d = seeds - v_q or v_q
-        sub = extract_subgraph(kg, set(v_q), set(v_d), max_nodes=n + 1)
-        expected = oracles.two_hop_nodes_direct(kg.triples, v_q | v_d)
-        if set(sub.node_ids[1:]) != expected:
-            return False
-        got_edges = {(sub.node_ids[s], r, sub.node_ids[t])
-                     for s, r, t in sub.edges if r != "<int>"}
-        if got_edges != oracles.subgraph_edges_direct(kg.triples, expected):
-            return False
-    return True
-
-
-def _bm25_oracle_trials(rng, trials: int) -> bool:
-    from .corpus import Document, Query, build_index, bm25_score, retrieve_topk, tokenize
-    words = [f"w{i}" for i in range(12)]
-    for _ in range(trials):
-        n = int(rng.integers(2, 12))
-        docs = [Document(f"d{i}", " ".join(rng.choice(words, size=rng.integers(1, 15))))
-                for i in range(n)]
-        index = build_index(docs)
-        tokens = {d.id: tokenize(d.text) for d in docs}
-        q_terms = list(rng.choice(words, size=int(rng.integers(1, 5))))
-        for d in docs:
-            fast = bm25_score(index, q_terms, d.id)
-            slow = oracles.bm25_direct(tokens, q_terms, d.id)
-            if abs(fast - slow) > 1e-9:
-                return False
-        # ordering equals the exhaustive score table
-        run = retrieve_topk(index, Query("q", " ".join(q_terms)), k=n)
-        table = sorted(((d.id, bm25_score(index, q_terms, d.id)) for d in docs
-                        if bm25_score(index, q_terms, d.id) > 0),
-                       key=lambda item: (-item[1], item[0]))
-        if run != table[:n]:
-            return False
-    return True
+          f"{f'{failed} check(s) failed' if failed else 'OK'}")
+    return 3 if failed else 0
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
                        type=type(f.default), default=None, dest=f.name)
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("selftest", help="run gradient, metric, subgraph, and KL oracles")
+    p = sub.add_parser("selftest", help="run the gradient, KL, metric, subgraph and BM25 oracle checks")
     p.set_defaults(func=cmd_selftest)
     return parser
 

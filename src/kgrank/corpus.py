@@ -163,11 +163,6 @@ def load_queries(path: str | Path) -> list[Query]:
     return queries
 
 
-def save_jsonl_records(path: str | Path, records: list[dict]) -> None:
-    lines = [json.dumps(rec, ensure_ascii=False, separators=(", ", ": ")) for rec in records]
-    atomic_write(path, "\n".join(lines) + ("\n" if lines else ""))
-
-
 def load_qrels(path: str | Path) -> dict[tuple[str, str], int]:
     """TREC qrels: 'qid 0 docid grade' per line, '#' comments ignored."""
     qrels: dict[tuple[str, str], int] = {}
@@ -193,10 +188,6 @@ def load_qrels(path: str | Path) -> dict[tuple[str, str], int]:
 def save_qrels(path: str | Path, qrels: dict[tuple[str, str], int]) -> None:
     lines = [f"{qid} 0 {did} {grade}" for (qid, did), grade in sorted(qrels.items())]
     atomic_write(path, "\n".join(lines) + ("\n" if lines else ""))
-
-
-def relevant_docs(qrels: dict[tuple[str, str], int], query_id: str) -> set[str]:
-    return {did for (qid, did), grade in qrels.items() if qid == query_id and grade > 0}
 
 
 def save_index(path: str | Path, index: InvertedIndex) -> None:

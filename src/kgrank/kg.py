@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -38,6 +39,23 @@ class KnowledgeGraph:
     _surfaces: dict[tuple[str, ...], str] | None = field(default=None, repr=False)
     _adjacency: dict[str, set[str]] | None = field(default=None, repr=False)
     _by_head: dict[str, list[tuple[str, str, str]]] | None = field(default=None, repr=False)
+
+    @classmethod
+    def from_triples(cls, triples: Iterable[tuple[str, str, str]],
+                     lexicon: Iterable[tuple[str, str]] = ()) -> KnowledgeGraph:
+        """The graph of the deduplicated, sorted triples. Each (node, surface)
+        lexicon pair adds its node and, once per node, its surface name."""
+        kg = cls(triples=sorted(set(triples)))
+        for head, rel, tail in kg.triples:
+            kg.nodes.add(head)
+            kg.nodes.add(tail)
+            kg.relations.add(rel)
+        for node, surface in lexicon:
+            kg.nodes.add(node)
+            surfaces = kg.names.setdefault(node, [])
+            if surface not in surfaces:
+                surfaces.append(surface)
+        return kg
 
     def surface_names(self, node: str) -> list[str]:
         return self.names.get(node, [node])
@@ -93,7 +111,7 @@ class QuerySubgraph:
 
 def load_kg(path: str | Path, lexicon_path: str | Path | None = None) -> KnowledgeGraph:
     """Load 'head<TAB>relation<TAB>tail' triples, deduplicated and canonically sorted."""
-    triples: set[tuple[str, str, str]] = set()
+    triples: list[tuple[str, str, str]] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -107,19 +125,14 @@ def load_kg(path: str | Path, lexicon_path: str | Path | None = None) -> Knowled
                 raise ParseError(f"{path}:{lineno}: relation {rel!r} is reserved")
             if INTERACTION_NODE in (head, tail):
                 raise ParseError(f"{path}:{lineno}: node id {INTERACTION_NODE!r} is reserved")
-            triples.add((head, rel, tail))
-    kg = KnowledgeGraph()
-    kg.triples = sorted(triples)
-    for head, rel, tail in kg.triples:
-        kg.nodes.add(head)
-        kg.nodes.add(tail)
-        kg.relations.add(rel)
-    if lexicon_path is not None:
-        _load_lexicon(kg, lexicon_path)
-    return kg
+            triples.append((head, rel, tail))
+    lexicon = _read_lexicon(lexicon_path) if lexicon_path is not None else ()
+    return KnowledgeGraph.from_triples(triples, lexicon)
 
 
-def _load_lexicon(kg: KnowledgeGraph, path: str | Path) -> None:
+def _read_lexicon(path: str | Path) -> list[tuple[str, str]]:
+    """'node_id<TAB>surface name' pairs in file order."""
+    pairs = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -129,10 +142,8 @@ def _load_lexicon(kg: KnowledgeGraph, path: str | Path) -> None:
             if len(parts) != 2 or not all(p.strip() for p in parts):
                 raise ParseError(f"{path}:{lineno}: expected 'node_id<TAB>surface name'")
             node, surface = (p.strip() for p in parts)
-            kg.nodes.add(node)
-            kg.names.setdefault(node, [])
-            if surface not in kg.names[node]:
-                kg.names[node].append(surface)
+            pairs.append((node, surface))
+    return pairs
 
 
 def _surface_index(kg: KnowledgeGraph) -> dict[tuple[str, ...], str]:

@@ -4,7 +4,8 @@ Everything here is written directly from definitions and deliberately shares
 no code with the production implementations: metrics recount prefixes
 quadratically, BM25 rescans raw token lists, subgraph candidates come from a
 triple loop over node pairs, and the KL term is estimated by Monte Carlo
-sampling. `kgrank selftest` and the test suite both compare against these.
+sampling. The comparisons themselves live in `kgrank.selftest`, which both
+`kgrank selftest` and the acceptance tests run.
 """
 
 from __future__ import annotations

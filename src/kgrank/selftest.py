@@ -1,0 +1,274 @@
+"""The oracle checks: every fast path against its brute-force twin.
+
+Each check takes no arguments, draws its random instances from a fixed seed,
+and returns (failure messages, one-line summary); an empty failure list means
+the check passed. `kgrank selftest` runs every check in CHECKS, and the
+acceptance tests for criteria 1-5 call the same functions, so each comparison
+is written once. The brute-force twins live in `kgrank.oracles`.
+"""
+
+from __future__ import annotations
+
+import zlib
+from collections.abc import Callable
+
+import numpy as np
+
+from . import corpus as cx
+from . import evaluation as ev
+from . import oracles
+from . import tensor as tz
+from .corpus import Document, Query
+from .kg import (INTERACTION_NODE, INTERACTION_RELATION, KnowledgeGraph,
+                 QuerySubgraph, extract_subgraph)
+from .model import RESERVED_TOKENS, ModelConfig, RankerModel, kl_gaussian_std_normal
+from .tensor import Tensor, finite_diff_check
+from .training import loss_from_trace
+
+CheckResult = tuple[list[str], str]
+
+# ---------------------------------------------------------------------------
+# The tape primitives, one gradient case each: (name, fn, x shape, optional
+# second-leaf shape, input kind). "positive" keeps log away from its domain
+# edge.
+PRIMITIVE_CASES = [
+    ("add", lambda x, p: tz.add(x, p), (3, 4), (3, 4), "normal"),
+    ("mul", lambda x, p: tz.mul(x, p), (3, 4), (3, 4), "normal"),
+    ("matmul", lambda x, p: x @ p, (3, 4), (4, 2), "normal"),
+    ("transpose", lambda x, p: tz.transpose(x), (3, 4), None, "normal"),
+    ("reshape", lambda x, p: tz.reshape(x, (4, 3)), (3, 4), None, "normal"),
+    ("softmax", lambda x, p: tz.softmax(x), (3, 4), None, "normal"),
+    ("layer_norm", lambda x, p: tz.layer_norm(x), (3, 4), None, "normal"),
+    ("gelu", lambda x, p: tz.gelu(x), (3, 4), None, "normal"),
+    ("softplus", lambda x, p: tz.softplus(x), (3, 4), None, "normal"),
+    ("log", lambda x, p: tz.log(x), (3, 4), None, "positive"),
+    ("sum_all", lambda x, p: tz.tsum(x), (3, 4), None, "normal"),
+    ("sum_axis0", lambda x, p: tz.tsum(x, axis=0), (3, 4), None, "normal"),
+    ("sum_axis1_keep", lambda x, p: tz.tsum(x, axis=1, keepdims=True), (3, 4), None, "normal"),
+    ("repeat_rows", lambda x, p: tz.repeat_rows(x, 5), (1, 4), None, "normal"),
+    ("gather_rows", lambda x, p: tz.gather_rows(x, [0, 2, 2]), (3, 4), None, "normal"),
+    ("concat", lambda x, p: tz.concat([x, p], axis=0), (3, 4), (2, 4), "normal"),
+    ("split", lambda x, p: tz.split(x, [1, 3], axis=1)[1], (3, 4), None, "normal"),
+]
+
+
+def primitive_case_seed(name: str) -> int:
+    return zlib.crc32(name.encode())
+
+
+def primitive_leaf(rng, shape, kind) -> Tensor:
+    if kind == "positive":
+        return Tensor(rng.uniform(0.5, 3.0, size=shape), requires_grad=True)
+    return Tensor(rng.normal(size=shape), requires_grad=True)
+
+
+def primitive_objective(name, fn, xshape, pshape, kind):
+    """(f, params) for one PRIMITIVE_CASES row: f sums the primitive's output
+    under a fixed random weighting, so every output entry reaches the loss."""
+    rng = np.random.default_rng(primitive_case_seed(name))
+    x = primitive_leaf(rng, xshape, kind)
+    params = {"x": x}
+    if pshape is not None:
+        params["p"] = primitive_leaf(rng, pshape, kind)
+    weight = Tensor(rng.normal(size=fn(x, params.get("p")).shape))
+    return (lambda: tz.tsum(fn(x, params.get("p")) * weight)), params
+
+
+# ---------------------------------------------------------------------------
+# The tiny model of the full-model gradient check, shared with the unit tests.
+
+TINY_WORDS = ["alpha", "beta", "gamma", "delta", "epsilon"]
+
+
+def tiny_config(**overrides) -> ModelConfig:
+    defaults = dict(d_l=16, d_g=8, heads=2, R=1, S=1, d_z=4, d_proj=8, max_len=24,
+                    vocab=list(RESERVED_TOKENS) + TINY_WORDS,
+                    relations=["rel_a", "rel_b"])
+    defaults.update(overrides)
+    return ModelConfig(**defaults)
+
+
+def tiny_subgraph() -> QuerySubgraph:
+    edges = [(1, "rel_a", 3), (3, "rel_b", 2)]
+    for i in (1, 2, 3):
+        edges += [(0, INTERACTION_RELATION, i), (i, INTERACTION_RELATION, 0)]
+    return QuerySubgraph(
+        node_ids=[INTERACTION_NODE, "n1", "n2", "n3"],
+        provenance=["interaction", "query-seed", "doc-seed", "bridge"],
+        edges=edges)
+
+
+def tiny_model() -> RankerModel:
+    return RankerModel.build(tiny_config(), seed=7)
+
+
+def tiny_pair() -> tuple[Query, Document]:
+    return Query("q1", "alpha beta"), Document("d1", "gamma delta alpha")
+
+
+def frozen_noise(cfg: ModelConfig, seed: int = 3) -> list[np.ndarray]:
+    rng = np.random.default_rng(seed)
+    return [rng.normal(size=(1, cfg.d_z)) for _ in range(cfg.S)]
+
+
+# ---------------------------------------------------------------------------
+# The checks.
+
+def check_primitive_gradients() -> CheckResult:
+    """Every tape primitive's analytic gradient against central differences."""
+    failures, worst = [], 0.0
+    for case in PRIMITIVE_CASES:
+        f, params = primitive_objective(*case)
+        err = finite_diff_check(f, params, step=1e-5, max_coords=60, seed=2)
+        worst = max(worst, err)
+        if err >= 1e-6:
+            failures.append(f"{case[0]}: relative error {err:.2e} >= 1e-6")
+    return failures, f"{len(PRIMITIVE_CASES)} primitives, max err {worst:.2e} (<1e-6)"
+
+
+def check_model_gradient() -> CheckResult:
+    """The training objective of the tiny model against central differences,
+    and a repeated forward pass reproduces its score bit for bit."""
+    model = tiny_model()
+    query, doc = tiny_pair()
+    noise = frozen_noise(model.cfg)
+
+    def objective():
+        trace = model.forward(query, doc, tiny_subgraph(), noise=noise)
+        return loss_from_trace(trace, True, model.cfg.alpha, model.cfg.S)
+
+    err = finite_diff_check(objective, model.params, step=1e-4, max_coords=200, seed=4)
+    failures = [f"full model: relative error {err:.2e} >= 1e-4"] if err >= 1e-4 else []
+    first, second = (model.forward(query, doc, tiny_subgraph(), noise=noise).score
+                     for _ in range(2))
+    if first != second:
+        failures.append(f"repeated forward changed the score: {first!r} != {second!r}")
+    return failures, f"full model err {err:.2e} (<1e-4), repeated forward bit-identical"
+
+
+def check_bottleneck() -> CheckResult:
+    """Closed-form KL against Monte Carlo on 50 random Gaussians, and the
+    mutual information of a Gaussian mixture against its mean-KL bound."""
+    rng = np.random.default_rng(12345)
+    failures, worst_gap = [], 0.0
+    for i in range(50):
+        # ranges keep the estimator's standard error well under the tolerance
+        mu = rng.uniform(-0.8, 0.8, size=4)
+        sigma = rng.uniform(0.6, 1.4, size=4)
+        closed = kl_gaussian_std_normal(Tensor(mu), Tensor(sigma)).item()
+        estimate, _ = oracles.kl_mc_estimate(mu, sigma, 1_000_000, seed=1000 + i)
+        gap = abs(closed - estimate)
+        worst_gap = max(worst_gap, gap)
+        if gap >= 1e-2:
+            failures.append(f"draw {i}: closed-form KL {closed:.5f} vs Monte Carlo "
+                            f"{estimate:.5f}")
+
+    k, d = 6, 3
+    weights = rng.dirichlet(np.ones(k))
+    mus = rng.uniform(-1.5, 1.5, size=(k, d))
+    sigmas = rng.uniform(0.4, 1.2, size=(k, d))
+    mean_kl = sum(w * kl_gaussian_std_normal(Tensor(m), Tensor(s)).item()
+                  for w, m, s in zip(weights, mus, sigmas))
+    mi, se = oracles.mutual_information_mc(weights, mus, sigmas, 500_000, seed=99)
+    if mi > mean_kl + 3 * se:
+        failures.append(f"MC I(x;z) {mi:.4f} exceeds mean KL {mean_kl:.4f} + 3SE")
+    return failures, (f"max |closed-MC| {worst_gap:.2e} (<1e-2) over 50 draws; "
+                      f"MC I(x;z)={mi:.4f} <= mean KL {mean_kl:.4f} + 3SE {3 * se:.4f}")
+
+
+def check_metrics() -> CheckResult:
+    """AP, nDCG@k and both recalls against their direct definitions on 500
+    random rankings, exactly (nDCG to 1e-12)."""
+    rng = np.random.default_rng(4242)
+    failures = []
+    for trial in range(500):
+        n = int(rng.integers(1, 25))
+        ids = [f"d{i}" for i in range(n)]
+        rng.shuffle(ids)
+        ranking = [(d, float(s)) for d, s in zip(ids, sorted(rng.normal(size=n),
+                                                             reverse=True))]
+        grades = {d: int(rng.integers(0, 4)) for d in ids if rng.random() < 0.6}
+        relevant = {d for d, g in grades.items() if g > 0}
+        k = int(rng.integers(1, 30))
+        if ev.average_precision(ranking, relevant) != oracles.ap_direct(ids, relevant):
+            failures.append(f"instance {trial}: average precision")
+        if abs(ev.ndcg_at_k(ranking, grades, k) - oracles.ndcg_direct(ids, grades, k)) > 1e-12:
+            failures.append(f"instance {trial}: nDCG@{k}")
+        for capped in (False, True):
+            if ev.recall_at_k(ranking, relevant, k, capped) != \
+                    oracles.recall_direct(ids, relevant, k, capped):
+                failures.append(f"instance {trial}: recall@{k} (capped={capped})")
+    return failures, "500 random instances per metric, exact agreement"
+
+
+def check_subgraphs() -> CheckResult:
+    """Uncapped extraction against brute-force 2-hop enumeration on 200 random
+    graphs; a random cap keeps every seed before any bridge."""
+    rng = np.random.default_rng(777)
+    failures = []
+    for trial in range(200):
+        n = int(rng.integers(3, 51))
+        nodes = [f"v{i:02d}" for i in range(n)]
+        triples = set()
+        for _ in range(int(rng.integers(n // 2, 3 * n))):
+            h, t = rng.choice(n, size=2, replace=False)
+            triples.add((nodes[int(h)], f"r{int(rng.integers(4))}", nodes[int(t)]))
+        kg = KnowledgeGraph.from_triples(triples)
+        kg.nodes.update(nodes)
+        k = int(rng.integers(0, min(7, n + 1)))
+        seeds = [str(s) for s in rng.choice(nodes, size=k, replace=False)] if k else []
+        v_q = {s for s in seeds if rng.random() < 0.5}
+        v_d = set(seeds) - v_q
+        sub = extract_subgraph(kg, v_q, v_d, max_nodes=n + 1)  # uncapped
+        expected_nodes = oracles.two_hop_nodes_direct(kg.triples, set(seeds))
+        if set(sub.node_ids[1:]) != expected_nodes:
+            failures.append(f"graph {trial}: node set differs from 2-hop enumeration")
+        got_edges = {(sub.node_ids[s], r, sub.node_ids[t]) for s, r, t in sub.edges
+                     if r != INTERACTION_RELATION}
+        if got_edges != oracles.subgraph_edges_direct(kg.triples, expected_nodes):
+            failures.append(f"graph {trial}: edge set differs from enumeration")
+
+        cap = int(rng.integers(1, 12))
+        capped = extract_subgraph(kg, v_q, v_d, max_nodes=cap)
+        if "bridge" in capped.provenance and not set(seeds) <= set(capped.node_ids[1:]):
+            failures.append(f"graph {trial}: cap {cap} kept a bridge but dropped a seed")
+        if len(capped.node_ids) > cap + 1:
+            failures.append(f"graph {trial}: {len(capped.node_ids) - 1} nodes over cap {cap}")
+    return failures, ("200 random graphs, node and edge sets equal brute-force "
+                      "enumeration; capping keeps seeds")
+
+
+def check_bm25() -> CheckResult:
+    """Top-k order against the exhaustive score table, and scores against the
+    direct formula over raw tokens, on 200 random corpora."""
+    rng = np.random.default_rng(31337)
+    words = [f"w{i}" for i in range(12)]
+    failures = []
+    for trial in range(200):
+        n = int(rng.integers(1, 40))
+        docs = [Document(f"d{i:02d}", " ".join(rng.choice(words, size=rng.integers(0, 12))))
+                for i in range(n)]
+        index = cx.build_index(docs)
+        terms = list(rng.choice(words, size=int(rng.integers(1, 5))))
+        got = cx.retrieve_topk(index, Query("q", " ".join(terms)), k=n + 5)
+        table = sorted(((d.id, cx.bm25_score(index, terms, d.id)) for d in docs
+                        if cx.bm25_score(index, terms, d.id) > 0),
+                       key=lambda item: (-item[1], item[0]))
+        if got != table:
+            failures.append(f"corpus {trial}: top-k differs from the exhaustive table")
+        tokens = {d.id: cx.tokenize(d.text) for d in docs}
+        for d in docs[:5]:
+            if abs(cx.bm25_score(index, terms, d.id)
+                   - oracles.bm25_direct(tokens, terms, d.id)) >= 1e-9:
+                failures.append(f"corpus {trial}: score of {d.id} differs from the formula")
+    return failures, "exhaustive-oracle ordering and direct-formula scores on 200 random corpora"
+
+
+CHECKS: list[tuple[str, Callable[[], CheckResult]]] = [
+    ("gradient: primitives", check_primitive_gradients),
+    ("gradient: full model", check_model_gradient),
+    ("bottleneck: KL and MI bound", check_bottleneck),
+    ("metrics: brute-force agreement", check_metrics),
+    ("subgraph: 2-hop enumeration", check_subgraphs),
+    ("bm25: exhaustive ordering and direct formula", check_bm25),
+]

@@ -25,6 +25,7 @@ from .corpus import Document, Query, build_index, retrieve_topk, save_qrels
 from .errors import ValidationError
 from .evaluation import ndcg_at_k
 from .fileio import atomic_write
+from .kg import KnowledgeGraph
 
 RELATIONS = ("associated_with", "interacts_with", "part_of")
 
@@ -177,10 +178,7 @@ def _two_hop_connected(adjacency: dict[str, set[str]], v_q: set[str], v_d: set[s
 
 def _check_and_annotate(task: SyntheticTask, seed: int, knobs: TaskKnobs) -> None:
     """Generation-time guarantees: graph-decidable relevance, weak BM25."""
-    adjacency: dict[str, set[str]] = {}
-    for h, _, t in task.triples:
-        adjacency.setdefault(h, set()).add(t)
-        adjacency.setdefault(t, set()).add(h)
+    adjacency = KnowledgeGraph.from_triples(task.triples).adjacency()
     surface_to_node = {surface: node for node, surface in task.lexicon}
 
     def entities_of(text: str) -> set[str]:

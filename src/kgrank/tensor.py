@@ -291,11 +291,6 @@ def gelu(a: Tensor) -> Tensor:
     return _result("gelu", y, (a,), (fn,))
 
 
-def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
-    return _result("relu", np.where(mask, a.data, 0.0), (a,), (lambda g: g * mask,))
-
-
 def softplus(a: Tensor) -> Tensor:
     """log(1 + exp(x)), computed stably; derivative is the logistic sigmoid."""
     x = a.data
@@ -311,15 +306,6 @@ def log(a: Tensor) -> Tensor:
     return _result("log", np.log(a.data), (a,), (lambda g: g / a.data,))
 
 
-def exp(a: Tensor) -> Tensor:
-    with np.errstate(over="raise"):
-        try:
-            y = np.exp(a.data)
-        except FloatingPointError as err:
-            raise ComputationError("exp: overflow") from err
-    return _result("exp", y, (a,), (lambda g: g * y,))
-
-
 def tsum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     shape = a.shape
 
@@ -330,19 +316,6 @@ def tsum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
         return np.broadcast_to(gg, shape).copy()
 
     return _result("sum", a.data.sum(axis=axis, keepdims=keepdims), (a,), (fn,))
-
-
-def tmean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    count = a.size if axis is None else a.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / count)
-
-
-def masked_fill(a: Tensor, mask, value: float) -> Tensor:
-    m = np.asarray(mask, dtype=bool)
-    if m.shape != a.shape:
-        raise ShapeError("masked_fill", a.shape, m.shape)
-    return _result("masked_fill", np.where(m, float(value), a.data),
-                   (a,), (lambda g: g * ~m,))
 
 
 # ---------------------------------------------------------------------------

@@ -1,43 +1,17 @@
-"""Shared fixtures: a tiny model configuration and a hand-built subgraph."""
+"""Shared fixtures: the tiny model of the full-model gradient check, its
+hand-built subgraph and its frozen noise, all defined in kgrank.selftest."""
 
-import numpy as np
 import pytest
 
-from kgrank.corpus import Document, Query
-from kgrank.kg import INTERACTION_NODE, INTERACTION_RELATION, QuerySubgraph
-from kgrank.model import RESERVED_TOKENS, ModelConfig, RankerModel
-
-TINY_WORDS = ["alpha", "beta", "gamma", "delta", "epsilon"]
-
-
-def tiny_config(**overrides) -> ModelConfig:
-    defaults = dict(d_l=16, d_g=8, heads=2, R=1, S=1, d_z=4, d_proj=8, max_len=24,
-                    vocab=list(RESERVED_TOKENS) + TINY_WORDS,
-                    relations=["rel_a", "rel_b"])
-    defaults.update(overrides)
-    return ModelConfig(**defaults)
-
-
-def tiny_subgraph() -> QuerySubgraph:
-    edges = [(1, "rel_a", 3), (3, "rel_b", 2)]
-    for i in (1, 2, 3):
-        edges += [(0, INTERACTION_RELATION, i), (i, INTERACTION_RELATION, 0)]
-    return QuerySubgraph(
-        node_ids=[INTERACTION_NODE, "n1", "n2", "n3"],
-        provenance=["interaction", "query-seed", "doc-seed", "bridge"],
-        edges=edges)
+from kgrank import selftest
+from kgrank.selftest import frozen_noise, tiny_config, tiny_subgraph  # noqa: F401
 
 
 @pytest.fixture
 def tiny_model():
-    return RankerModel.build(tiny_config(), seed=7)
+    return selftest.tiny_model()
 
 
 @pytest.fixture
 def tiny_pair():
-    return Query("q1", "alpha beta"), Document("d1", "gamma delta alpha")
-
-
-def frozen_noise(cfg, seed=3):
-    rng = np.random.default_rng(seed)
-    return [rng.normal(size=(1, cfg.d_z)) for _ in range(cfg.S)]
+    return selftest.tiny_pair()

@@ -1,9 +1,11 @@
 """Acceptance suite.
 
 One test per acceptance criterion, each printing a PASS/FAIL line (run with
-`pytest tests/test_acceptance.py -v -s` to watch them stream). The expensive
-central-claim comparison (criterion 6/7) trains three models on the default
-synthetic task and is shared through a module-scoped fixture.
+`pytest tests/test_acceptance.py -v -s` to watch them stream). Criteria 1-5
+run the oracle checks of kgrank.selftest, the same ones `kgrank selftest`
+runs, under their time limits. The expensive central-claim comparison
+(criterion 6/7) trains three models on the default synthetic task and is
+shared through a module-scoped fixture.
 """
 
 import json
@@ -13,23 +15,17 @@ import time
 import numpy as np
 import pytest
 
-import kgrank.tensor as tz
-from conftest import frozen_noise, tiny_config, tiny_subgraph
 from kgrank.cli import main
-from kgrank.corpus import (Document, Query, bm25_score, build_index,
-                           retrieve_topk, tokenize)
-from kgrank.evaluation import (average_precision, load_run, ndcg_at_k,
-                               recall_at_k)
-from kgrank.kg import KnowledgeGraph, extract_subgraph
-from kgrank.model import ModelConfig, RankerModel, build_vocab, kl_gaussian_std_normal
-from kgrank.oracles import (ap_direct, bm25_direct, kl_mc_estimate,
-                            mutual_information_mc, ndcg_direct, recall_direct,
-                            subgraph_edges_direct, two_hop_nodes_direct)
+from kgrank.corpus import bm25_score, build_index, retrieve_topk, tokenize
+from kgrank.evaluation import load_run, ndcg_at_k
+from kgrank.kg import KnowledgeGraph
+from kgrank.model import ModelConfig, build_vocab
+from kgrank.selftest import (check_bm25, check_bottleneck, check_metrics,
+                             check_model_gradient, check_primitive_gradients,
+                             check_subgraphs)
 from kgrank.synth import generate
-from kgrank.tensor import Tensor, finite_diff_check
-from kgrank.training import SubgraphProvider, loss_from_trace, rerank_run, train_model
+from kgrank.training import SubgraphProvider, rerank_run, train_model
 from test_corpus import FIXTURE_DOCS, FIXTURE_QUERIES, FIXTURE_SCORES
-from test_tensor import PRIMITIVE_CASES, primitive_case_seed, primitive_leaf
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -37,146 +33,36 @@ def report(criterion: str, ok: bool, detail: str) -> None:
     assert ok, f"{criterion}: {detail}"
 
 
-# ---------------------------------------------------------------------------
-# Criterion 1: gradient fidelity.
+def report_checks(criterion: str, checks, seconds: float) -> None:
+    """Run kgrank.selftest checks and report them as one criterion that must
+    also finish within its time limit."""
+    started = time.time()
+    failures, summaries = [], []
+    for check in checks:
+        failed, summary = check()
+        failures += failed
+        summaries.append(summary)
+    elapsed = time.time() - started
+    report(criterion, not failures and elapsed < seconds,
+           "; ".join(summaries + [f"{elapsed:.1f}s (<{seconds:.0f}s)"] + failures[:10]))
+
 
 def test_criterion_1_gradient_fidelity():
-    started = time.time()
-    worst_prim = 0.0
-    for name, fn, xshape, pshape, kind in PRIMITIVE_CASES:
-        rng = np.random.default_rng(primitive_case_seed(name))
-        x = primitive_leaf(rng, xshape, kind)
-        params = {"x": x}
-        if pshape is not None:
-            params["p"] = primitive_leaf(rng, pshape, kind)
-        weight = Tensor(rng.normal(size=fn(x, params.get("p")).shape))
-        err = finite_diff_check(lambda: tz.tsum(fn(x, params.get("p")) * weight),
-                                params, step=1e-5, max_coords=60, seed=2)
-        worst_prim = max(worst_prim, err)
+    report_checks("criterion 1 (gradient fidelity)",
+                  [check_primitive_gradients, check_model_gradient], 60)
 
-    cfg = tiny_config(d_l=16, d_g=8, heads=2, R=1, S=1)
-    model = RankerModel.build(cfg, seed=7)
-    query, doc = Query("q", "alpha beta"), Document("d", "gamma delta alpha")
-    noise = frozen_noise(cfg, seed=3)
-
-    def objective():
-        trace = model.forward(query, doc, tiny_subgraph(), noise=noise)
-        return loss_from_trace(trace, True, cfg.alpha, cfg.S)
-
-    err_model = finite_diff_check(objective, model.params, step=1e-4,
-                                  max_coords=200, seed=4)
-    elapsed = time.time() - started
-    report("criterion 1 (gradient fidelity)",
-           worst_prim < 1e-6 and err_model < 1e-4 and elapsed < 60,
-           f"primitives max err {worst_prim:.2e} (<1e-6), "
-           f"full model err {err_model:.2e} (<1e-4), {elapsed:.1f}s (<60s)")
-
-
-# ---------------------------------------------------------------------------
-# Criterion 2: mutual-information machinery.
 
 def test_criterion_2_mi_machinery():
-    started = time.time()
-    rng = np.random.default_rng(12345)
-    worst_gap = 0.0
-    for i in range(50):
-        # ranges keep the estimator's standard error well under the tolerance
-        mu = rng.uniform(-0.8, 0.8, size=4)
-        sigma = rng.uniform(0.6, 1.4, size=4)
-        closed = kl_gaussian_std_normal(Tensor(mu), Tensor(sigma)).item()
-        estimate, _ = kl_mc_estimate(mu, sigma, 1_000_000, seed=1000 + i)
-        worst_gap = max(worst_gap, abs(closed - estimate))
-    kl_ok = worst_gap < 1e-2
+    report_checks("criterion 2 (MI machinery)", [check_bottleneck], 120)
 
-    k, d = 6, 3
-    weights = rng.dirichlet(np.ones(k))
-    mus = rng.uniform(-1.5, 1.5, size=(k, d))
-    sigmas = rng.uniform(0.4, 1.2, size=(k, d))
-    mean_kl = sum(w * kl_gaussian_std_normal(Tensor(m), Tensor(s)).item()
-                  for w, m, s in zip(weights, mus, sigmas))
-    mi, se = mutual_information_mc(weights, mus, sigmas, 500_000, seed=99)
-    bound_ok = mi <= mean_kl + 3 * se
-    elapsed = time.time() - started
-    report("criterion 2 (MI machinery)", kl_ok and bound_ok and elapsed < 120,
-           f"max |closed-MC| {worst_gap:.2e} (<1e-2) over 50 draws; "
-           f"MC I(x;z)={mi:.4f} <= mean KL {mean_kl:.4f} + 3SE {3 * se:.4f}; "
-           f"{elapsed:.1f}s (<120s)")
-
-
-# ---------------------------------------------------------------------------
-# Criterion 3: metric oracles.
 
 def test_criterion_3_metric_oracles():
-    started = time.time()
-    rng = np.random.default_rng(4242)
-    checked = 0
-    for _ in range(500):
-        n = int(rng.integers(1, 25))
-        ids = [f"d{i}" for i in range(n)]
-        rng.shuffle(ids)
-        ranking = [(d, float(s)) for d, s in zip(ids, sorted(rng.normal(size=n),
-                                                             reverse=True))]
-        grades = {d: int(rng.integers(0, 4)) for d in ids if rng.random() < 0.6}
-        relevant = {d for d, g in grades.items() if g > 0}
-        k = int(rng.integers(1, 30))
-        assert average_precision(ranking, relevant) == ap_direct(ids, relevant)
-        assert abs(ndcg_at_k(ranking, grades, k) - ndcg_direct(ids, grades, k)) <= 1e-12
-        assert recall_at_k(ranking, relevant, k) == recall_direct(ids, relevant, k, False)
-        assert recall_at_k(ranking, relevant, k, capped=True) == \
-            recall_direct(ids, relevant, k, True)
-        checked += 1
-    elapsed = time.time() - started
-    report("criterion 3 (metric oracles)", checked == 500 and elapsed < 30,
-           f"{checked} random instances per metric, exact agreement; "
-           f"{elapsed:.1f}s (<30s)")
+    report_checks("criterion 3 (metric oracles)", [check_metrics], 30)
 
-
-# ---------------------------------------------------------------------------
-# Criterion 4: subgraph correctness.
 
 def test_criterion_4_subgraph_correctness():
-    started = time.time()
-    rng = np.random.default_rng(777)
-    for _ in range(200):
-        n = int(rng.integers(3, 51))
-        nodes = [f"v{i:02d}" for i in range(n)]
-        triples = set()
-        for _ in range(int(rng.integers(n // 2, 3 * n))):
-            h, t = rng.choice(n, size=2, replace=False)
-            triples.add((nodes[int(h)], f"r{int(rng.integers(4))}", nodes[int(t)]))
-        kg = KnowledgeGraph()
-        kg.triples = sorted(triples)
-        for h, r, t in kg.triples:
-            kg.nodes.update((h, t))
-            kg.relations.add(r)
-        kg.nodes.update(nodes)
-        k = int(rng.integers(0, min(7, n + 1)))
-        seeds = [str(s) for s in rng.choice(nodes, size=k, replace=False)] if k else []
-        v_q = {s for s in seeds if rng.random() < 0.5}
-        v_d = set(seeds) - v_q
-        sub = extract_subgraph(kg, v_q, v_d, max_nodes=n + 1)  # uncapped
-        expected_nodes = two_hop_nodes_direct(kg.triples, set(seeds))
-        assert set(sub.node_ids[1:]) == expected_nodes
-        got_edges = {(sub.node_ids[s], r, sub.node_ids[t]) for s, r, t in sub.edges
-                     if r != "<int>"}
-        assert got_edges == subgraph_edges_direct(kg.triples, expected_nodes)
+    report_checks("criterion 4 (subgraph correctness)", [check_subgraphs], 30)
 
-        # capped rerun respects the priority rule: all seeds kept first, then
-        # bridges ordered by distinct adjacent seeds with id tie-break
-        cap = int(rng.integers(1, 12))
-        capped = extract_subgraph(kg, v_q, v_d, max_nodes=cap)
-        flags = dict(zip(capped.node_ids[1:], capped.provenance[1:]))
-        if any(f == "bridge" for f in flags.values()):
-            assert set(seeds) <= set(capped.node_ids[1:])
-        assert len(capped.node_ids) <= cap + 1
-    elapsed = time.time() - started
-    report("criterion 4 (subgraph correctness)", elapsed < 30,
-           f"200 random graphs, node and edge sets equal brute-force "
-           f"enumeration; capping keeps seeds; {elapsed:.1f}s (<30s)")
-
-
-# ---------------------------------------------------------------------------
-# Criterion 5: BM25 correctness.
 
 def test_criterion_5_bm25_correctness():
     index = build_index(FIXTURE_DOCS)
@@ -184,29 +70,9 @@ def test_criterion_5_bm25_correctness():
     for (qid, did), expected in FIXTURE_SCORES.items():
         got = bm25_score(index, tokenize(FIXTURE_QUERIES[qid]), did)
         worst = max(worst, abs(got - expected))
-    fixture_ok = worst < 1e-6
-
-    rng = np.random.default_rng(31337)
-    words = [f"w{i}" for i in range(12)]
-    ordering_ok = True
-    for _ in range(200):
-        n = int(rng.integers(1, 40))
-        docs = [Document(f"d{i:02d}", " ".join(rng.choice(words, size=rng.integers(0, 12))))
-                for i in range(n)]
-        idx = build_index(docs)
-        terms = list(rng.choice(words, size=int(rng.integers(1, 5))))
-        got = retrieve_topk(idx, Query("q", " ".join(terms)), k=n + 5)
-        table = sorted(((d.id, bm25_score(idx, terms, d.id)) for d in docs
-                        if bm25_score(idx, terms, d.id) > 0),
-                       key=lambda item: (-item[1], item[0]))
-        ordering_ok = ordering_ok and got == table
-        tokens = {d.id: tokenize(d.text) for d in docs}
-        for d in docs[:5]:
-            ordering_ok = ordering_ok and \
-                abs(bm25_score(idx, terms, d.id) - bm25_direct(tokens, terms, d.id)) < 1e-9
-    report("criterion 5 (BM25 correctness)", fixture_ok and ordering_ok,
-           f"fixture max |err| {worst:.2e} (<1e-6); exhaustive-oracle ordering "
-           f"on 200 random corpora")
+    failures, summary = check_bm25()
+    report("criterion 5 (BM25 correctness)", worst < 1e-6 and not failures,
+           "; ".join([f"fixture max |err| {worst:.2e} (<1e-6)", summary] + failures[:10]))
 
 
 # ---------------------------------------------------------------------------
@@ -223,14 +89,7 @@ def central_claim_runs():
     with the same budget (3 epochs, batch 8, lr 3e-4, seed 42)."""
     started = time.time()
     task = generate(seed=ACCEPTANCE_SEED)
-    kg = KnowledgeGraph()
-    kg.triples = task.triples
-    for h, r, t in kg.triples:
-        kg.nodes.update((h, t))
-        kg.relations.add(r)
-    for node, surface in task.lexicon:
-        kg.nodes.add(node)
-        kg.names.setdefault(node, []).append(surface)
+    kg = KnowledgeGraph.from_triples(task.triples, task.lexicon)
 
     train_ids, test_ids = set(task.train_query_ids), set(task.test_query_ids)
     queries_train = [q for q in task.queries if q.id in train_ids]

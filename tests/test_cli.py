@@ -1,7 +1,8 @@
 """End-to-end CLI tests over a small generated task.
 
 Runs every subcommand in pipeline order inside a temp directory, then checks
-exit codes, idempotence, and the candidate-set contract.
+exit codes, idempotence, and the candidate-set contract; runs `kgrank
+selftest` clean and with a planted fault; and resolves the public names.
 """
 
 import json
@@ -9,6 +10,9 @@ import os
 
 import pytest
 
+import kgrank
+from kgrank import evaluation as ev
+from kgrank import selftest
 from kgrank.cli import main, worker_count
 from kgrank.evaluation import load_run
 
@@ -173,3 +177,31 @@ class TestWorkerCount:
         monkeypatch.setenv("KGRANK_THREADS", "many")
         with pytest.raises(ConfigurationError):
             worker_count()
+
+
+class TestSelftest:
+    def test_every_check_passes(self, capsys):
+        assert main(["selftest"]) == 0
+        out = capsys.readouterr().out
+        for name, _ in selftest.CHECKS:
+            assert f"[PASS] {name}: " in out
+        assert out.count("[PASS]") == len(selftest.CHECKS)
+        assert "[FAIL]" not in out
+
+    def test_planted_metric_fault_exits_3(self, monkeypatch, capsys):
+        ndcg_at_k = ev.ndcg_at_k
+        monkeypatch.setattr(ev, "ndcg_at_k",  # cuts off one rank too deep
+                            lambda ranking, grades, k: ndcg_at_k(ranking, grades, k + 1))
+        failures, _ = selftest.check_metrics()
+        assert failures and all("nDCG" in message for message in failures)
+        # only the failing check, so the case does not rerun the full suite
+        monkeypatch.setattr(selftest, "CHECKS",
+                            [("metrics: brute-force agreement", selftest.check_metrics)])
+        assert main(["selftest"]) == 3
+        out = capsys.readouterr().out
+        assert "[FAIL] metrics: brute-force agreement: " in out
+        assert "[PASS]" not in out
+
+
+def test_public_names_resolve():
+    assert [name for name in kgrank.__all__ if not hasattr(kgrank, name)] == []

@@ -15,18 +15,6 @@ from kgrank.kg import (INTERACTION_NODE, INTERACTION_RELATION, KnowledgeGraph,
 from kgrank.oracles import subgraph_edges_direct, two_hop_nodes_direct
 
 
-def kg_from_triples(triples, names=None):
-    kg = KnowledgeGraph()
-    kg.triples = sorted(set(triples))
-    for h, r, t in kg.triples:
-        kg.nodes.update((h, t))
-        kg.relations.add(r)
-    for node, surfaces in (names or {}).items():
-        kg.nodes.add(node)
-        kg.names[node] = list(surfaces)
-    return kg
-
-
 def random_kg(rng, max_nodes=50):
     n = int(rng.integers(3, max_nodes))
     nodes = [f"v{i:02d}" for i in range(n)]
@@ -34,7 +22,7 @@ def random_kg(rng, max_nodes=50):
     for _ in range(int(rng.integers(n // 2, 3 * n))):
         h, t = rng.choice(n, size=2, replace=False)
         triples.add((nodes[int(h)], f"r{int(rng.integers(4))}", nodes[int(t)]))
-    kg = kg_from_triples(triples)
+    kg = KnowledgeGraph.from_triples(triples)
     kg.nodes.update(nodes)
     return kg, nodes
 
@@ -86,10 +74,12 @@ class TestLoadKg:
         kg_path = tmp_path / "kg.tsv"
         kg_path.write_text("a\trel\tb\n")
         lex = tmp_path / "lex.tsv"
-        lex.write_text("a\tBone Marrow\na\tmarrow\nc\tspleen\n")
+        lex.write_text("a\tBone Marrow\na\tmarrow\nc\tspleen\na\tmarrow\n")
         kg = load_kg(kg_path, lex)
         assert kg.names["a"] == ["Bone Marrow", "marrow"]
         assert "c" in kg.nodes  # lexicon-only node becomes linkable
+        assert kg == KnowledgeGraph.from_triples(
+            [("a", "rel", "b")], [("a", "Bone Marrow"), ("a", "marrow"), ("c", "spleen")])
 
 
 class TestLinkEntities:
@@ -97,10 +87,9 @@ class TestLinkEntities:
 
     @classmethod
     def setup_class(cls):
-        cls.KG = kg_from_triples(
+        cls.KG = KnowledgeGraph.from_triples(
             [("bm", "rel", "sp")],
-            names={"bm": ["bone marrow", "marrow"], "sp": ["spleen"],
-                   "gp": ["gpc6 gene"]})
+            [("bm", "bone marrow"), ("bm", "marrow"), ("sp", "spleen"), ("gp", "gpc6 gene")])
 
     def test_empty_text(self):
         assert link_entities("", self.KG) == []
@@ -134,14 +123,14 @@ class TestLinkEntities:
 
 class TestExtractSubgraph:
     def test_empty_seeds_interaction_only(self):
-        kg = kg_from_triples([("a", "r", "b")])
+        kg = KnowledgeGraph.from_triples([("a", "r", "b")])
         sub = extract_subgraph(kg, set(), set())
         assert sub.node_ids == [INTERACTION_NODE]
         assert sub.edges == []
         assert sub.provenance == ["interaction"]
 
     def test_chain_bridge_retained(self):
-        kg = kg_from_triples([("a", "r", "w"), ("w", "r", "b")])
+        kg = KnowledgeGraph.from_triples([("a", "r", "w"), ("w", "r", "b")])
         sub = extract_subgraph(kg, {"a"}, {"b"}, max_nodes=10)
         assert set(sub.node_ids) == {INTERACTION_NODE, "a", "b", "w"}
         flags = dict(zip(sub.node_ids, sub.provenance))
@@ -149,12 +138,12 @@ class TestExtractSubgraph:
         assert flags["w"] == "bridge"
 
     def test_unknown_seed_rejected(self):
-        kg = kg_from_triples([("a", "r", "b")])
+        kg = KnowledgeGraph.from_triples([("a", "r", "b")])
         with pytest.raises(ValidationError, match="ghost"):
             extract_subgraph(kg, {"ghost"}, set())
 
     def test_interaction_edges_bidirectional_and_complete(self):
-        kg = kg_from_triples([("a", "r", "w"), ("w", "r", "b")])
+        kg = KnowledgeGraph.from_triples([("a", "r", "w"), ("w", "r", "b")])
         sub = extract_subgraph(kg, {"a"}, {"b"})
         int_edges = {(s, t) for s, r, t in sub.edges if r == INTERACTION_RELATION}
         n = len(sub.node_ids)
@@ -196,7 +185,7 @@ class TestExtractSubgraph:
         triples = [("s1", "r", "w2"), ("s2", "r", "w2"), ("s3", "r", "w2"),
                    ("s1", "r", "w1"), ("s2", "r", "w1"),
                    ("s1", "r", "w0"), ("s3", "r", "w0")]
-        kg = kg_from_triples(triples)
+        kg = KnowledgeGraph.from_triples(triples)
         sub = extract_subgraph(kg, {"s1", "s2"}, {"s3"}, max_nodes=5)
         assert sub.node_ids == [INTERACTION_NODE, "s1", "s2", "s3", "w2", "w0"]
 
@@ -215,7 +204,7 @@ class TestExtractSubgraph:
         assert sub_a == sub_b
 
     def test_both_provenance(self):
-        kg = kg_from_triples([("a", "r", "b")])
+        kg = KnowledgeGraph.from_triples([("a", "r", "b")])
         sub = extract_subgraph(kg, {"a"}, {"a", "b"})
         flags = dict(zip(sub.node_ids, sub.provenance))
         assert flags["a"] == "both" and flags["b"] == "doc-seed"
@@ -223,15 +212,15 @@ class TestExtractSubgraph:
         assert sub.node_ids[1] == "a"
 
     def test_subgraph_for_pair_links_and_extracts(self):
-        kg = kg_from_triples([("a", "r", "w"), ("w", "r", "b")],
-                             names={"a": ["aspirin"], "b": ["headache"], "w": ["cox"]})
+        kg = KnowledgeGraph.from_triples([("a", "r", "w"), ("w", "r", "b")],
+                                         [("a", "aspirin"), ("b", "headache"), ("w", "cox")])
         sub = subgraph_for_pair(kg, "does aspirin help", "chronic headache relief")
         assert set(sub.node_ids) == {INTERACTION_NODE, "a", "b", "w"}
 
 
 class TestNodeEmbeddings:
     def test_same_node_same_seed_same_vector(self):
-        kg = kg_from_triples([("a", "r", "b"), ("a", "r", "c")])
+        kg = KnowledgeGraph.from_triples([("a", "r", "b"), ("a", "r", "c")])
         sub1 = extract_subgraph(kg, {"a"}, {"b"})
         sub2 = extract_subgraph(kg, {"c"}, {"a"})
         e1 = init_node_embeddings(sub1, d_g=16, seed=7)
@@ -241,14 +230,14 @@ class TestNodeEmbeddings:
         np.testing.assert_array_equal(e1[i1], e2[i2])
 
     def test_different_seeds_differ(self):
-        kg = kg_from_triples([("a", "r", "b")])
+        kg = KnowledgeGraph.from_triples([("a", "r", "b")])
         sub = extract_subgraph(kg, {"a"}, {"b"})
         e1 = init_node_embeddings(sub, d_g=16, seed=1)
         e2 = init_node_embeddings(sub, d_g=16, seed=2)
         assert not np.array_equal(e1[1:], e2[1:])
 
     def test_interaction_row_left_for_model(self):
-        kg = kg_from_triples([("a", "r", "b")])
+        kg = KnowledgeGraph.from_triples([("a", "r", "b")])
         sub = extract_subgraph(kg, {"a"}, {"b"})
         emb = init_node_embeddings(sub, d_g=8, seed=0)
         np.testing.assert_array_equal(emb[0], np.zeros(8))
@@ -267,7 +256,7 @@ class TestNodeEmbeddings:
 
 class TestSubgraphCache:
     def test_roundtrip_and_byte_stability(self, tmp_path):
-        kg = kg_from_triples([("a", "r", "w"), ("w", "r", "b")])
+        kg = KnowledgeGraph.from_triples([("a", "r", "w"), ("w", "r", "b")])
         cache = {
             ("q1", "d1"): extract_subgraph(kg, {"a"}, {"b"}),
             ("q1", "d2"): extract_subgraph(kg, {"a"}, set()),

@@ -6,6 +6,7 @@ import pytest
 
 import kgrank.tensor as tz
 from kgrank.errors import ComputationError, ParseError, ShapeError, UsageError
+from kgrank.selftest import PRIMITIVE_CASES, primitive_objective
 from kgrank.tensor import (Tensor, backward, finite_diff_check,
                            load_checkpoint, save_checkpoint)
 
@@ -46,17 +47,11 @@ class TestForwardSemantics:
         np.testing.assert_array_equal((1.0 - t).data, [[0.0, -1.0]])
         np.testing.assert_array_equal((t / 2).data, [[0.5, 1.0]])
 
-    def test_masked_fill(self):
-        t = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        mask = np.array([[True, False], [False, True]])
-        np.testing.assert_array_equal(tz.masked_fill(t, mask, -9.0).data,
-                                      [[-9.0, 2.0], [3.0, -9.0]])
-
     def test_non_finite_raises_at_producing_op(self):
         with pytest.raises(ComputationError, match="log"):
             tz.log(Tensor([[1.0, -1.0]]))
-        with pytest.raises(ComputationError, match="exp"):
-            tz.exp(Tensor([[1000.0]]))
+        with pytest.raises(ComputationError, match="mul_scalar"), np.errstate(over="ignore"):
+            Tensor([[1e308]]) * 10.0
         with pytest.raises(ComputationError):
             Tensor([float("nan")])
 
@@ -149,72 +144,15 @@ class TestBackward:
         np.testing.assert_array_equal(results[0][1], results[1][1])
 
 
-# (name, fn, x shape, optional second-leaf shape, input kind). "positive"
-# keeps log away from its domain edge; "offset" keeps relu's kink clear of the
-# finite-difference step.
-PRIMITIVE_CASES = [
-    ("add", lambda x, p: tz.add(x, p), (3, 4), (3, 4), "normal"),
-    ("mul", lambda x, p: tz.mul(x, p), (3, 4), (3, 4), "normal"),
-    ("matmul", lambda x, p: x @ p, (3, 4), (4, 2), "normal"),
-    ("transpose", lambda x, p: tz.transpose(x), (3, 4), None, "normal"),
-    ("reshape", lambda x, p: tz.reshape(x, (4, 3)), (3, 4), None, "normal"),
-    ("softmax", lambda x, p: tz.softmax(x), (3, 4), None, "normal"),
-    ("layer_norm", lambda x, p: tz.layer_norm(x), (3, 4), None, "normal"),
-    ("gelu", lambda x, p: tz.gelu(x), (3, 4), None, "normal"),
-    ("relu", lambda x, p: tz.relu(x), (3, 4), None, "offset"),
-    ("softplus", lambda x, p: tz.softplus(x), (3, 4), None, "normal"),
-    ("log", lambda x, p: tz.log(x), (3, 4), None, "positive"),
-    ("exp", lambda x, p: tz.exp(x), (3, 4), None, "normal"),
-    ("sum_all", lambda x, p: tz.tsum(x), (3, 4), None, "normal"),
-    ("sum_axis0", lambda x, p: tz.tsum(x, axis=0), (3, 4), None, "normal"),
-    ("sum_axis1_keep", lambda x, p: tz.tsum(x, axis=1, keepdims=True), (3, 4), None, "normal"),
-    ("mean", lambda x, p: tz.tmean(x, axis=1), (3, 4), None, "normal"),
-    ("repeat_rows", lambda x, p: tz.repeat_rows(x, 5), (1, 4), None, "normal"),
-    ("gather_rows", lambda x, p: tz.gather_rows(x, [0, 2, 2]), (3, 4), None, "normal"),
-    ("concat", lambda x, p: tz.concat([x, p], axis=0), (3, 4), (2, 4), "normal"),
-    ("split", lambda x, p: tz.split(x, [1, 3], axis=1)[1], (3, 4), None, "normal"),
-]
-
-
-def primitive_case_seed(name: str) -> int:
-    import zlib
-    return zlib.crc32(name.encode())
-
-
-def primitive_leaf(rng, shape, kind):
-    if kind == "positive":
-        return Tensor(rng.uniform(0.5, 3.0, size=shape), requires_grad=True)
-    shift = 0.3 if kind == "offset" else 0.0
-    return Tensor(rng.normal(size=shape) + shift, requires_grad=True)
-
-
 class TestPerPrimitiveGradients:
     """Each primitive in isolation passes a strict finite-difference check."""
 
     @pytest.mark.parametrize("name,fn,xshape,pshape,kind", PRIMITIVE_CASES,
                              ids=[c[0] for c in PRIMITIVE_CASES])
     def test_primitive_gradcheck(self, name, fn, xshape, pshape, kind):
-        rng = np.random.default_rng(primitive_case_seed(name))
-        x = primitive_leaf(rng, xshape, kind)
-        params = {"x": x}
-        if pshape is not None:
-            params["p"] = primitive_leaf(rng, pshape, kind)
-        weight = Tensor(rng.normal(size=fn(x, params.get("p")).shape))
-
-        def f():
-            out = fn(x, params.get("p"))
-            return tz.tsum(out * weight)
-
+        f, params = primitive_objective(name, fn, xshape, pshape, kind)
         err = finite_diff_check(f, params, step=1e-5, max_coords=60, seed=1)
         assert err < 1e-6, f"{name}: {err}"
-
-    def test_masked_fill_gradcheck(self):
-        rng = np.random.default_rng(77)
-        x = leaf(rng, (3, 4))
-        mask = rng.random((3, 4)) > 0.5
-        err = finite_diff_check(lambda: tz.tsum(tz.masked_fill(x, mask, 2.0)),
-                                {"x": x}, step=1e-5)
-        assert err < 1e-6
 
     def test_composite_gradcheck(self):
         rng = np.random.default_rng(78)

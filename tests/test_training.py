@@ -52,11 +52,9 @@ class TestSampleTrainingSet:
 
 def make_trace(w: Tensor, kl_leaves: list[Tensor]) -> ForwardTrace:
     """Score = logistic(w); keeps the trace differentiable through one leaf."""
-    score = (tz.exp(w * -1.0) + 1.0)
-    score = tz.reshape(score, (1, 1))
-    # 1 / (1 + e^-w) via log/exp primitives: exp(-log(1 + e^-w))
-    score = tz.exp(tz.log(score) * -1.0)
-    score = tz.reshape(score, ())
+    # 1 / (1 + e^-w) is the first entry of softmax([w, 0])
+    logits = tz.concat([tz.reshape(w, (1, 1)), Tensor([[0.0]])], axis=1)
+    score = tz.reshape(tz.split(tz.softmax(logits), [1, 1], axis=1)[0], ())
     kls = [tz.reshape(k * 1.0, ()) for k in kl_leaves]
     return ForwardTrace(score=score.item(), kl_terms=[k.item() for k in kls],
                         score_tensor=score, kl_tensors=kls)
@@ -179,27 +177,16 @@ class TestAdam:
 
 def tiny_task():
     """Four-query task with linkable entities and a bridged pair per query."""
-    docs, queries, qrels, triples, names = [], [], {}, set(), {}
+    docs, queries, qrels, triples, lexicon = [], [], {}, [], []
     for i in range(4):
         a, w, b = f"na{i}", f"nw{i}", f"nb{i}"
-        names[a] = [f"enta{i}"]
-        names[w] = [f"entw{i}"]
-        names[b] = [f"entb{i}"]
-        triples.add((a, "rel_a", w))
-        triples.add((w, "rel_b", b))
+        lexicon += [(a, f"enta{i}"), (w, f"entw{i}"), (b, f"entb{i}")]
+        triples += [(a, "rel_a", w), (w, "rel_b", b)]
         queries.append(Query(f"q{i}", f"find entity enta{i} topic{i}"))
         docs.append(Document(f"d{i}_rel", f"entb{i} topic{i} filler words"))
         docs.append(Document(f"d{i}_noise", f"plain text body {i}"))
         qrels[(f"q{i}", f"d{i}_rel")] = 1
-    kg = KnowledgeGraph()
-    kg.triples = sorted(triples)
-    for h, r, t in kg.triples:
-        kg.nodes.update((h, t))
-        kg.relations.add(r)
-    for node, surfaces in names.items():
-        kg.nodes.add(node)
-        kg.names[node] = surfaces
-    return docs, queries, qrels, kg
+    return docs, queries, qrels, KnowledgeGraph.from_triples(triples, lexicon)
 
 
 class TestTrainModel:
