@@ -12,7 +12,6 @@ tests for criteria 1-5 call, and exits 3 if any fails.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -22,7 +21,8 @@ from pathlib import Path
 from . import corpus as cx
 from . import evaluation as ev
 from . import selftest
-from .errors import ConfigurationError, InputError, KgrankError, ValidationError
+from .errors import ConfigurationError, InputError, KgrankError, ParseError, ValidationError
+from .fileio import load_json
 from .kg import load_kg, load_subgraph_cache, save_subgraph_cache, subgraph_for_pair
 from .model import ModelConfig, RankerModel, build_vocab
 from .synth import TaskKnobs, generate, write_task
@@ -97,8 +97,9 @@ def cmd_subgraphs(args) -> int:
 
 
 def _training_config(path: str | Path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        cfg = json.load(fh)
+    cfg = load_json(path, "training config")
+    if not isinstance(cfg, dict):
+        raise ParseError(f"{path}: training config must be a JSON object")
     base = Path(path).resolve().parent
     for key in ("corpus", "queries", "qrels", "kg", "lexicon", "subgraph_cache",
                 "checkpoint_out", "model_config_out", "metrics_out"):
@@ -152,7 +153,10 @@ def cmd_train(args) -> int:
 def cmd_rerank(args) -> int:
     model_cfg = ModelConfig.load(_require(args.model_config, "model config"))
     params = load_checkpoint(_require(args.checkpoint, "checkpoint"))
-    model = RankerModel(model_cfg, params)
+    try:
+        model = RankerModel(model_cfg, params)
+    except ValidationError as exc:
+        raise ValidationError(f"{args.checkpoint} does not fit {args.model_config}: {exc}") from exc
     run = ev.load_run(_require(args.run, "run"))
     docs = {d.id: d for d in cx.load_documents(_require(args.corpus, "corpus"))}
     queries = {q.id: q for q in cx.load_queries(_require(args.queries, "queries"))}

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ParseError, ValidationError
-from .fileio import atomic_write, read_jsonl
+from .fileio import atomic_write, load_json, read_jsonl
 
 BM25_K1 = 1.2
 BM25_B = 0.75
@@ -203,13 +203,18 @@ def save_index(path: str | Path, index: InvertedIndex) -> None:
 
 
 def load_index(path: str | Path) -> InvertedIndex:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format_version") != 1:
+    """Read a saved index; a malformed file raises a ParseError naming it."""
+    payload = load_json(path, "index")
+    if not isinstance(payload, dict) or payload.get("format_version") != 1:
         raise ParseError(f"{path}: unsupported index format_version")
-    postings = {term: [(did, int(tf)) for did, tf in plist]
-                for term, plist in payload["postings"].items()}
-    return InvertedIndex(postings=postings,
-                         doc_lengths={k: int(v) for k, v in payload["doc_lengths"].items()},
-                         avg_doc_length=float(payload["avg_doc_length"]),
-                         num_docs=int(payload["num_docs"]))
+    try:
+        postings = {term: [(did, int(tf)) for did, tf in plist]
+                    for term, plist in payload["postings"].items()}
+        return InvertedIndex(postings=postings,
+                             doc_lengths={k: int(v) for k, v in payload["doc_lengths"].items()},
+                             avg_doc_length=float(payload["avg_doc_length"]),
+                             num_docs=int(payload["num_docs"]))
+    except KeyError as exc:
+        raise ParseError(f"{path}: index has no {exc.args[0]!r} field") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: malformed index ({exc})") from exc

@@ -1,4 +1,4 @@
-"""Small file helpers: atomic writes and JSON-lines parsing.
+"""Small file helpers: atomic writes, JSON and JSON-lines parsing.
 
 Every artifact the pipeline emits goes through atomic_write so that rerunning
 a stage either replaces the file completely or leaves the old one intact.
@@ -28,6 +28,18 @@ def atomic_write(path: str | Path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def load_json(path: str | Path, kind: str) -> object:
+    """Parse a whole-file JSON artifact; malformed JSON raises a ParseError
+    naming the file and the line where the parser stopped."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}:{exc.lineno}: malformed {kind} JSON ({exc.msg})") from exc
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: {kind} is not UTF-8 text") from exc
 
 
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:

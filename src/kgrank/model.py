@@ -7,33 +7,29 @@ interaction node trade information through a Gaussian bottleneck. A one-step
 decoder cross-attends over the final token states and emits the probability of
 the true token, which is the document's relevance score.
 
-Two implementations of that network share the parameters. forward scores one
-pair on the autodiff tape and serves training. score_batch, used for
-re-ranking, scores all candidates of one query at once in plain numpy with no
-tape: the prompts are padded into one (candidates x L x d_l) batch with the
-padded keys masked, the subgraphs are joined into one node array whose graph
-attention is a softmax over each node's in-edges, the bottleneck uses its mean
-(eps = 0), and the input-independent decoder self-attention runs once. Both
-call the same elementwise kernels in kgrank.tensor, and their scores agree per
-pair to round-off.
-
-Parameters are plain named tensors; forward and score_batch only read them,
-so calls over shared parameters may run concurrently.
+Every layer is written once, over a batch of pairs: the prompts are padded
+into one (B x L x d_l) array with the padded keys masked, and the subgraphs
+are joined into one node array whose graph attention is a softmax over each
+node's in-edges. The layers read their weights from a dict p: the parameter
+Tensors record on the autodiff tape (forward, forward_batch, training), their
+plain arrays compute without one (score_batch, re-ranking). Scoring only
+reads the parameters, so calls over shared parameters may run concurrently.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import tensor as tz
 from .corpus import Document, Query, tokenize
-from .errors import ComputationError, ConfigurationError, UsageError, ValidationError
-from .fileio import atomic_write
+from .errors import (ComputationError, ConfigurationError, ParseError, UsageError,
+                     ValidationError)
+from .fileio import atomic_write, load_json
 from .kg import (INTERACTION_RELATION, SELF_RELATION, QuerySubgraph,
                  empty_subgraph, init_node_embeddings)
 from .tensor import Tensor
@@ -75,6 +71,16 @@ class ModelConfig:
     relations: list[str] = field(default_factory=list)
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.default is MISSING:  # the vocabularies
+                ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
+            else:
+                ok = type(value) in ((int, float) if f.name == "alpha" else (type(f.default),))
+            if not ok:
+                raise ConfigurationError(f"{f.name}={value!r} has the wrong type")
+        if min(self.d_l, self.d_g, self.heads, self.d_z, self.d_proj) < 1:
+            raise ConfigurationError("d_l, d_g, heads, d_z and d_proj must be positive")
         if self.d_l % self.heads != 0:
             raise ConfigurationError(f"d_l={self.d_l} not divisible by heads={self.heads}")
         if self.d_z % 2 != 0:
@@ -96,8 +102,51 @@ class ModelConfig:
 
     @classmethod
     def load(cls, path: str | Path) -> "ModelConfig":
-        with open(path, encoding="utf-8") as fh:
-            return cls(**json.load(fh))
+        """Read a saved config; a malformed file raises a ParseError naming it."""
+        payload = load_json(path, "model config")
+        if not isinstance(payload, dict):
+            raise ParseError(f"{path}: model config must be a JSON object")
+        try:
+            return cls(**payload)
+        except (TypeError, ConfigurationError) as exc:  # TypeError: an unknown key
+            raise ParseError(f"{path}: {exc}") from exc
+
+
+def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """The name and shape of every parameter of a model with this config."""
+    d_l, d_g = cfg.d_l, cfg.d_g
+    n_rel = 2 + len(cfg.relations)
+
+    def attention(p: str) -> dict[str, tuple[int, ...]]:
+        shapes = {f"{p}.w{c}": (d_l, d_l) for c in "qkvo"}
+        shapes.update({f"{p}.b{c}": (1, d_l) for c in "qkvo"})
+        return shapes
+
+    def norm(p: str) -> dict[str, tuple[int, ...]]:
+        return {p + ".g": (1, d_l), p + ".b": (1, d_l)}
+
+    def feed_forward(p: str, d: int, width: int) -> dict[str, tuple[int, ...]]:
+        return {p + ".w1": (d, width), p + ".b1": (1, width),
+                p + ".w2": (width, d), p + ".b2": (1, d)}
+
+    shapes = {"tok_emb": (len(cfg.vocab), d_l), "pos_emb": (cfg.max_len, d_l),
+              "graph_int_emb": (1, d_g), **norm("enc_ln")}
+    for l in range(cfg.R + cfg.S):
+        shapes.update({**norm(f"enc{l}.ln1"), **attention(f"enc{l}.attn"),
+                       **norm(f"enc{l}.ln2"), **feed_forward(f"enc{l}.ff", d_l, 4 * d_l)})
+    for l in range(cfg.S):
+        p = f"gnn{l}"
+        shapes.update({f"{p}.w{c}": (d_g, d_g) for c in "qkvo"})
+        shapes.update({p + ".rel_emb": (n_rel, d_g), **feed_forward(p + ".ff", d_g, 2 * d_g)})
+        p = f"fuse{l}"
+        shapes.update({p + ".w1": (d_l + d_g, cfg.d_proj), p + ".b1": (1, cfg.d_proj),
+                       p + ".w2": (cfg.d_proj, 2 * cfg.d_z), p + ".b2": (1, 2 * cfg.d_z),
+                       p + ".wh": (cfg.d_z // 2, d_l), p + ".wu": (cfg.d_z // 2, d_g)})
+    shapes.update({"dec.start_emb": (1, d_l), **norm("dec.ln1"), **attention("dec.self"),
+                   **norm("dec.ln2"), **attention("dec.cross"), **norm("dec.ln3"),
+                   **feed_forward("dec.ff", d_l, 4 * d_l),
+                   "dec.out_w": (d_l, 2), "dec.out_b": (1, 2)})
+    return shapes
 
 
 def build_vocab(corpus: list[Document]) -> list[str]:
@@ -110,33 +159,52 @@ def build_vocab(corpus: list[Document]) -> list[str]:
 
 @dataclass
 class ForwardTrace:
-    """Relevance score, per-fused-layer KL values, and tensors for training."""
+    """Relevance scores of a batch of pairs and their KL terms, as the tensors
+    the training objective differentiates."""
 
-    score: float
-    kl_terms: list[float]
-    score_tensor: Tensor
-    kl_tensors: list[Tensor]
+    score_tensor: Tensor  # (B,)
+    kl_tensors: list[Tensor]  # one (B,) tensor per fused layer
 
     def __post_init__(self):
-        if not (0.0 < self.score < 1.0) or not math.isfinite(self.score):
-            raise ComputationError(f"relevance score {self.score} outside (0, 1)")
-        for kl in self.kl_terms:
-            if kl < -1e-9:
-                raise ComputationError(f"negative KL term {kl}")
+        bad = ~((self.scores > 0.0) & (self.scores < 1.0))  # NaN fails both
+        if bad.any():
+            raise ComputationError(f"relevance score {self.scores[bad][0]} outside (0, 1)")
+        if (self.kl_terms < -1e-9).any():
+            raise ComputationError(f"negative KL term {self.kl_terms.min()}")
+
+    @property
+    def scores(self) -> np.ndarray:
+        return self.score_tensor.data
+
+    @property
+    def kl_terms(self) -> np.ndarray:
+        """(B, S): the KL term of each pair at each fused layer."""
+        return np.stack([kl.data for kl in self.kl_tensors], axis=1)
+
+    @property
+    def score(self) -> float:  # of a batch of one pair
+        return self.score_tensor.item()
 
 
-def kl_gaussian_std_normal(mu: Tensor, sigma: Tensor) -> Tensor:
-    """Closed-form KL(N(mu, diag sigma^2) || N(0, I)) as a differentiable scalar."""
-    if np.any(sigma.data <= 0.0):
+def kl_gaussian_std_normal(mu, sigma):
+    """Closed-form KL(N(mu, diag sigma^2) || N(0, I)) over the last axis, as a
+    differentiable value per row."""
+    if ((sigma.data if isinstance(sigma, Tensor) else sigma) <= 0.0).any():
         raise ComputationError("kl_gaussian_std_normal: sigma must be positive")
     terms = mu * mu + sigma * sigma + tz.log(sigma) * -2.0 + (-1.0)
-    return tz.tsum(terms) * 0.5
+    return tz.tsum(terms, axis=-1) * 0.5
 
 
 class RankerModel:
-    """Configuration, parameters, and the forward pass."""
+    """Configuration, parameters, and the batched network."""
 
     def __init__(self, cfg: ModelConfig, params: dict[str, Tensor]):
+        expected = param_shapes(cfg)
+        for name in sorted(set(expected) | set(params)):
+            got = params[name].shape if name in params else "missing"
+            if got != expected.get(name):
+                raise ValidationError(f"parameter {name!r} is {got}; the config needs "
+                                      f"{expected.get(name, 'no such parameter')}")
         self.cfg = cfg
         self.params = params
         self.tok2id = {tok: i for i, tok in enumerate(cfg.vocab)}
@@ -150,58 +218,7 @@ class RankerModel:
     @classmethod
     def build(cls, cfg: ModelConfig, seed: int = 42) -> "RankerModel":
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0x6d6f64]))
-        d_l, d_g = cfg.d_l, cfg.d_g
-        n_rel = 2 + len(cfg.relations)
-        shapes: dict[str, tuple[int, ...]] = {
-            "tok_emb": (len(cfg.vocab), d_l),
-            "pos_emb": (cfg.max_len, d_l),
-            "graph_int_emb": (1, d_g),
-            "enc_ln.g": (1, d_l), "enc_ln.b": (1, d_l),
-        }
-        for l in range(cfg.R + cfg.S):
-            p = f"enc{l}."
-            shapes.update({
-                p + "ln1.g": (1, d_l), p + "ln1.b": (1, d_l),
-                p + "attn.wq": (d_l, d_l), p + "attn.wk": (d_l, d_l),
-                p + "attn.wv": (d_l, d_l), p + "attn.wo": (d_l, d_l),
-                p + "attn.bq": (1, d_l), p + "attn.bk": (1, d_l),
-                p + "attn.bv": (1, d_l), p + "attn.bo": (1, d_l),
-                p + "ln2.g": (1, d_l), p + "ln2.b": (1, d_l),
-                p + "ff.w1": (d_l, 4 * d_l), p + "ff.b1": (1, 4 * d_l),
-                p + "ff.w2": (4 * d_l, d_l), p + "ff.b2": (1, d_l),
-            })
-        for l in range(cfg.S):
-            p = f"gnn{l}."
-            shapes.update({
-                p + "wq": (d_g, d_g), p + "wk": (d_g, d_g),
-                p + "wv": (d_g, d_g), p + "wo": (d_g, d_g),
-                p + "rel_emb": (n_rel, d_g),
-                p + "ff.w1": (d_g, 2 * d_g), p + "ff.b1": (1, 2 * d_g),
-                p + "ff.w2": (2 * d_g, d_g), p + "ff.b2": (1, d_g),
-            })
-            p = f"fuse{l}."
-            shapes.update({
-                p + "w1": (d_l + d_g, cfg.d_proj), p + "b1": (1, cfg.d_proj),
-                p + "w2": (cfg.d_proj, 2 * cfg.d_z), p + "b2": (1, 2 * cfg.d_z),
-                p + "wh": (cfg.d_z // 2, d_l), p + "wu": (cfg.d_z // 2, d_g),
-            })
-        shapes.update({
-            "dec.start_emb": (1, d_l),
-            "dec.ln1.g": (1, d_l), "dec.ln1.b": (1, d_l),
-            "dec.self.wq": (d_l, d_l), "dec.self.wk": (d_l, d_l),
-            "dec.self.wv": (d_l, d_l), "dec.self.wo": (d_l, d_l),
-            "dec.self.bq": (1, d_l), "dec.self.bk": (1, d_l),
-            "dec.self.bv": (1, d_l), "dec.self.bo": (1, d_l),
-            "dec.ln2.g": (1, d_l), "dec.ln2.b": (1, d_l),
-            "dec.cross.wq": (d_l, d_l), "dec.cross.wk": (d_l, d_l),
-            "dec.cross.wv": (d_l, d_l), "dec.cross.wo": (d_l, d_l),
-            "dec.cross.bq": (1, d_l), "dec.cross.bk": (1, d_l),
-            "dec.cross.bv": (1, d_l), "dec.cross.bo": (1, d_l),
-            "dec.ln3.g": (1, d_l), "dec.ln3.b": (1, d_l),
-            "dec.ff.w1": (d_l, 4 * d_l), "dec.ff.b1": (1, 4 * d_l),
-            "dec.ff.w2": (4 * d_l, d_l), "dec.ff.b2": (1, d_l),
-            "dec.out_w": (d_l, 2), "dec.out_b": (1, 2),
-        })
+        shapes = param_shapes(cfg)
         params: dict[str, Tensor] = {}
         for name in sorted(shapes):
             shape = shapes[name]
@@ -227,7 +244,7 @@ class RankerModel:
         return cls(cfg, params)
 
     # ------------------------------------------------------------------
-    # Prompt.
+    # Prompt and graph inputs.
 
     def build_prompt(self, query_text: str, doc_text: str) -> list[int]:
         """Token ids [t_int, query:, q..., document:, d..., relevant:].
@@ -252,193 +269,184 @@ class RankerModel:
         ids.append(self.tok2id[MARK_REL])
         return ids
 
+    def _join_graphs(self, graphs: list[QuerySubgraph]):
+        """One node array for a batch of subgraphs: the first row of each graph
+        (its interaction node), the fixed node features, and the edges with
+        self-loops sorted by target, so that the in-edges of node i form
+        segment i."""
+        offsets = np.cumsum([0] + [g.num_nodes for g in graphs[:-1]])
+        feats = np.concatenate([init_node_embeddings(g, self.cfg.d_g, self.cfg.node_init_seed)
+                                for g in graphs])
+        src, dst, rel_ids = [], [], []
+        for g, offset in zip(graphs, offsets):
+            loops = list(range(offset, offset + g.num_nodes))
+            src += [offset + s for s, _, _ in g.edges] + loops
+            dst += [offset + t for _, _, t in g.edges] + loops
+            unknown = [rel for _, rel, _ in g.edges if rel not in self.rel2id]
+            if unknown:
+                raise ValidationError(f"unknown relation in subgraph: {unknown[0]!r}")
+            rel_ids += [self.rel2id[rel] for _, rel, _ in g.edges]
+            rel_ids += [self.rel2id[SELF_RELATION]] * g.num_nodes
+        src, dst, rel_ids = (np.asarray(a, dtype=np.intp) for a in (src, dst, rel_ids))
+        order = np.argsort(dst, kind="stable")  # in-edges of a node, in edge order
+        dst = dst[order]
+        # every node has its self-loop, so each node owns one segment
+        starts = np.flatnonzero(np.concatenate(([True], dst[1:] != dst[:-1])))
+        return offsets, feats, (src[order], dst, rel_ids[order], starts)
+
     # ------------------------------------------------------------------
-    # Layers.
+    # Layers. Each runs on a whole batch and reads its weights from p: the
+    # parameter Tensors on the tape, or their plain arrays without one.
 
-    def _ln(self, x: Tensor, prefix: str) -> Tensor:
-        n = x.shape[0]
-        g = tz.repeat_rows(self.params[prefix + ".g"], n)
-        b = tz.repeat_rows(self.params[prefix + ".b"], n)
-        return tz.layer_norm(x) * g + b
-
-    def _mha(self, x: Tensor, kv: Tensor, prefix: str) -> Tensor:
-        """Multi-head attention; queries from x, keys/values from kv."""
-        p = self.params
-        n, m = x.shape[0], kv.shape[0]
-        q = x @ p[prefix + ".wq"] + tz.repeat_rows(p[prefix + ".bq"], n)
-        k = kv @ p[prefix + ".wk"] + tz.repeat_rows(p[prefix + ".bk"], m)
-        v = kv @ p[prefix + ".wv"] + tz.repeat_rows(p[prefix + ".bv"], m)
+    def _attention(self, p, x, kv, prefix: str, key_bias: np.ndarray | None):
+        """Multi-head attention of the (B, Lq, d_l) queries x over the
+        (B, Lk, d_l) keys and values kv; key_bias (B, 1, Lk) is -inf on
+        padded keys. Each head is a column slice (a view) of the projections."""
         dh = self.cfg.d_l // self.cfg.heads
-        sizes = [dh] * self.cfg.heads
-        outs = []
-        for qh, kh, vh in zip(tz.split(q, sizes, axis=1),
-                              tz.split(k, sizes, axis=1),
-                              tz.split(v, sizes, axis=1)):
-            att = tz.softmax((qh @ tz.transpose(kh)) * (1.0 / math.sqrt(dh)))
-            outs.append(att @ vh)
-        o = tz.concat(outs, axis=1)
-        return o @ p[prefix + ".wo"] + tz.repeat_rows(p[prefix + ".bo"], n)
+        q = tz.linear(x, p[prefix + ".wq"], p[prefix + ".bq"]) * (1.0 / math.sqrt(dh))
+        k, v = (tz.linear(kv, p[f"{prefix}.w{c}"], p[f"{prefix}.b{c}"]) for c in "kv")
+        heads = [tz.split(t, [dh] * self.cfg.heads, axis=2) for t in (q, k, v)]
+        outs = [tz.softmax(qh @ tz.transpose(kh), key_bias) @ vh for qh, kh, vh in zip(*heads)]
+        return tz.linear(tz.concat(outs, axis=2), p[prefix + ".wo"], p[prefix + ".bo"])
 
-    def encode_text_layer(self, h: Tensor, layer: int) -> Tensor:
-        """Pre-norm transformer block: self-attention then feed-forward."""
-        p, n = self.params, h.shape[0]
+    def encode_text_layer(self, p, h, key_bias: np.ndarray, layer: int):
+        """Pre-norm transformer block over (B, L, d_l): self-attention then
+        feed-forward."""
         prefix = f"enc{layer}"
-        x = self._ln(h, prefix + ".ln1")
-        h = h + self._mha(x, x, prefix + ".attn")
-        y = self._ln(h, prefix + ".ln2")
-        ff = tz.gelu(y @ p[prefix + ".ff.w1"] + tz.repeat_rows(p[prefix + ".ff.b1"], n))
-        return h + (ff @ p[prefix + ".ff.w2"] + tz.repeat_rows(p[prefix + ".ff.b2"], n))
+        x = tz.layer_norm(h, p[prefix + ".ln1.g"], p[prefix + ".ln1.b"])
+        h = h + self._attention(p, x, x, prefix + ".attn", key_bias)
+        y = tz.layer_norm(h, p[prefix + ".ln2.g"], p[prefix + ".ln2.b"])
+        ff = tz.gelu(tz.linear(y, p[prefix + ".ff.w1"], p[prefix + ".ff.b1"]))
+        return h + tz.linear(ff, p[prefix + ".ff.w2"], p[prefix + ".ff.b2"])
 
-    def _edge_arrays(self, subgraph: QuerySubgraph):
-        """Edge endpoint/relation arrays with self-loops, plus in-edge lists."""
-        n = subgraph.num_nodes
-        src = [s for s, _, _ in subgraph.edges] + list(range(n))
-        dst = [t for _, _, t in subgraph.edges] + list(range(n))
-        rel_ids = []
-        for _, rel, _ in subgraph.edges:
-            rid = self.rel2id.get(rel)
-            if rid is None:
-                raise ValidationError(f"unknown relation in subgraph: {rel!r}")
-            rel_ids.append(rid)
-        rel_ids += [self.rel2id[SELF_RELATION]] * n
-        in_lists = [[] for _ in range(n)]
-        for e, t in enumerate(dst):
-            in_lists[t].append(e)
-        return (np.asarray(src, dtype=np.intp), np.asarray(dst, dtype=np.intp),
-                np.asarray(rel_ids, dtype=np.intp), in_lists)
-
-    def gnn_layer(self, u: Tensor, edge_arrays, layer: int) -> Tensor:
-        """Relation-aware graph attention over in-neighbors (self-loop included)."""
-        p = self.params
-        src, dst, rel_ids, in_lists = edge_arrays
+    def gnn_layer(self, p, u, edges, layer: int):
+        """Relation-aware graph attention over in-neighbors (self-loop
+        included) of the joined (N, d_g) node array; each node's softmax runs
+        over its segment of the target-sorted edges."""
+        src, dst, rel_ids, starts = edges
         prefix = f"gnn{layer}"
-        q = u @ p[prefix + ".wq"]
-        k = u @ p[prefix + ".wk"]
-        v = u @ p[prefix + ".wv"]
+        q, k, v = (u @ p[f"{prefix}.w{c}"] for c in "qkv")
         er = tz.gather_rows(p[prefix + ".rel_emb"], rel_ids)
         ke = tz.gather_rows(k, src) + er
         ve = tz.gather_rows(v, src) + er
-        qd = tz.gather_rows(q, dst)
-        logits = tz.tsum(qd * ke, axis=1, keepdims=True) * (1.0 / math.sqrt(self.cfg.d_g))
-        rows = []
-        for i in range(u.shape[0]):
-            idx = in_lists[i]
-            att = tz.softmax(tz.transpose(tz.gather_rows(logits, idx)))
-            rows.append(att @ tz.gather_rows(ve, idx))
-        mixed = u + tz.concat(rows, axis=0) @ p[prefix + ".wo"]
-        n = u.shape[0]
-        ff = tz.gelu(mixed @ p[prefix + ".ff.w1"] + tz.repeat_rows(p[prefix + ".ff.b1"], n))
-        return mixed + (ff @ p[prefix + ".ff.w2"] + tz.repeat_rows(p[prefix + ".ff.b2"], n))
+        logits = tz.tsum(tz.gather_rows(q, dst) * ke, axis=1) * (1.0 / math.sqrt(self.cfg.d_g))
+        att = tz.segment_softmax(logits, starts)
+        mixed = u + tz.segment_sum(att, ve, starts) @ p[prefix + ".wo"]
+        ff = tz.gelu(tz.linear(mixed, p[prefix + ".ff.w1"], p[prefix + ".ff.b1"]))
+        return mixed + tz.linear(ff, p[prefix + ".ff.w2"], p[prefix + ".ff.b2"])
 
-    def fuse_interaction(self, h_int: Tensor, u_int: Tensor, eps: np.ndarray,
-                         layer: int) -> tuple[Tensor, Tensor, Tensor]:
-        """Bottleneck exchange between the interaction token and node.
-
-        The concatenated pair parameterizes a Gaussian; one reparameterized
-        sample is split in half and projected back onto both modalities as
-        residual updates. Returns the updated pair and the closed-form KL to
-        the standard-normal prior.
-        """
-        p = self.params
+    def fuse_interaction(self, p, h_int, u_int, eps: np.ndarray, layer: int):
+        """Bottleneck exchange between the (B, d_l) interaction tokens and the
+        (B, d_g) interaction nodes. Each concatenated pair parameterizes a
+        Gaussian; one reparameterized sample (noise eps, (B, d_z)) is split in
+        half and projected back onto both modalities as residual updates.
+        Returns the updated pairs and each pair's KL to the standard normal."""
         prefix = f"fuse{layer}"
+        d_z = self.cfg.d_z
         x = tz.concat([h_int, u_int], axis=1)
-        hidden = tz.gelu(x @ p[prefix + ".w1"] + p[prefix + ".b1"])
-        stats = hidden @ p[prefix + ".w2"] + p[prefix + ".b2"]
-        mu, s = tz.split(stats, [self.cfg.d_z, self.cfg.d_z], axis=1)
+        hidden = tz.gelu(tz.linear(x, p[prefix + ".w1"], p[prefix + ".b1"]))
+        mu, s = tz.split(tz.linear(hidden, p[prefix + ".w2"], p[prefix + ".b2"]),
+                         [d_z, d_z], axis=1)
         sigma = tz.softplus(s) + 1e-6
-        z = mu + sigma * tz.constant(eps)
+        z = mu + sigma * eps
         kl = kl_gaussian_std_normal(mu, sigma)
-        half = self.cfg.d_z // 2
-        z_h, z_u = tz.split(z, [half, half], axis=1)
-        h_new = h_int + z_h @ p[prefix + ".wh"]
-        u_new = u_int + z_u @ p[prefix + ".wu"]
-        return h_new, u_new, kl
+        z_h, z_u = tz.split(z, [d_z // 2, d_z // 2], axis=1)
+        return h_int + z_h @ p[prefix + ".wh"], u_int + z_u @ p[prefix + ".wu"], kl
 
     # ------------------------------------------------------------------
     # Full encoder and decoder.
 
-    def _initial_states(self, token_ids: list[int],
-                        subgraph: QuerySubgraph) -> tuple[Tensor, Tensor]:
-        p = self.params
-        positions = np.arange(len(token_ids))
-        h = tz.gather_rows(p["tok_emb"], np.asarray(token_ids, dtype=np.intp)) \
-            + tz.gather_rows(p["pos_emb"], positions)
-        node_feats = init_node_embeddings(subgraph, self.cfg.d_g, self.cfg.node_init_seed)
-        if subgraph.num_nodes > 1:
-            u = tz.concat([p["graph_int_emb"], tz.constant(node_feats[1:])], axis=0)
-        else:
-            u = p["graph_int_emb"]
-        return h, u
-
-    def encode_fused(self, token_ids: list[int], subgraph: QuerySubgraph,
-                     noise: list[np.ndarray] | None = None
-                     ) -> tuple[Tensor, Tensor, list[Tensor]]:
-        """R text-only layers, then S fused text+graph layers with interaction."""
+    def encode_fused(self, p, prompts: list[list[int]],
+                     subgraphs: list[QuerySubgraph | None], noise: list[np.ndarray] | None):
+        """R text-only layers, then S fused text+graph layers with interaction,
+        over the prompts padded to (B, L). noise holds one (B, d_z) draw per
+        fused layer; None means the Gaussian mean (eps = 0). Returns the final
+        token states, the (B, 1, L) key bias (-inf on padding) and the KL
+        terms."""
         cfg = self.cfg
-        if noise is not None and len(noise) != cfg.S:
-            raise UsageError(f"need {cfg.S} noise draws, got {len(noise)}")
-        h, u = self._initial_states(token_ids, subgraph)
-        edge_arrays = self._edge_arrays(subgraph)
-        n_tok, n_node = h.shape[0], u.shape[0]
-        kl_terms: list[Tensor] = []
+        lengths = np.array([len(ids) for ids in prompts])
+        n_batch, length = len(prompts), lengths.max()
+        ids = np.array([row + [self.tok2id[PAD]] * (length - len(row)) for row in prompts])
+        key_bias = np.where(np.arange(length) < lengths[:, None], 0.0, -np.inf)[:, None, :]
+        graphs = [empty_subgraph() if cfg.text_only or sub is None else sub for sub in subgraphs]
+        if noise is None:
+            noise = [np.zeros((n_batch, cfg.d_z))] * cfg.S
+        h = tz.gather_rows(p["tok_emb"], ids.reshape(-1)) \
+            + tz.gather_rows(p["pos_emb"], np.tile(np.arange(length), n_batch))
+        h = tz.reshape(h, (n_batch, length, cfg.d_l))
+        offsets, feats, edges = self._join_graphs(graphs)
+        u = tz.scatter_rows(feats, offsets, tz.repeat_rows(p["graph_int_emb"], n_batch))
+        token_rows = np.arange(n_batch) * length
+        kl_terms = []
         for layer in range(cfg.R):
-            h = self.encode_text_layer(h, layer)
+            h = self.encode_text_layer(p, h, key_bias, layer)
         for s_i in range(cfg.S):
-            h = self.encode_text_layer(h, cfg.R + s_i)
-            u = self.gnn_layer(u, edge_arrays, s_i)
-            eps = noise[s_i] if noise is not None else np.zeros((1, cfg.d_z))
+            h = self.encode_text_layer(p, h, key_bias, cfg.R + s_i)
+            u = self.gnn_layer(p, u, edges, s_i)
+            rows = tz.reshape(h, (n_batch * length, cfg.d_l))
             h_new, u_new, kl = self.fuse_interaction(
-                tz.gather_rows(h, [0]), tz.gather_rows(u, [0]), eps, s_i)
-            h = tz.concat([h_new, tz.gather_rows(h, np.arange(1, n_tok))], axis=0)
-            if n_node > 1:
-                u = tz.concat([u_new, tz.gather_rows(u, np.arange(1, n_node))], axis=0)
-            else:
-                u = u_new
+                p, tz.gather_rows(rows, token_rows), tz.gather_rows(u, offsets), noise[s_i], s_i)
+            h = tz.reshape(tz.scatter_rows(rows, token_rows, h_new), (n_batch, length, cfg.d_l))
+            u = tz.scatter_rows(u, offsets, u_new)
             kl_terms.append(kl)
-        h = self._ln(h, "enc_ln")
-        return h, u, kl_terms
+        return tz.layer_norm(h, p["enc_ln.g"], p["enc_ln.b"]), key_bias, kl_terms
 
-    def decode_relevance(self, h_final: Tensor) -> Tensor:
-        """One decoder step over a start token; returns p(true) as a scalar tensor."""
-        p = self.params
+    def decode_relevance(self, p, h_final, key_bias: np.ndarray):
+        """One decoder step over a start token per pair; returns p(true), (B,)."""
+        n_batch, d_l = h_final.shape[0], self.cfg.d_l
         s = p["dec.start_emb"]
-        x = self._ln(s, "dec.ln1")
-        s = s + self._mha(x, x, "dec.self")
-        s = s + self._mha(self._ln(s, "dec.ln2"), h_final, "dec.cross")
-        y = self._ln(s, "dec.ln3")
-        ff = tz.gelu(y @ p["dec.ff.w1"] + p["dec.ff.b1"])
-        s = s + (ff @ p["dec.ff.w2"] + p["dec.ff.b2"])
-        logits = s @ p["dec.out_w"] + p["dec.out_b"]
-        probs = tz.softmax(logits)
-        p_true, _ = tz.split(probs, [1, 1], axis=1)
-        return tz.reshape(p_true, ())
+        # The lone start token attends to itself with weight exactly 1, so its
+        # self-attention is the value path; dec.self.wq/wk/bq/bk do not reach
+        # the output. The step does not depend on the input: run it once,
+        # then start every pair's step from its state.
+        v = tz.linear(tz.layer_norm(s, p["dec.ln1.g"], p["dec.ln1.b"]),
+                      p["dec.self.wv"], p["dec.self.bv"])
+        s = s + tz.linear(v, p["dec.self.wo"], p["dec.self.bo"])
+        s = tz.reshape(tz.repeat_rows(s, n_batch), (n_batch, 1, d_l))
+        x = tz.layer_norm(s, p["dec.ln2.g"], p["dec.ln2.b"])
+        s = s + self._attention(p, x, h_final, "dec.cross", key_bias)
+        y = tz.layer_norm(s, p["dec.ln3.g"], p["dec.ln3.b"])
+        ff = tz.gelu(tz.linear(y, p["dec.ff.w1"], p["dec.ff.b1"]))
+        s = s + tz.linear(ff, p["dec.ff.w2"], p["dec.ff.b2"])
+        probs = tz.softmax(tz.linear(s, p["dec.out_w"], p["dec.out_b"]))  # (B, 1, 2)
+        return tz.reshape(tz.split(probs, [1, 1], axis=2)[0], (n_batch,))
+
+    def _run(self, p, prompts: list[list[int]], subgraphs: list[QuerySubgraph | None],
+             noise: list[np.ndarray] | None):
+        """Scores and per-layer KL terms of a batch of prompts."""
+        h, key_bias, kl_terms = self.encode_fused(p, prompts, subgraphs, noise)
+        return self.decode_relevance(p, h, key_bias), kl_terms
+
+    def forward_batch(self, queries: list[Query], docs: list[Document],
+                      subgraphs: list[QuerySubgraph | None],
+                      noise: list[list[np.ndarray]] | None = None) -> ForwardTrace:
+        """Score pairs (queries[b], docs[b]) on the tape. noise[b] holds pair
+        b's S draws of shape (1, d_z); noise=None means inference (eps = 0)."""
+        if not len(queries) == len(docs) == len(subgraphs) >= 1:
+            raise UsageError("need one query and one subgraph per document, and a document")
+        if noise is not None and (len(noise) != len(docs) or
+                                  any(len(draws) != self.cfg.S for draws in noise)):
+            raise UsageError(f"need {self.cfg.S} noise draws per document")
+        eps = None if noise is None else [np.concatenate([draws[s_i] for draws in noise])
+                                          for s_i in range(self.cfg.S)]
+        prompts = [self.build_prompt(q.text, d.text) for q, d in zip(queries, docs)]
+        score, kl_terms = self._run(self.params, prompts, subgraphs, eps)
+        return ForwardTrace(score_tensor=score, kl_tensors=kl_terms)
 
     def forward(self, query: Query, doc: Document, subgraph: QuerySubgraph | None,
                 noise: list[np.ndarray] | None = None) -> ForwardTrace:
-        """Score one query-document pair; noise=None means inference (eps = 0)."""
-        if self.cfg.text_only or subgraph is None:
-            subgraph = empty_subgraph()
-        token_ids = self.build_prompt(query.text, doc.text)
-        h, _, kl_tensors = self.encode_fused(token_ids, subgraph, noise)
-        score = self.decode_relevance(h)
-        return ForwardTrace(score=score.item(),
-                            kl_terms=[kl.item() for kl in kl_tensors],
-                            score_tensor=score, kl_tensors=kl_tensors)
-
-    # ------------------------------------------------------------------
-    # Tape-free batched inference.
+        """Score one pair on the tape, as a batch of one; noise=None means
+        inference (eps = 0)."""
+        return self.forward_batch([query], [doc], [subgraph],
+                                  None if noise is None else [noise])
 
     def score_batch(self, query: Query, docs: list[Document],
                     subgraphs: list[QuerySubgraph | None]) -> np.ndarray:
-        """p(true) for every candidate document of one query (eps = 0).
-
-        The same network as forward, in plain numpy without a tape: prompts
-        are padded into one (candidates x L x d_l) batch with padded keys
-        masked, and the subgraphs are joined into one node array. Candidates
-        are scored in chunks, in order, so that one head's attention scores
-        stay within ATTENTION_BUDGET elements. Every score must be finite and
-        inside (0, 1); the per-op finite checks of the tape do not run here.
-        """
+        """p(true) for every candidate document of one query (eps = 0), from
+        the plain parameter arrays, so no tape is built. Candidates are scored
+        in chunks, in order, so that one head's attention scores stay within
+        ATTENTION_BUDGET elements. Every score must be finite and inside
+        (0, 1); the per-op finite checks of the tape do not run here."""
         if len(docs) != len(subgraphs):
             raise UsageError(f"{len(docs)} documents but {len(subgraphs)} subgraphs")
         prompts = [self.build_prompt(query.text, doc.text) for doc in docs]
@@ -446,9 +454,10 @@ class RankerModel:
             return np.zeros(0)
         longest = max(len(ids) for ids in prompts)
         chunk = max(1, ATTENTION_BUDGET // (longest * longest))
+        p = {name: t.data for name, t in self.params.items()}
         with np.errstate(over="ignore", invalid="ignore"):  # caught by the check below
             scores = np.concatenate([
-                self._score_chunk(prompts[lo:lo + chunk], subgraphs[lo:lo + chunk])
+                self._run(p, prompts[lo:lo + chunk], subgraphs[lo:lo + chunk], None)[0]
                 for lo in range(0, len(prompts), chunk)])
         bad = ~((scores > 0.0) & (scores < 1.0))  # NaN fails both comparisons
         if bad.any():
@@ -456,117 +465,3 @@ class RankerModel:
             raise ComputationError(
                 f"relevance score {scores[i]} outside (0, 1) for document {docs[i].id!r}")
         return scores
-
-    def _score_chunk(self, prompts: list[list[int]],
-                     subgraphs: list[QuerySubgraph | None]) -> np.ndarray:
-        cfg = self.cfg
-        p = {name: t.data for name, t in self.params.items()}
-        n_batch, length = len(prompts), max(len(ids) for ids in prompts)
-        ids = np.zeros((n_batch, length), dtype=np.intp)
-        for b, row in enumerate(prompts):
-            ids[b, :len(row)] = row
-        lengths = np.array([len(row) for row in prompts])
-        key_bias = np.where(np.arange(length) < lengths[:, None], 0.0, -np.inf)[:, None, :]
-        h = (p["tok_emb"][ids] + p["pos_emb"][:length]).reshape(n_batch * length, cfg.d_l)
-        token_rows = np.arange(n_batch) * length
-
-        graphs = [empty_subgraph() if cfg.text_only or sub is None else sub
-                  for sub in subgraphs]
-        offsets = np.cumsum([0] + [g.num_nodes for g in graphs[:-1]])
-        u = np.concatenate([init_node_embeddings(g, cfg.d_g, cfg.node_init_seed)
-                            for g in graphs])
-        u[offsets] = p["graph_int_emb"]
-        src, dst, rel_ids = [], [], []
-        for g, offset in zip(graphs, offsets):
-            g_src, g_dst, g_rel, _ = self._edge_arrays(g)
-            src.append(g_src + offset)
-            dst.append(g_dst + offset)
-            rel_ids.append(g_rel)
-        src, dst, rel_ids = np.concatenate(src), np.concatenate(dst), np.concatenate(rel_ids)
-        order = np.argsort(dst, kind="stable")  # in-edges of a node, in edge order
-        src, dst, rel_ids = src[order], dst[order], rel_ids[order]
-        # every node has its self-loop, so segment i holds the in-edges of node i
-        starts = np.flatnonzero(np.diff(dst, prepend=-1))
-        graph = (src, dst, rel_ids, starts)
-
-        for layer in range(cfg.R):
-            h = self._text_layer_np(p, h, key_bias, layer)
-        for s_i in range(cfg.S):
-            h = self._text_layer_np(p, h, key_bias, cfg.R + s_i)
-            u = self._gnn_layer_np(p, u, graph, s_i)
-            h[token_rows], u[offsets] = self._fuse_np(p, h[token_rows], u[offsets], s_i)
-        return self._decode_np(p, self._ln_np(p, h, "enc_ln"), key_bias)
-
-    @staticmethod
-    def _ln_np(p: dict[str, np.ndarray], x: np.ndarray, prefix: str) -> np.ndarray:
-        return tz.layer_norm_kernel(x)[0] * p[prefix + ".g"] + p[prefix + ".b"]
-
-    def _attention_np(self, p: dict[str, np.ndarray], x: np.ndarray, kv: np.ndarray,
-                      prefix: str, key_bias: np.ndarray) -> np.ndarray:
-        """_mha for a batch: queries from the (B*Lq, d_l) rows of x, keys and
-        values from the (B*Lk, d_l) rows of kv; key_bias is (B, 1, Lk) with
-        -inf on padded keys."""
-        n_batch, n_keys = key_bias.shape[0], key_bias.shape[2]
-        d_l, heads = self.cfg.d_l, self.cfg.heads
-        q = (x @ p[prefix + ".wq"] + p[prefix + ".bq"]).reshape(n_batch, -1, d_l)
-        k, v = ((kv @ p[f"{prefix}.w{c}"] + p[f"{prefix}.b{c}"]).reshape(n_batch, n_keys, d_l)
-                for c in "kv")
-        dh = d_l // heads
-        outs = []
-        for lo in range(0, d_l, dh):
-            qh, kh, vh = q[..., lo:lo + dh], k[..., lo:lo + dh], v[..., lo:lo + dh]
-            scores = qh @ kh.transpose(0, 2, 1)
-            scores *= 1.0 / math.sqrt(dh)
-            scores += key_bias
-            outs.append(tz.softmax_kernel(scores) @ vh)
-        o = np.concatenate(outs, axis=2).reshape(-1, d_l)
-        return o @ p[prefix + ".wo"] + p[prefix + ".bo"]
-
-    def _text_layer_np(self, p: dict[str, np.ndarray], h: np.ndarray,
-                       key_bias: np.ndarray, layer: int) -> np.ndarray:
-        prefix = f"enc{layer}"
-        x = self._ln_np(p, h, prefix + ".ln1")
-        h = h + self._attention_np(p, x, x, prefix + ".attn", key_bias)
-        y = self._ln_np(p, h, prefix + ".ln2")
-        ff = tz.gelu_kernel(y @ p[prefix + ".ff.w1"] + p[prefix + ".ff.b1"])[0]
-        return h + (ff @ p[prefix + ".ff.w2"] + p[prefix + ".ff.b2"])
-
-    def _gnn_layer_np(self, p: dict[str, np.ndarray], u: np.ndarray, graph,
-                      layer: int) -> np.ndarray:
-        """gnn_layer over all joined subgraphs: a segment softmax over in-edges."""
-        src, dst, rel_ids, starts = graph
-        prefix = f"gnn{layer}"
-        q, k, v = (u @ p[f"{prefix}.w{c}"] for c in "qkv")
-        er = p[prefix + ".rel_emb"][rel_ids]
-        ke, ve = k[src] + er, v[src] + er
-        logits = (q[dst] * ke).sum(axis=1) * (1.0 / math.sqrt(self.cfg.d_g))
-        e = np.exp(logits - np.maximum.reduceat(logits, starts)[dst])
-        att = e / np.add.reduceat(e, starts)[dst]
-        mixed = u + np.add.reduceat(att[:, None] * ve, starts, axis=0) @ p[prefix + ".wo"]
-        ff = tz.gelu_kernel(mixed @ p[prefix + ".ff.w1"] + p[prefix + ".ff.b1"])[0]
-        return mixed + (ff @ p[prefix + ".ff.w2"] + p[prefix + ".ff.b2"])
-
-    def _fuse_np(self, p: dict[str, np.ndarray], h_int: np.ndarray, u_int: np.ndarray,
-                 layer: int) -> tuple[np.ndarray, np.ndarray]:
-        """fuse_interaction at eps = 0, where the sample z is the mean mu."""
-        prefix = f"fuse{layer}"
-        x = np.concatenate([h_int, u_int], axis=1)
-        hidden = tz.gelu_kernel(x @ p[prefix + ".w1"] + p[prefix + ".b1"])[0]
-        mu = (hidden @ p[prefix + ".w2"] + p[prefix + ".b2"])[:, :self.cfg.d_z]
-        half = self.cfg.d_z // 2
-        return h_int + mu[:, :half] @ p[prefix + ".wh"], u_int + mu[:, half:] @ p[prefix + ".wu"]
-
-    def _decode_np(self, p: dict[str, np.ndarray], h_final: np.ndarray,
-                   key_bias: np.ndarray) -> np.ndarray:
-        """decode_relevance for every candidate. The start token and its
-        self-attention block do not depend on the input, so they run once."""
-        s = p["dec.start_emb"]
-        x = self._ln_np(p, s, "dec.ln1")
-        s = s + self._attention_np(p, x, x, "dec.self", np.zeros((1, 1, 1)))
-        # every candidate's decoder step starts from the same state s
-        x = np.repeat(self._ln_np(p, s, "dec.ln2"), key_bias.shape[0], axis=0)
-        s = s + self._attention_np(p, x, h_final, "dec.cross", key_bias)
-        y = self._ln_np(p, s, "dec.ln3")
-        ff = tz.gelu_kernel(y @ p["dec.ff.w1"] + p["dec.ff.b1"])[0]
-        s = s + (ff @ p["dec.ff.w2"] + p["dec.ff.b2"])
-        return tz.softmax_kernel(s @ p["dec.out_w"] + p["dec.out_b"])[:, 0]

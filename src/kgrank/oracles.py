@@ -3,9 +3,12 @@
 Everything here is written directly from definitions and deliberately shares
 no code with the production implementations: metrics recount prefixes
 quadratically, BM25 rescans raw token lists, subgraph candidates come from a
-triple loop over node pairs, and the KL term is estimated by Monte Carlo
-sampling. The comparisons themselves live in `kgrank.selftest`, which both
-`kgrank selftest` and the acceptance tests run.
+triple loop over node pairs, the KL term is estimated by Monte Carlo
+sampling, and the ranker network is recomputed one pair, one head and one
+node at a time in plain numpy (only its inputs, the prompt ids and the fixed
+node features, come from the model and the KG code). The random-instance
+comparisons live in `kgrank.selftest`, which both `kgrank selftest` and the
+acceptance tests run; the model tests compare against the network twins.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .kg import SELF_RELATION, empty_subgraph, init_node_embeddings
 
 
 def ap_direct(ranking: list[str], relevant: set[str]) -> float:
@@ -123,3 +128,117 @@ def mutual_information_mc(weights: np.ndarray, mus: np.ndarray, sigmas: np.ndarr
 def kl_closed_form_direct(mu: np.ndarray, sigma: np.ndarray) -> float:
     """0.5 * sum(mu^2 + sigma^2 - 1 - ln sigma^2), written independently."""
     return float(0.5 * np.sum(mu ** 2 + sigma ** 2 - 1.0 - np.log(sigma ** 2)))
+
+
+# ---------------------------------------------------------------------------
+# The ranker network for one pair, layer by layer. p maps parameter names to
+# plain arrays; token and node states are (rows, width) arrays of one pair.
+
+def gelu_direct(x: np.ndarray) -> np.ndarray:
+    c = math.sqrt(2.0 / math.pi)
+    return 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x ** 3)))
+
+
+def layer_norm_direct(x: np.ndarray, gain: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    mean = x.mean(-1, keepdims=True)
+    var = ((x - mean) ** 2).mean(-1, keepdims=True)
+    return (x - mean) / np.sqrt(var + 1e-5) * gain + shift
+
+
+def softmax_direct(x: np.ndarray) -> np.ndarray:
+    e = np.exp(x - x.max(-1, keepdims=True))
+    return e / e.sum(-1, keepdims=True)
+
+
+def attention_direct(p: dict, x: np.ndarray, kv: np.ndarray, prefix: str,
+                     heads: int) -> np.ndarray:
+    """Multi-head attention of the rows of x over the rows of kv, one head at
+    a time."""
+    q = x @ p[prefix + ".wq"] + p[prefix + ".bq"]
+    k = kv @ p[prefix + ".wk"] + p[prefix + ".bk"]
+    v = kv @ p[prefix + ".wv"] + p[prefix + ".bv"]
+    dh = q.shape[1] // heads
+    outs = []
+    for head in range(heads):
+        cols = slice(head * dh, (head + 1) * dh)
+        att = softmax_direct(q[:, cols] @ k[:, cols].T / math.sqrt(dh))
+        outs.append(att @ v[:, cols])
+    return np.concatenate(outs, axis=1) @ p[prefix + ".wo"] + p[prefix + ".bo"]
+
+
+def text_layer_direct(p: dict, h: np.ndarray, layer: int, heads: int) -> np.ndarray:
+    """Pre-norm transformer block: self-attention then feed-forward."""
+    prefix = f"enc{layer}"
+    x = layer_norm_direct(h, p[prefix + ".ln1.g"], p[prefix + ".ln1.b"])
+    h = h + attention_direct(p, x, x, prefix + ".attn", heads)
+    y = layer_norm_direct(h, p[prefix + ".ln2.g"], p[prefix + ".ln2.b"])
+    ff = gelu_direct(y @ p[prefix + ".ff.w1"] + p[prefix + ".ff.b1"])
+    return h + ff @ p[prefix + ".ff.w2"] + p[prefix + ".ff.b2"]
+
+
+def gnn_layer_direct(p: dict, u: np.ndarray, edges: list[tuple[int, str, int]],
+                     rel2id: dict[str, int], layer: int) -> np.ndarray:
+    """Relation-aware graph attention, node by node over its in-edges; edges
+    are (source, relation, target) triples, self-loops included."""
+    prefix = f"gnn{layer}"
+    q, k, v = (u @ p[f"{prefix}.w{c}"] for c in "qkv")
+    rel = p[prefix + ".rel_emb"]
+    messages = np.zeros_like(u)
+    for i in range(u.shape[0]):
+        incoming = [(s, rel[rel2id[r]]) for s, r, t in edges if t == i]
+        logits = np.array([q[i] @ (k[s] + er) for s, er in incoming]) / math.sqrt(u.shape[1])
+        att = softmax_direct(logits)
+        messages[i] = sum(a * (v[s] + er) for a, (s, er) in zip(att, incoming))
+    mixed = u + messages @ p[prefix + ".wo"]
+    ff = gelu_direct(mixed @ p[prefix + ".ff.w1"] + p[prefix + ".ff.b1"])
+    return mixed + ff @ p[prefix + ".ff.w2"] + p[prefix + ".ff.b2"]
+
+
+def fuse_direct(p: dict, h_int: np.ndarray, u_int: np.ndarray, eps: np.ndarray,
+                layer: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Bottleneck exchange of one (1, d_l) token and (1, d_g) node with noise
+    eps: the updated pair and the closed-form KL."""
+    prefix = f"fuse{layer}"
+    hidden = gelu_direct(np.concatenate([h_int, u_int], axis=1) @ p[prefix + ".w1"]
+                         + p[prefix + ".b1"])
+    stats = hidden @ p[prefix + ".w2"] + p[prefix + ".b2"]
+    d_z = stats.shape[1] // 2
+    mu, sigma = stats[:, :d_z], np.logaddexp(0.0, stats[:, d_z:]) + 1e-6
+    z = mu + sigma * eps
+    half = d_z // 2
+    return (h_int + z[:, :half] @ p[prefix + ".wh"], u_int + z[:, half:] @ p[prefix + ".wu"],
+            kl_closed_form_direct(mu, sigma))
+
+
+def decode_direct(p: dict, h_final: np.ndarray, heads: int) -> float:
+    """One decoder step over the start token: p(true)."""
+    s = p["dec.start_emb"]
+    x = layer_norm_direct(s, p["dec.ln1.g"], p["dec.ln1.b"])
+    s = s + attention_direct(p, x, x, "dec.self", heads)
+    x = layer_norm_direct(s, p["dec.ln2.g"], p["dec.ln2.b"])
+    s = s + attention_direct(p, x, h_final, "dec.cross", heads)
+    y = layer_norm_direct(s, p["dec.ln3.g"], p["dec.ln3.b"])
+    s = s + gelu_direct(y @ p["dec.ff.w1"] + p["dec.ff.b1"]) @ p["dec.ff.w2"] + p["dec.ff.b2"]
+    return float(softmax_direct(s @ p["dec.out_w"] + p["dec.out_b"])[0, 0])
+
+
+def relevance_direct(model, query, doc, subgraph) -> float:
+    """The relevance score of one pair at the Gaussian mean (eps = 0), from
+    the per-pair layer references above."""
+    cfg = model.cfg
+    p = {name: t.data for name, t in model.params.items()}
+    if cfg.text_only or subgraph is None:
+        subgraph = empty_subgraph()
+    ids = model.build_prompt(query.text, doc.text)
+    h = p["tok_emb"][ids] + p["pos_emb"][:len(ids)]
+    u = init_node_embeddings(subgraph, cfg.d_g, cfg.node_init_seed)
+    u[0] = p["graph_int_emb"][0]
+    edges = list(subgraph.edges) + [(i, SELF_RELATION, i) for i in range(subgraph.num_nodes)]
+    for layer in range(cfg.R):
+        h = text_layer_direct(p, h, layer, cfg.heads)
+    for s_i in range(cfg.S):
+        h = text_layer_direct(p, h, cfg.R + s_i, cfg.heads)
+        u = gnn_layer_direct(p, u, edges, model.rel2id, s_i)
+        h_int, u_int, _ = fuse_direct(p, h[:1], u[:1], np.zeros((1, cfg.d_z)), s_i)
+        h, u = np.concatenate([h_int, h[1:]]), np.concatenate([u_int, u[1:]])
+    return decode_direct(p, layer_norm_direct(h, p["enc_ln.g"], p["enc_ln.b"]), cfg.heads)

@@ -28,27 +28,38 @@ from .training import loss_from_trace
 CheckResult = tuple[list[str], str]
 
 # ---------------------------------------------------------------------------
-# The tape primitives, one gradient case each: (name, fn, x shape, optional
-# second-leaf shape, input kind). "positive" keeps log away from its domain
-# edge.
+# The tape primitives, one gradient case each: (name, fn, leaf shapes, input
+# kind); fn takes one leaf per shape. "positive" keeps log away from its
+# domain edge.
+KEY_BIAS = np.array([[[0.0, 0.0, -np.inf, 0.0]], [[0.0, -np.inf, -np.inf, 0.0]]])
+SEGMENT_STARTS = np.array([0, 1, 4])  # segments of 1, 3 and 2 entries
 PRIMITIVE_CASES = [
-    ("add", lambda x, p: tz.add(x, p), (3, 4), (3, 4), "normal"),
-    ("mul", lambda x, p: tz.mul(x, p), (3, 4), (3, 4), "normal"),
-    ("matmul", lambda x, p: x @ p, (3, 4), (4, 2), "normal"),
-    ("transpose", lambda x, p: tz.transpose(x), (3, 4), None, "normal"),
-    ("reshape", lambda x, p: tz.reshape(x, (4, 3)), (3, 4), None, "normal"),
-    ("softmax", lambda x, p: tz.softmax(x), (3, 4), None, "normal"),
-    ("layer_norm", lambda x, p: tz.layer_norm(x), (3, 4), None, "normal"),
-    ("gelu", lambda x, p: tz.gelu(x), (3, 4), None, "normal"),
-    ("softplus", lambda x, p: tz.softplus(x), (3, 4), None, "normal"),
-    ("log", lambda x, p: tz.log(x), (3, 4), None, "positive"),
-    ("sum_all", lambda x, p: tz.tsum(x), (3, 4), None, "normal"),
-    ("sum_axis0", lambda x, p: tz.tsum(x, axis=0), (3, 4), None, "normal"),
-    ("sum_axis1_keep", lambda x, p: tz.tsum(x, axis=1, keepdims=True), (3, 4), None, "normal"),
-    ("repeat_rows", lambda x, p: tz.repeat_rows(x, 5), (1, 4), None, "normal"),
-    ("gather_rows", lambda x, p: tz.gather_rows(x, [0, 2, 2]), (3, 4), None, "normal"),
-    ("concat", lambda x, p: tz.concat([x, p], axis=0), (3, 4), (2, 4), "normal"),
-    ("split", lambda x, p: tz.split(x, [1, 3], axis=1)[1], (3, 4), None, "normal"),
+    ("add", lambda x, p: tz.add(x, p), ((3, 4), (3, 4)), "normal"),
+    ("mul", lambda x, p: tz.mul(x, p), ((3, 4), (3, 4)), "normal"),
+    ("matmul", lambda x, p: x @ p, ((3, 4), (4, 2)), "normal"),
+    ("matmul_batched", lambda x, p: x @ p, ((2, 3, 4), (2, 4, 5)), "normal"),
+    ("linear", lambda x, w, b: tz.linear(x, w, b), ((2, 3, 4), (4, 5), (1, 5)), "normal"),
+    ("transpose", lambda x: tz.transpose(x), ((3, 4),), "normal"),
+    ("transpose_batched", lambda x: tz.transpose(x), ((2, 3, 4),), "normal"),
+    ("reshape", lambda x: tz.reshape(x, (4, 3)), ((3, 4),), "normal"),
+    ("softmax", lambda x: tz.softmax(x), ((3, 4),), "normal"),
+    ("softmax_key_bias", lambda x: tz.softmax(x, KEY_BIAS), ((2, 3, 4),), "normal"),
+    ("segment_softmax", lambda x: tz.segment_softmax(x, SEGMENT_STARTS), ((6,),), "normal"),
+    ("segment_sum", lambda w, x: tz.segment_sum(w, x, SEGMENT_STARTS), ((6,), (6, 3)),
+     "normal"),
+    ("layer_norm", lambda x, g, b: tz.layer_norm(x, g, b), ((2, 3, 4), (1, 4), (1, 4)),
+     "normal"),
+    ("gelu", lambda x: tz.gelu(x), ((3, 4),), "normal"),
+    ("softplus", lambda x: tz.softplus(x), ((3, 4),), "normal"),
+    ("log", lambda x: tz.log(x), ((3, 4),), "positive"),
+    ("sum_all", lambda x: tz.tsum(x), ((3, 4),), "normal"),
+    ("sum_axis0", lambda x: tz.tsum(x, axis=0), ((3, 4),), "normal"),
+    ("sum_axis1_keep", lambda x: tz.tsum(x, axis=1, keepdims=True), ((3, 4),), "normal"),
+    ("repeat_rows", lambda x: tz.repeat_rows(x, 5), ((1, 4),), "normal"),
+    ("gather_rows", lambda x: tz.gather_rows(x, [0, 2, 2]), ((3, 4),), "normal"),
+    ("scatter_rows", lambda x, r: tz.scatter_rows(x, [0, 3], r), ((4, 3), (2, 3)), "normal"),
+    ("concat", lambda x, p: tz.concat([x, p], axis=0), ((3, 4), (2, 4)), "normal"),
+    ("split", lambda x: tz.split(x, [1, 3], axis=1)[1], ((3, 4),), "normal"),
 ]
 
 
@@ -62,16 +73,14 @@ def primitive_leaf(rng, shape, kind) -> Tensor:
     return Tensor(rng.normal(size=shape), requires_grad=True)
 
 
-def primitive_objective(name, fn, xshape, pshape, kind):
+def primitive_objective(name, fn, shapes, kind):
     """(f, params) for one PRIMITIVE_CASES row: f sums the primitive's output
     under a fixed random weighting, so every output entry reaches the loss."""
     rng = np.random.default_rng(primitive_case_seed(name))
-    x = primitive_leaf(rng, xshape, kind)
-    params = {"x": x}
-    if pshape is not None:
-        params["p"] = primitive_leaf(rng, pshape, kind)
-    weight = Tensor(rng.normal(size=fn(x, params.get("p")).shape))
-    return (lambda: tz.tsum(fn(x, params.get("p")) * weight)), params
+    leaves = [primitive_leaf(rng, shape, kind) for shape in shapes]
+    weight = Tensor(rng.normal(size=fn(*leaves).shape))
+    return (lambda: tz.tsum(fn(*leaves) * weight)), {f"leaf{i}": leaf
+                                                      for i, leaf in enumerate(leaves)}
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +144,7 @@ def check_model_gradient() -> CheckResult:
 
     def objective():
         trace = model.forward(query, doc, tiny_subgraph(), noise=noise)
-        return loss_from_trace(trace, True, model.cfg.alpha, model.cfg.S)
+        return loss_from_trace(trace, [True], model.cfg.alpha, model.cfg.S)
 
     err = finite_diff_check(objective, model.params, step=1e-4, max_coords=200, seed=4)
     failures = [f"full model: relative error {err:.2e} >= 1e-4"] if err >= 1e-4 else []

@@ -5,22 +5,25 @@ backward() on a scalar loss walks the recorded graph once in reverse
 topological order and accumulates gradients on requires_grad leaves. Repeated
 backward calls keep accumulating until grads are zeroed.
 
+Every primitive also accepts plain numpy arrays. Given no Tensor input, it
+returns the plain result of the same kernel, records nothing and skips the
+per-op finite check; given a mix, the plain arrays are constants of the
+recorded op. The type of the arguments is the only switch between the two, so
+one model body serves both training on the tape and tape-free inference.
+
 Randomness is never drawn inside a primitive: noise enters as an explicit
 constant input, so any forward pass can be replayed exactly for the
 finite-difference checker at the bottom of this module.
 
-Design constraints: float64 everywhere; no broadcasting beyond Python scalars
-(use repeat_rows for explicit expansion); non-finite values raise at the
-producing operation.
-
-The elementwise kernels (softmax_kernel, layer_norm_kernel, gelu_kernel) are
-plain-numpy functions shared by the tape primitives and the model's tape-free
-batched scorer, so both compute the same numerics. The per-op finite checks
-belong to the tape only; the batched scorer checks its scores instead.
+Design constraints: float64 everywhere; no broadcasting beyond Python scalars,
+except the (1, d) row weights of linear and layer_norm and the constant key
+bias of softmax (use repeat_rows for any other expansion); non-finite values
+raise at the producing operation of a recorded op.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from collections.abc import Callable, Sequence
@@ -39,6 +42,8 @@ class Tensor:
     """An n-dimensional float64 array with an optional gradient tape entry."""
 
     __slots__ = ("data", "requires_grad", "grad", "op", "_parents", "_grad_fns")
+    # numpy defers to the reflected operators below, so array + Tensor records
+    __array_ufunc__ = None
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -70,7 +75,7 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, op={self.op!r}, requires_grad={self.requires_grad})"
 
-    # operator sugar; Tensor op Tensor needs matching shapes, numbers are scalars
+    # operator sugar; Tensor op Tensor/array needs matching shapes, numbers are scalars
     def __add__(self, other):
         return add(self, other)
 
@@ -99,168 +104,212 @@ class Tensor:
         return matmul(self, other)
 
 
-def _result(op: str, data: np.ndarray, parents: Sequence[Tensor],
-            grad_fns: Sequence[GradFn]) -> Tensor:
+Operand = Tensor | np.ndarray
+
+
+def _data(x: Operand) -> np.ndarray:
+    return x.data if isinstance(x, Tensor) else x
+
+
+def _result(op: str, data: np.ndarray, inputs: Sequence, grad_fns: Sequence[GradFn]):
+    """The output of a primitive. With no Tensor among inputs it is data
+    itself; otherwise a tape node whose parents are the inputs that need
+    gradients (plain-array inputs are constants)."""
+    for x in inputs:
+        if isinstance(x, Tensor):
+            break
+    else:
+        return data
     if not np.all(np.isfinite(data)):
         raise ComputationError(f"{op}: produced non-finite values")
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
     out.op = op
-    if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._grad_fns = tuple(grad_fns)
-    else:
-        out.requires_grad = False
-        out._parents = ()
-        out._grad_fns = ()
+    live = [(x, fn) for x, fn in zip(inputs, grad_fns)
+            if isinstance(x, Tensor) and x.requires_grad]
+    out.requires_grad = bool(live)
+    out._parents = tuple(x for x, _ in live)
+    out._grad_fns = tuple(fn for _, fn in live)
     return out
 
 
-def constant(data) -> Tensor:
-    """A no-grad tensor, e.g. externally sampled noise for reparameterization."""
-    return Tensor(data, requires_grad=False)
+def _identity(g: np.ndarray) -> np.ndarray:
+    return g
+
+
+def _swap(a: np.ndarray) -> np.ndarray:
+    return np.swapaxes(a, -1, -2)
 
 
 # ---------------------------------------------------------------------------
 # Primitives.
 
-def add(a: Tensor, b) -> Tensor:
-    if isinstance(b, Tensor):
-        if a.shape != b.shape:
-            raise ShapeError("add", a.shape, b.shape)
-        return _result("add", a.data + b.data, (a, b), (lambda g: g, lambda g: g))
+def add(a: Operand, b) -> Operand:
+    if isinstance(b, (Tensor, np.ndarray)):
+        ad, bd = _data(a), _data(b)
+        if ad.shape != bd.shape:
+            raise ShapeError("add", ad.shape, bd.shape)
+        return _result("add", ad + bd, (a, b), (_identity, _identity))
     s = float(b)
-    return _result("add_scalar", a.data + s, (a,), (lambda g: g,))
+    return _result("add_scalar", _data(a) + s, (a,), (_identity,))
 
 
-def mul(a: Tensor, b) -> Tensor:
-    if isinstance(b, Tensor):
-        if a.shape != b.shape:
-            raise ShapeError("mul", a.shape, b.shape)
-        return _result("mul", a.data * b.data,
-                       (a, b), (lambda g: g * b.data, lambda g: g * a.data))
+def mul(a: Operand, b) -> Operand:
+    if isinstance(b, (Tensor, np.ndarray)):
+        ad, bd = _data(a), _data(b)
+        if ad.shape != bd.shape:
+            raise ShapeError("mul", ad.shape, bd.shape)
+        return _result("mul", ad * bd, (a, b), (lambda g: g * bd, lambda g: g * ad))
     s = float(b)
-    return _result("mul_scalar", a.data * s, (a,), (lambda g: g * s,))
+    return _result("mul_scalar", _data(a) * s, (a,), (lambda g: g * s,))
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError("matmul", a.shape, b.shape)
-    return _result("matmul", a.data @ b.data,
-                   (a, b), (lambda g: g @ b.data.T, lambda g: a.data.T @ g))
+def matmul(a: Operand, b: Operand) -> Operand:
+    """Matrix product of 2-D operands, or of stacks of matrices with equal
+    leading axes (a batched product, no broadcasting)."""
+    ad, bd = _data(a), _data(b)
+    if (ad.ndim < 2 or ad.ndim != bd.ndim or ad.shape[:-2] != bd.shape[:-2]
+            or ad.shape[-1] != bd.shape[-2]):
+        raise ShapeError("matmul", ad.shape, bd.shape)
+    return _result("matmul", ad @ bd, (a, b),
+                   (lambda g: g @ _swap(bd), lambda g: _swap(ad) @ g))
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError("transpose", a.shape)
-    return _result("transpose", a.data.T.copy(), (a,), (lambda g: g.T,))
+def linear(x: Operand, w: Operand, b: Operand) -> Operand:
+    """x @ w over the last axis of x, plus the (1, d_out) row bias b added to
+    every row; the bias is never expanded."""
+    xd, wd, bd = _data(x), _data(w), _data(b)
+    if wd.ndim != 2 or xd.ndim < 2 or xd.shape[-1] != wd.shape[0] or bd.shape != (1, wd.shape[1]):
+        raise ShapeError("linear", xd.shape, wd.shape, bd.shape)
+    n_in, n_out = wd.shape
+    return _result("linear", xd @ wd + bd, (x, w, b),
+                   (lambda g: g @ wd.T,
+                    lambda g: xd.reshape(-1, n_in).T @ g.reshape(-1, n_out),
+                    lambda g: g.reshape(-1, n_out).sum(axis=0, keepdims=True)))
 
 
-def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    if int(np.prod(shape)) != a.size:
-        raise ShapeError("reshape", a.shape, tuple(shape))
-    old = a.shape
-    return _result("reshape", a.data.reshape(shape), (a,), (lambda g: g.reshape(old),))
+def transpose(a: Operand) -> Operand:
+    """Swap the last two axes."""
+    ad = _data(a)
+    if ad.ndim < 2:
+        raise ShapeError("transpose", ad.shape)
+    return _result("transpose", _swap(ad), (a,), (_swap,))
 
 
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
+def reshape(a: Operand, shape: tuple[int, ...]) -> Operand:
+    ad = _data(a)
+    if math.prod(shape) != ad.size:
+        raise ShapeError("reshape", ad.shape, tuple(shape))
+    old = ad.shape
+    return _result("reshape", ad.reshape(shape), (a,), (lambda g: g.reshape(old),))
+
+
+def _along(axis: int, ndim: int, lo: int, hi: int) -> tuple:
+    """The index of entries lo:hi along one axis."""
+    return (slice(None),) * (axis % ndim) + (slice(lo, hi),)
+
+
+def concat(tensors: Sequence[Operand], axis: int = 0) -> Operand:
     if not tensors:
         raise UsageError("concat of zero tensors")
-    ndim = tensors[0].data.ndim
-    for t in tensors:
-        if t.data.ndim != ndim:
-            raise ShapeError("concat", *(t.shape for t in tensors))
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def fn_for(i: int) -> GradFn:
-        lo, hi = offsets[i], offsets[i + 1]
-        def fn(g: np.ndarray) -> np.ndarray:
-            index = [slice(None)] * ndim
-            index[axis] = slice(lo, hi)
-            return g[tuple(index)]
-        return fn
-
-    return _result("concat", data, tuple(tensors),
-                   tuple(fn_for(i) for i in range(len(tensors))))
+    if len(tensors) == 1:
+        return tensors[0]
+    arrays = [_data(t) for t in tensors]
+    ndim = arrays[0].ndim
+    if any(arr.ndim != ndim for arr in arrays):
+        raise ShapeError("concat", *(arr.shape for arr in arrays))
+    offsets = list(itertools.accumulate((arr.shape[axis] for arr in arrays), initial=0))
+    return _result("concat", np.concatenate(arrays, axis=axis), tuple(tensors),
+                   tuple(lambda g, index=_along(axis, ndim, lo, hi): g[index]
+                         for lo, hi in zip(offsets, offsets[1:])))
 
 
-def split(a: Tensor, sizes: Sequence[int], axis: int = 0) -> list[Tensor]:
-    if sum(sizes) != a.shape[axis]:
-        raise ShapeError("split", a.shape, (sum(sizes),))
-    outs: list[Tensor] = []
-    offsets = np.cumsum([0] + list(sizes))
-    for i in range(len(sizes)):
-        lo, hi = int(offsets[i]), int(offsets[i + 1])
-        index = [slice(None)] * a.data.ndim
-        index[axis] = slice(lo, hi)
-        index = tuple(index)
+def split(a: Operand, sizes: Sequence[int], axis: int = 0) -> list:
+    ad = _data(a)
+    if sum(sizes) != ad.shape[axis]:
+        raise ShapeError("split", ad.shape, (sum(sizes),))
+    if len(sizes) == 1:
+        return [a]
+    offsets = list(itertools.accumulate(sizes, initial=0))
+    outs = []
+    for lo, hi in zip(offsets, offsets[1:]):
+        index = _along(axis, ad.ndim, lo, hi)
 
         def fn(g: np.ndarray, index=index) -> np.ndarray:
-            out = np.zeros_like(a.data)
+            out = np.zeros_like(ad)
             out[index] = g
             return out
 
-        outs.append(_result("split", a.data[index].copy(), (a,), (fn,)))
+        outs.append(_result("split", ad[index], (a,), (fn,)))
     return outs
 
 
-def gather_rows(a: Tensor, indices) -> Tensor:
+def gather_rows(a: Operand, indices) -> Operand:
     """Select rows along axis 0 (embedding lookup); backward scatter-adds."""
+    ad = _data(a)
     idx = np.asarray(indices, dtype=np.intp)
     if idx.ndim != 1:
-        raise ShapeError("gather_rows", a.shape, tuple(idx.shape))
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
-        raise UsageError(f"gather_rows: index out of range for shape {a.shape}")
+        raise ShapeError("gather_rows", ad.shape, tuple(idx.shape))
+    try:  # as unsigned, a negative index is out of range instead of wrapping
+        rows = ad[idx.view(np.uintp)]
+    except IndexError as exc:
+        raise UsageError(f"gather_rows: index out of range for shape {ad.shape}") from exc
 
     def fn(g: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(a.data)
+        out = np.zeros_like(ad)
         np.add.at(out, idx, g)
         return out
 
-    return _result("gather_rows", a.data[idx].copy(), (a,), (fn,))
+    return _result("gather_rows", rows, (a,), (fn,))
 
 
-def repeat_rows(a: Tensor, n: int) -> Tensor:
+def scatter_rows(a: Operand, indices, rows: Operand) -> Operand:
+    """A copy of a whose rows at the strictly increasing indices are replaced
+    by rows."""
+    ad, rd = _data(a), _data(rows)
+    idx = np.asarray(indices, dtype=np.intp)
+    if idx.ndim != 1 or rd.shape != (idx.size,) + ad.shape[1:]:
+        raise ShapeError("scatter_rows", ad.shape, rd.shape)
+    if idx.size and (idx[0] < 0 or idx[-1] >= ad.shape[0] or (idx[1:] <= idx[:-1]).any()):
+        raise UsageError(f"scatter_rows: row indices must rise strictly within {ad.shape[0]}")
+    out = ad.copy()
+    out[idx] = rd
+
+    def to_a(g: np.ndarray) -> np.ndarray:
+        g = g.copy()
+        g[idx] = 0.0
+        return g
+
+    return _result("scatter_rows", out, (a, rows), (to_a, lambda g: g[idx]))
+
+
+def repeat_rows(a: Operand, n: int) -> Operand:
     """Explicitly expand a (1, d) tensor to (n, d); backward sums the rows."""
-    if a.data.ndim != 2 or a.shape[0] != 1:
-        raise ShapeError("repeat_rows", a.shape)
-    return _result("repeat_rows", np.repeat(a.data, n, axis=0),
+    ad = _data(a)
+    if ad.ndim != 2 or ad.shape[0] != 1:
+        raise ShapeError("repeat_rows", ad.shape)
+    return _result("repeat_rows", np.repeat(ad, n, axis=0),
                    (a,), (lambda g: g.sum(axis=0, keepdims=True),))
-
-
-def softmax_kernel(x: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis of a plain array. Entries of -inf get weight
-    0, which is how batched attention masks padded keys."""
-    e = x - x.max(axis=-1, keepdims=True)
-    np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
-    return e
-
-
-def layer_norm_kernel(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Normalize the last axis of a plain array; returns (y, 1 / std)."""
-    centered = x - x.mean(axis=-1, keepdims=True)
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    return centered * inv, inv
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
-def gelu_kernel(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """tanh-form GELU of a plain array; returns (y, tanh of the inner term)."""
-    t = np.tanh(_GELU_C * (x + 0.044715 * (x * x * x)))
-    return 0.5 * x * (1.0 + t), t
-
-
-def softmax(a: Tensor) -> Tensor:
-    """Softmax over the last axis; rows sum to 1 and stay strictly positive."""
-    y = softmax_kernel(a.data)
+def softmax(a: Operand, bias: np.ndarray | None = None) -> Operand:
+    """Softmax over the last axis of a + bias; rows sum to 1. bias is a plain
+    array that broadcasts against a, e.g. a (B, 1, L) key bias that is -inf on
+    padded keys, which then get weight exactly 0."""
+    ad = _data(a)
+    if bias is None:
+        y = ad - ad.max(axis=-1, keepdims=True)
+    elif bias.ndim != ad.ndim or any(n not in (1, m) for n, m in zip(bias.shape, ad.shape)):
+        raise ShapeError("softmax", ad.shape, bias.shape)
+    else:  # one fresh array holds the whole computation
+        y = ad + bias
+        y -= y.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
 
     def fn(g: np.ndarray) -> np.ndarray:
         return y * (g - (g * y).sum(axis=-1, keepdims=True))
@@ -268,46 +317,59 @@ def softmax(a: Tensor) -> Tensor:
     return _result("softmax", y, (a,), (fn,))
 
 
-def layer_norm(a: Tensor) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance (no affine part)."""
-    y, inv = layer_norm_kernel(a.data)
+def layer_norm(a: Operand, gain: Operand, shift: Operand) -> Operand:
+    """Normalize the last axis to zero mean / unit variance, then scale by the
+    (1, d) row gain and add the (1, d) row shift."""
+    ad, gd, sd = _data(a), _data(gain), _data(shift)
+    d = ad.shape[-1]
+    if gd.shape != (1, d) or sd.shape != (1, d):
+        raise ShapeError("layer_norm", ad.shape, gd.shape, sd.shape)
+    centered = ad - ad.sum(axis=-1, keepdims=True) / d  # how ndarray.mean computes
+    inv = 1.0 / np.sqrt((centered * centered).sum(axis=-1, keepdims=True) / d
+                        + LAYER_NORM_EPS)
+    y = centered * inv
 
-    def fn(g: np.ndarray) -> np.ndarray:
-        return inv * (g - g.mean(axis=-1, keepdims=True)
-                      - y * (g * y).mean(axis=-1, keepdims=True))
+    def to_a(g: np.ndarray) -> np.ndarray:
+        gy = g * gd
+        return inv * (gy - gy.mean(axis=-1, keepdims=True)
+                      - y * (gy * y).mean(axis=-1, keepdims=True))
 
-    return _result("layer_norm", y, (a,), (fn,))
+    return _result("layer_norm", y * gd + sd, (a, gain, shift),
+                   (to_a, lambda g: (g * y).reshape(-1, d).sum(axis=0, keepdims=True),
+                    lambda g: g.reshape(-1, d).sum(axis=0, keepdims=True)))
 
 
-def gelu(a: Tensor) -> Tensor:
+def gelu(a: Operand) -> Operand:
     """tanh-form GELU with its exact analytic derivative."""
-    x = a.data
-    y, t = gelu_kernel(x)
+    x = _data(a)
+    t = np.tanh(_GELU_C * (x + 0.044715 * (x * x * x)))
 
     def fn(g: np.ndarray) -> np.ndarray:
         d_inner = _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
         return g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner)
 
-    return _result("gelu", y, (a,), (fn,))
+    return _result("gelu", 0.5 * x * (1.0 + t), (a,), (fn,))
 
 
-def softplus(a: Tensor) -> Tensor:
+def softplus(a: Operand) -> Operand:
     """log(1 + exp(x)), computed stably; derivative is the logistic sigmoid."""
-    x = a.data
-    y = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+    x = _data(a)
     e = np.exp(-np.abs(x))
-    sig = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    return _result("softplus", y, (a,), (lambda g: g * sig,))
+    y = np.maximum(x, 0.0) + np.log1p(e)
+    return _result("softplus", y, (a,),
+                   (lambda g: g * np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e)),))
 
 
-def log(a: Tensor) -> Tensor:
-    if np.any(a.data <= 0):
+def log(a: Operand) -> Operand:
+    x = _data(a)
+    if (x <= 0).any():
         raise ComputationError("log: non-positive input")
-    return _result("log", np.log(a.data), (a,), (lambda g: g / a.data,))
+    return _result("log", np.log(x), (a,), (lambda g: g / x,))
 
 
-def tsum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    shape = a.shape
+def tsum(a: Operand, axis: int | None = None, keepdims: bool = False) -> Operand:
+    ad = _data(a)
+    shape = ad.shape
 
     def fn(g: np.ndarray) -> np.ndarray:
         if axis is None:
@@ -315,7 +377,41 @@ def tsum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
         gg = g if keepdims else np.expand_dims(g, axis)
         return np.broadcast_to(gg, shape).copy()
 
-    return _result("sum", a.data.sum(axis=axis, keepdims=keepdims), (a,), (fn,))
+    return _result("sum", ad.sum(axis=axis, keepdims=keepdims), (a,), (fn,))
+
+
+def _segment_ids(op: str, starts: np.ndarray, n: int) -> np.ndarray:
+    """The segment of each of n entries, given each segment's first entry."""
+    sizes = np.concatenate((starts[1:], [n])) - starts
+    if starts.ndim != 1 or not starts.size or starts[0] != 0 or sizes.min() <= 0:
+        raise UsageError(f"{op}: segment starts must rise strictly from 0 below {n}")
+    return np.repeat(np.arange(starts.size), sizes)
+
+
+def segment_softmax(a: Operand, starts: np.ndarray) -> Operand:
+    """Softmax of a 1-D array within each segment of consecutive entries;
+    starts holds each segment's first index (np.*.reduceat order)."""
+    ad = _data(a)
+    seg = _segment_ids("segment_softmax", starts, ad.shape[0])
+    e = np.exp(ad - np.maximum.reduceat(ad, starts)[seg])
+    y = e / np.add.reduceat(e, starts)[seg]
+
+    def fn(g: np.ndarray) -> np.ndarray:
+        return y * (g - np.add.reduceat(g * y, starts)[seg])
+
+    return _result("segment_softmax", y, (a,), (fn,))
+
+
+def segment_sum(weights: Operand, x: Operand, starts: np.ndarray) -> Operand:
+    """Row i of the result is the weights-weighted sum of the rows of x in
+    segment i; weights is 1-D, one entry per row of the 2-D x."""
+    wd, xd = _data(weights), _data(x)
+    if wd.ndim != 1 or xd.ndim != 2 or wd.shape[0] != xd.shape[0]:
+        raise ShapeError("segment_sum", wd.shape, xd.shape)
+    seg = _segment_ids("segment_sum", starts, xd.shape[0])
+    return _result("segment_sum", np.add.reduceat(wd[:, None] * xd, starts, axis=0),
+                   (weights, x), (lambda g: (g[seg] * xd).sum(axis=1),
+                                  lambda g: wd[:, None] * g[seg]))
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +448,8 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 def backward(loss: Tensor) -> None:
     """Populate .grad on every requires_grad leaf reachable from loss."""
+    if not isinstance(loss, Tensor):
+        raise UsageError("backward needs a Tensor loss, not a plain array")
     if loss.data.size != 1:
         raise UsageError(f"backward requires a scalar loss, got shape {loss.shape}")
     if not loss._parents:
@@ -440,12 +538,20 @@ def save_checkpoint(path: str | Path, params: dict[str, Tensor]) -> None:
 
 
 def load_checkpoint(path: str | Path) -> dict[str, Tensor]:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format_version") != 1:
+    """Read a checkpoint; a malformed file raises a ParseError naming it.
+    Names and shapes are checked against a config by RankerModel."""
+    from .fileio import load_json
+    payload = load_json(path, "checkpoint")
+    if not isinstance(payload, dict) or payload.get("format_version") != 1:
         raise ParseError(f"{path}: unsupported checkpoint format_version")
+    entries = payload.get("params")
+    if not isinstance(entries, dict):
+        raise ParseError(f"{path}: checkpoint has no 'params' object")
     params = {}
-    for name, entry in payload["params"].items():
-        arr = np.asarray(entry["values"], dtype=np.float64).reshape(entry["shape"])
-        params[name] = Tensor(arr, requires_grad=True)
+    for name, entry in entries.items():
+        try:
+            arr = np.asarray(entry["values"], dtype=np.float64).reshape(entry["shape"])
+            params[name] = Tensor(arr, requires_grad=True)
+        except (KeyError, TypeError, ValueError, ComputationError) as exc:
+            raise ParseError(f"{path}: malformed parameter {name!r} ({exc})") from exc
     return params

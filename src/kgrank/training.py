@@ -69,20 +69,22 @@ def sample_training_set(qrels: dict[tuple[str, str], int], corpus_ids: list[str]
     return examples
 
 
-def loss_from_trace(trace: ForwardTrace, label: bool, alpha: float, s_layers: int) -> Tensor:
-    """Minimized objective: -ln p(y) + (alpha / S) * sum of KL terms."""
+def loss_from_trace(trace: ForwardTrace, labels, alpha: float, s_layers: int) -> Tensor:
+    """Minimized objective: the mean over the batch's pairs of
+    -ln p(y) + (alpha / S) * sum of KL terms; labels holds one bool per pair."""
+    y = np.asarray(labels, dtype=bool)
+    if y.shape != trace.scores.shape:
+        raise UsageError(f"{y.size} labels for {trace.scores.size} scores")
     if len(trace.kl_tensors) != s_layers:
         raise UsageError(f"expected {s_layers} KL terms, got {len(trace.kl_tensors)}")
-    if not (0.0 < trace.score < 1.0):
-        raise ComputationError(f"score {trace.score} outside (0, 1)")
-    p = trace.score_tensor if label else (1.0 - trace.score_tensor)
-    loss = tz.log(p) * -1.0
-    if trace.kl_tensors:
-        kl_sum = trace.kl_tensors[0]
-        for kl in trace.kl_tensors[1:]:
-            kl_sum = kl_sum + kl
-        loss = loss + kl_sum * (alpha / s_layers)
-    return loss
+    # p(y) is the score for a true label and 1 - score for a false one
+    p = trace.score_tensor * np.where(y, 1.0, -1.0) + np.where(y, 0.0, 1.0)
+    losses = tz.log(p) * -1.0
+    kl_sum = trace.kl_tensors[0]
+    for kl in trace.kl_tensors[1:]:
+        kl_sum = kl_sum + kl
+    losses = losses + kl_sum * (alpha / s_layers)
+    return tz.tsum(losses) * (1.0 / y.size)
 
 
 class Adam:
@@ -191,23 +193,20 @@ def train_model(cfg: ModelConfig, corpus: list[Document], queries: list[Query],
         order = shuffle_rng.permutation(len(examples))
         nll_total, kl_total = 0.0, 0.0
         for lo in range(0, len(order), batch_size):
-            batch = order[lo:lo + batch_size]
+            batch = [examples[int(idx)] for idx in order[lo:lo + batch_size]]
             optimizer.zero_grad()
-            batch_losses: list[Tensor] = []
-            for idx in batch:
-                ex = examples[int(idx)]
-                noise = [noise_rng.normal(size=(1, cfg.d_z)) for _ in range(cfg.S)]
-                sub = None if cfg.text_only else provider.get(ex.query_id, ex.doc_id)
-                trace = model.forward(queries_by_id[ex.query_id], docs_by_id[ex.doc_id],
-                                      sub, noise=noise)
-                batch_losses.append(loss_from_trace(trace, ex.label, cfg.alpha, cfg.S))
-                p_y = trace.score if ex.label else 1.0 - trace.score
-                nll_total += -math.log(p_y)
-                kl_total += float(np.mean(trace.kl_terms))
-            total = batch_losses[0]
-            for extra in batch_losses[1:]:
-                total = total + extra
-            backward(total * (1.0 / len(batch_losses)))
+            noise = [[noise_rng.normal(size=(1, cfg.d_z)) for _ in range(cfg.S)]
+                     for _ in batch]
+            trace = model.forward_batch(
+                [queries_by_id[ex.query_id] for ex in batch],
+                [docs_by_id[ex.doc_id] for ex in batch],
+                [None if cfg.text_only else provider.get(ex.query_id, ex.doc_id)
+                 for ex in batch], noise=noise)
+            labels = [ex.label for ex in batch]
+            backward(loss_from_trace(trace, labels, cfg.alpha, cfg.S))
+            for label, score, kl_terms in zip(labels, trace.scores, trace.kl_terms):
+                nll_total += -math.log(score if label else 1.0 - score)
+                kl_total += float(np.mean(kl_terms))
             clip_gradients(model.params)
             optimizer.step()
         stats.append(EpochStats(epoch=epoch,

@@ -158,6 +158,44 @@ class TestErrorHandling:
         assert "Traceback" not in err
         assert not (tmp_path / "x.txt").exists()
 
+    @pytest.mark.parametrize("command,name,corrupt", [
+        ("rerank", "model.json", lambda text: json.dumps({**json.loads(text), "dropout": 0.1})),
+        ("rerank", "ckpt.json", lambda text: text[:len(text) // 2]),
+        ("rerank", "model.json", lambda text: json.dumps({**json.loads(text), "d_z": 8})),
+        ("rerank", "model.json", lambda text: json.dumps({**json.loads(text), "d_proj": 12})),
+        ("retrieve", "index.json", lambda text: text[:len(text) // 2]),
+        ("retrieve", "index.json", lambda text: json.dumps(
+            {k: v for k, v in json.loads(text).items() if k != "postings"})),
+        ("train", "train.json", lambda text: text[:len(text) // 2]),
+    ], ids=["unknown config key", "truncated checkpoint", "checkpoint of another d_z",
+            "checkpoint of another d_proj", "truncated index", "index without postings",
+            "truncated training config"])
+    def test_bad_json_artifact_exits_2(self, pipeline_dir, tmp_path, capsys,
+                                       command, name, corrupt):
+        """A malformed model config, checkpoint, index or training config, or
+        a checkpoint that does not fit its config, exits 2 naming the file."""
+        files = {f: str(pipeline_dir / f)
+                 for f in ("model.json", "ckpt.json", "index.json", "train.json")}
+        bad = tmp_path / name
+        bad.write_text(corrupt((pipeline_dir / name).read_text()))
+        files[name] = str(bad)
+        queries, out = str(pipeline_dir / "task/queries.jsonl"), str(tmp_path / "out.txt")
+        argv = {"rerank": ["rerank", "--checkpoint", files["ckpt.json"],
+                           "--model-config", files["model.json"],
+                           "--run", str(pipeline_dir / "run_bm25.txt"),
+                           "--corpus", str(pipeline_dir / "task/corpus.jsonl"),
+                           "--queries", queries, "--cache", str(pipeline_dir / "cache.jsonl"),
+                           "--out", out],
+                "retrieve": ["retrieve", "--index", files["index.json"], "--queries", queries,
+                             "--out", out],
+                "train": ["train", "--config", files["train.json"]]}[command]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out.txt").exists()
+
     def test_infeasible_gen_knobs_exit_2(self, tmp_path):
         assert main(["gen", "--out", str(tmp_path / "t"), "--seed", "1",
                      "--num-queries", "10", "--corpus-size", "50"]) == 2

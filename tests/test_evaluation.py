@@ -1,5 +1,6 @@
-"""Metric tests: trivial closed cases, brute-force oracle agreement, and the
-ordering-only invariances."""
+"""Metric tests: trivial closed cases, the run-level report against the
+brute-force oracles, and the ordering-only invariances. The random-instance
+oracle comparison is kgrank.selftest.check_metrics (criterion 3)."""
 
 import math
 
@@ -35,13 +36,6 @@ class TestAveragePrecision:
     def test_empty_relevant_set_is_zero(self):
         assert average_precision(ranking_of(["a", "b"]), set()) == 0.0
 
-    def test_matches_brute_force_on_random_rankings(self):
-        rng = np.random.default_rng(23)
-        for _ in range(300):
-            ids, grades = random_case(rng)
-            relevant = {d for d, g in grades.items() if g > 0}
-            assert average_precision(ranking_of(ids), relevant) == ap_direct(ids, relevant)
-
     def test_duplicate_doc_rejected(self):
         with pytest.raises(ValidationError):
             average_precision([("a", 2.0), ("a", 1.0)], {"a"})
@@ -60,14 +54,6 @@ class TestNdcg:
 
     def test_no_relevant_docs_is_zero(self):
         assert ndcg_at_k(ranking_of(["a", "b"]), {"a": 0}, k=10) == 0.0
-
-    def test_matches_brute_force_on_random_graded_cases(self):
-        rng = np.random.default_rng(29)
-        for _ in range(300):
-            ids, grades = random_case(rng)
-            k = int(rng.integers(1, 15))
-            assert ndcg_at_k(ranking_of(ids), grades, k) == \
-                pytest.approx(ndcg_direct(ids, grades, k), abs=1e-12)
 
     def test_insensitive_below_cutoff_when_tail_irrelevant(self):
         grades = {"a": 2, "b": 1}
@@ -93,16 +79,6 @@ class TestRecall:
 
     def test_empty_relevant_is_zero(self):
         assert recall_at_k(ranking_of(["a"]), set(), k=5) == 0.0
-
-    def test_matches_brute_force(self):
-        rng = np.random.default_rng(31)
-        for _ in range(300):
-            ids, grades = random_case(rng)
-            relevant = {d for d, g in grades.items() if g > 0}
-            k = int(rng.integers(1, 25))
-            for capped in (False, True):
-                assert recall_at_k(ranking_of(ids), relevant, k, capped) == \
-                    recall_direct(ids, relevant, k, capped)
 
     def test_monotone_in_k(self):
         rng = np.random.default_rng(37)
@@ -166,6 +142,9 @@ class TestEvaluateRun:
             evaluate_run({}, {("q", "d"): 1}, ["map"])
 
     def test_report_matches_oracle_recomputation(self, tmp_path):
+        """The per-query table of evaluate_run, reached through metric names
+        and qrels grouped by query, against the oracles; the random metric
+        instances themselves are kgrank.selftest.check_metrics's."""
         rng = np.random.default_rng(47)
         run, qrels = {}, {}
         for qi in range(6):

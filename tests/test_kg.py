@@ -1,7 +1,8 @@
 """Knowledge graph loading, entity linking, and subgraph extraction tests.
 
-The 2-hop extraction is checked against an exhaustive path enumeration that
-never looks at the production adjacency code.
+The 2-hop extraction's comparison with an exhaustive path enumeration runs
+in kgrank.selftest.check_subgraphs (criterion 4); these tests pin hand-built
+cases and the capping rules.
 """
 
 import numpy as np
@@ -12,7 +13,6 @@ from kgrank.kg import (INTERACTION_NODE, INTERACTION_RELATION, KnowledgeGraph,
                        extract_subgraph, init_node_embeddings, link_entities,
                        load_kg, load_subgraph_cache, save_subgraph_cache,
                        subgraph_for_pair)
-from kgrank.oracles import subgraph_edges_direct, two_hop_nodes_direct
 
 
 def random_kg(rng, max_nodes=50):
@@ -148,22 +148,6 @@ class TestExtractSubgraph:
         int_edges = {(s, t) for s, r, t in sub.edges if r == INTERACTION_RELATION}
         n = len(sub.node_ids)
         assert int_edges == {(0, i) for i in range(1, n)} | {(i, 0) for i in range(1, n)}
-
-    def test_matches_bruteforce_enumeration(self):
-        """Node and edge sets equal exhaustive <=2-hop path enumeration."""
-        rng = np.random.default_rng(53)
-        for _ in range(200):
-            kg, nodes = random_kg(rng)
-            k = int(rng.integers(0, min(7, len(nodes) + 1)))
-            seeds = [str(s) for s in rng.choice(nodes, size=k, replace=False)] if k else []
-            v_q = {s for s in seeds if rng.random() < 0.5}
-            v_d = set(seeds) - v_q
-            sub = extract_subgraph(kg, v_q, v_d, max_nodes=len(nodes) + 1)
-            expected_nodes = two_hop_nodes_direct(kg.triples, set(seeds))
-            assert set(sub.node_ids[1:]) == expected_nodes
-            got_edges = {(sub.node_ids[s], r, sub.node_ids[t]) for s, r, t in sub.edges
-                         if r != INTERACTION_RELATION}
-            assert got_edges == subgraph_edges_direct(kg.triples, expected_nodes)
 
     def test_capping_never_drops_seed_for_bridge(self):
         rng = np.random.default_rng(59)

@@ -27,7 +27,7 @@ class TestForwardSemantics:
         assert np.all(y.data > 0)
 
     def test_layer_norm_constant_vector_is_zero(self):
-        y = tz.layer_norm(Tensor([[3.0, 3.0, 3.0, 3.0]]))
+        y = tz.layer_norm(Tensor([[3.0, 3.0, 3.0, 3.0]]), np.ones((1, 4)), np.zeros((1, 4)))
         np.testing.assert_allclose(y.data, 0.0, atol=1e-9)
 
     def test_matmul_identity(self):
@@ -147,10 +147,10 @@ class TestBackward:
 class TestPerPrimitiveGradients:
     """Each primitive in isolation passes a strict finite-difference check."""
 
-    @pytest.mark.parametrize("name,fn,xshape,pshape,kind", PRIMITIVE_CASES,
+    @pytest.mark.parametrize("name,fn,shapes,kind", PRIMITIVE_CASES,
                              ids=[c[0] for c in PRIMITIVE_CASES])
-    def test_primitive_gradcheck(self, name, fn, xshape, pshape, kind):
-        f, params = primitive_objective(name, fn, xshape, pshape, kind)
+    def test_primitive_gradcheck(self, name, fn, shapes, kind):
+        f, params = primitive_objective(name, fn, shapes, kind)
         err = finite_diff_check(f, params, step=1e-5, max_coords=60, seed=1)
         assert err < 1e-6, f"{name}: {err}"
 
@@ -161,7 +161,7 @@ class TestPerPrimitiveGradients:
 
         def f():
             h = tz.gelu(Tensor(rng2) @ w1)
-            h = tz.layer_norm(h)
+            h = tz.layer_norm(h, np.ones((1, 6)), np.zeros((1, 6)))
             return tz.tsum(tz.softmax(h @ w2))
 
         rng2 = np.random.default_rng(79).normal(size=(4, 5))

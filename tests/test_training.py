@@ -7,9 +7,11 @@ import pytest
 
 import kgrank.tensor as tz
 from conftest import tiny_config
+from kgrank import selftest
 from kgrank.corpus import Document, Query
 from kgrank.errors import ComputationError, UsageError, ValidationError
-from kgrank.kg import KnowledgeGraph
+from kgrank.kg import (INTERACTION_NODE, INTERACTION_RELATION, KnowledgeGraph,
+                       QuerySubgraph, empty_subgraph)
 from kgrank.model import ForwardTrace, RankerModel
 from kgrank.tensor import Tensor, backward, save_checkpoint
 from kgrank.training import (Adam, SubgraphProvider, TrainingExample,
@@ -51,27 +53,26 @@ class TestSampleTrainingSet:
 
 
 def make_trace(w: Tensor, kl_leaves: list[Tensor]) -> ForwardTrace:
-    """Score = logistic(w); keeps the trace differentiable through one leaf."""
+    """A one-pair trace with score logistic(w); differentiable through one leaf."""
     # 1 / (1 + e^-w) is the first entry of softmax([w, 0])
     logits = tz.concat([tz.reshape(w, (1, 1)), Tensor([[0.0]])], axis=1)
-    score = tz.reshape(tz.split(tz.softmax(logits), [1, 1], axis=1)[0], ())
-    kls = [tz.reshape(k * 1.0, ()) for k in kl_leaves]
-    return ForwardTrace(score=score.item(), kl_terms=[k.item() for k in kls],
-                        score_tensor=score, kl_tensors=kls)
+    score = tz.reshape(tz.split(tz.softmax(logits), [1, 1], axis=1)[0], (1,))
+    return ForwardTrace(score_tensor=score, kl_tensors=[tz.reshape(k * 1.0, (1,))
+                                                        for k in kl_leaves])
 
 
 class TestLoss:
     def test_alpha_zero_is_pure_cross_entropy(self):
         w = Tensor(np.array(0.4), requires_grad=True)
         trace = make_trace(w, [Tensor(np.array(3.0))])
-        loss = loss_from_trace(trace, True, alpha=0.0, s_layers=1)
+        loss = loss_from_trace(trace, [True], alpha=0.0, s_layers=1)
         assert loss.item() == pytest.approx(-math.log(trace.score), rel=1e-12)
 
     def test_half_score_false_label(self):
         """score 0.5, y=false, kl=[0] gives ln 2."""
         w = Tensor(np.array(0.0), requires_grad=True)
         trace = make_trace(w, [Tensor(np.array(0.0))])
-        loss = loss_from_trace(trace, False, alpha=0.01, s_layers=1)
+        loss = loss_from_trace(trace, [False], alpha=0.01, s_layers=1)
         assert loss.item() == pytest.approx(math.log(2), rel=1e-12)
 
     def test_matches_formula_reevaluation(self):
@@ -84,9 +85,9 @@ class TestLoss:
             label = bool(rng.integers(2))
             alpha = float(rng.uniform(0, 0.2))
             trace = make_trace(w, kls)
-            got = loss_from_trace(trace, label, alpha, 3).item()
+            got = loss_from_trace(trace, [label], alpha, 3).item()
             p_y = trace.score if label else 1.0 - trace.score
-            expected = -math.log(p_y) + (alpha / 3) * sum(trace.kl_terms)
+            expected = -math.log(p_y) + (alpha / 3) * trace.kl_terms.sum()
             assert got == pytest.approx(expected, rel=1e-12)
 
     def test_loss_nonnegative(self):
@@ -95,7 +96,7 @@ class TestLoss:
             w = Tensor(np.array(rng.normal()), requires_grad=True)
             trace = make_trace(w, [Tensor(np.array(rng.uniform(0, 2)))])
             label = bool(rng.integers(2))
-            assert loss_from_trace(trace, label, 0.05, 1).item() >= 0.0
+            assert loss_from_trace(trace, [label], 0.05, 1).item() >= 0.0
 
     def test_gradient_sign_wrt_score(self):
         """dL/dw and dscore/dw have opposite signs for y=true (pushing the
@@ -104,11 +105,11 @@ class TestLoss:
         for _ in range(20):
             w = Tensor(np.array(rng.normal()), requires_grad=True)
             trace = make_trace(w, [Tensor(np.array(0.5))])
-            backward(loss_from_trace(trace, True, 0.01, 1))
+            backward(loss_from_trace(trace, [True], 0.01, 1))
             grad_true = float(w.grad)
             w.zero_grad()
             trace = make_trace(w, [Tensor(np.array(0.5))])
-            backward(loss_from_trace(trace, False, 0.01, 1))
+            backward(loss_from_trace(trace, [False], 0.01, 1))
             grad_false = float(w.grad)
             # dscore/dw > 0 for the logistic map
             assert grad_true < 0 < grad_false
@@ -117,7 +118,7 @@ class TestLoss:
         w = Tensor(np.array(0.0), requires_grad=True)
         trace = make_trace(w, [Tensor(np.array(0.0))])
         with pytest.raises(UsageError):
-            loss_from_trace(trace, True, 0.01, s_layers=2)
+            loss_from_trace(trace, [True], 0.01, s_layers=2)
 
 
 class TestAdam:
@@ -189,6 +190,82 @@ def tiny_task():
     return docs, queries, qrels, KnowledgeGraph.from_triples(triples, lexicon)
 
 
+def frozen_step():
+    """One three-pair training step of the tiny model with fixed noise: two
+    queries, prompts of 9, 6 and 13 tokens, and subgraphs of three, zero and
+    two nodes besides the interaction node."""
+    model = selftest.tiny_model()
+    two_nodes = QuerySubgraph(
+        node_ids=[INTERACTION_NODE, "n1", "n2"], provenance=["interaction", "query-seed", "doc-seed"],
+        edges=[(1, "rel_b", 2), (0, INTERACTION_RELATION, 1), (1, INTERACTION_RELATION, 0),
+               (0, INTERACTION_RELATION, 2), (2, INTERACTION_RELATION, 0)])
+    queries = [Query("q1", "alpha beta"), Query("q2", "delta"), Query("q1", "alpha beta")]
+    docs = [Document("d1", "gamma delta alpha"), Document("d2", "beta"),
+            Document("d3", "epsilon gamma gamma delta beta alpha zeta")]
+    subgraphs = [selftest.tiny_subgraph(), empty_subgraph(), two_nodes]
+    rng = np.random.default_rng(5)
+    noise = [[rng.normal(size=(1, model.cfg.d_z)) for _ in range(model.cfg.S)] for _ in docs]
+    return model, queries, docs, subgraphs, [True, False, True], noise
+
+
+# The loss of frozen_step and the L2 norm of each parameter's gradient, in
+# sorted parameter order, computed by running each pair through a tape of its
+# own and averaging the three losses.
+FROZEN_STEP_LOSS = 2.473513231866013
+FROZEN_GRAD_NORMS = [
+    8.672490221775738e-17, 1.0268907425014917, 0.22244503914773792, 1.1324910737704341,
+    0.6396375036503955, 2.39159818066379, 0.8897753465719332, 3.370433469509974,
+    0.7419701166340559, 0.9605273204518788, 2.896863585716007, 2.991650427795837,
+    1.0089014051176128, 1.025229995763792, 0.2082402358862926, 0.22702882261384408,
+    0.4890217022541566, 0.3751535971667133, 0.9105597460640346, 4.452006857651425, 0.0,
+    1.0574608666989405, 0.0, 1.2310599091663017, 0.0, 5.48655982654086, 0.0, 4.921873579576347,
+    8.948079010107133, 5.250004749894643e-17, 2.4948031915879834, 0.6676776080971953,
+    2.2686379194105775, 1.5746048758264104, 2.424711306209286, 1.6915394416267617,
+    3.3572472166044767, 1.0947823664996166, 1.7768117548011153, 2.719859482825069,
+    3.5590065298271116, 2.9118355947397045, 1.2328069243475934, 0.5662267387148074,
+    0.4444578705107708, 2.6216737039410485e-17, 1.05835330978746, 0.16442943117959624,
+    0.6115871953064851, 0.6662082160047678, 1.9280061652262823, 0.5802787131522366,
+    1.5503592246724758, 0.6941581150093054, 1.047797074851703, 2.1162848212025334,
+    2.3623086542705254, 0.7089963749120581, 0.5152261748718133, 0.5064454555173679,
+    0.4525640407778687, 1.1709580769821024, 0.6298826331008804, 0.04218984291529214,
+    0.0657228497110197, 0.138599852911052, 0.03894110943117502, 0.05677662586877883, 0.0,
+    0.012118130373451117, 0.025443566258428755, 0.0022872641267614787, 0.002522780354153172,
+    0.017969225626521663, 1.898714029734776e-07, 0.003481143238367962, 1.2023635458813582e-06,
+    0.0007173718581441315, 0.022503980435383306, 6.892910603230719, 7.716040333769509,
+]
+
+
+class TestBatchedStep:
+    def step(self, model, queries, docs, subgraphs, labels, noise):
+        for param in model.params.values():
+            param.zero_grad()
+        trace = model.forward_batch(queries, docs, subgraphs, noise=noise)
+        loss = loss_from_trace(trace, labels, model.cfg.alpha, model.cfg.S)
+        backward(loss)
+        return loss.item(), {name: np.zeros_like(p.data) if p.grad is None else p.grad.copy()
+                             for name, p in model.params.items()}
+
+    def test_matches_frozen_values(self):
+        model, *step = frozen_step()
+        loss, grads = self.step(model, *step)
+        assert loss == pytest.approx(FROZEN_STEP_LOSS, rel=1e-10)
+        assert len(grads) == len(FROZEN_GRAD_NORMS)
+        for name, frozen in zip(sorted(grads), FROZEN_GRAD_NORMS):
+            # an attention key bias shifts all logits of a row alike: its
+            # exact gradient is 0, and the frozen norm is round-off
+            tol = dict(abs=1e-15) if name.endswith(".bk") else dict(rel=1e-10)
+            assert np.linalg.norm(grads[name]) == pytest.approx(frozen, **tol), name
+
+    def test_padded_step_gradient_is_mean_of_single_pair_steps(self):
+        model, queries, docs, subgraphs, labels, noise = frozen_step()
+        _, batched = self.step(model, queries, docs, subgraphs, labels, noise)
+        singles = [self.step(model, *([item] for item in pair))[1]
+                   for pair in zip(queries, docs, subgraphs, labels, noise)]
+        for name, grad in batched.items():
+            mean = sum(single[name] for single in singles) / len(singles)
+            np.testing.assert_allclose(grad, mean, rtol=1e-10, atol=1e-15, err_msg=name)
+
+
 class TestTrainModel:
     def _cfg(self, docs, kg, **overrides):
         from kgrank.model import build_vocab
@@ -250,21 +327,18 @@ class TestTrainModel:
         provider = SubgraphProvider(kg, {q.id: q for q in queries},
                                     {d.id: d for d in docs})
         examples = sample_training_set(qrels, [d.id for d in docs], 1, seed=0)[:4]
+        queries_by_id, docs_by_id = {q.id: q for q in queries}, {d.id: d for d in docs}
         rng = np.random.default_rng(7)
         noises = [[rng.normal(size=(1, cfg.d_z)) for _ in range(cfg.S)]
                   for _ in examples]
 
         def batch_loss(order):
-            total = None
-            for idx in order:
-                ex = examples[idx]
-                sub = provider.get(ex.query_id, ex.doc_id)
-                trace = model.forward({q.id: q for q in queries}[ex.query_id],
-                                      {d.id: d for d in docs}[ex.doc_id],
-                                      sub, noise=noises[idx])
-                piece = loss_from_trace(trace, ex.label, cfg.alpha, cfg.S)
-                total = piece if total is None else total + piece
-            return (total * (1.0 / len(order))).item()
+            batch = [examples[idx] for idx in order]
+            trace = model.forward_batch([queries_by_id[ex.query_id] for ex in batch],
+                                        [docs_by_id[ex.doc_id] for ex in batch],
+                                        [provider.get(ex.query_id, ex.doc_id) for ex in batch],
+                                        noise=[noises[idx] for idx in order])
+            return loss_from_trace(trace, [ex.label for ex in batch], cfg.alpha, cfg.S).item()
 
         assert batch_loss([0, 1, 2, 3]) == pytest.approx(batch_loss([2, 0, 3, 1]),
                                                          rel=1e-12)
