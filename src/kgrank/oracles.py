@@ -83,6 +83,29 @@ def two_hop_nodes_direct(triples: list[tuple[str, str, str]],
     return out
 
 
+def capped_nodes_direct(triples: list[tuple[str, str, str]], v_q: set[str],
+                        v_d: set[str], cap: int) -> list[tuple[str, str]]:
+    """The first cap (node, provenance) pairs of the capping priority: seeds
+    in both texts, then query-only, then document-only seeds, then bridges by
+    descending count of distinct adjacent seeds; every tie by node id."""
+    seeds = v_q | v_d
+    adjacent_seeds: dict[str, set[str]] = {}
+    for h, _, t in triples:
+        for node, other in ((h, t), (t, h)):
+            if node not in seeds and other in seeds:
+                adjacent_seeds.setdefault(node, set()).add(other)
+    ranked = []
+    for node in seeds:
+        flag = "both" if node in v_q and node in v_d else \
+            "query-seed" if node in v_q else "doc-seed"
+        ranked.append(((0, ["both", "query-seed", "doc-seed"].index(flag), node), flag))
+    for node, touching in adjacent_seeds.items():
+        if len(touching) >= 2:
+            ranked.append(((1, -len(touching), node), "bridge"))
+    ranked.sort()
+    return [(key[2], flag) for key, flag in ranked[:cap]]
+
+
 def subgraph_edges_direct(triples: list[tuple[str, str, str]],
                           retained: set[str]) -> set[tuple[str, str, str]]:
     return {(h, r, t) for h, r, t in triples if h in retained and t in retained}

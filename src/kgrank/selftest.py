@@ -212,9 +212,10 @@ def check_metrics() -> CheckResult:
 
 def check_subgraphs() -> CheckResult:
     """Uncapped extraction against brute-force 2-hop enumeration on 200 random
-    graphs; a random cap keeps every seed before any bridge."""
+    graphs, and under a random cap the retained nodes, their provenance and
+    the edges against the capping priority built from the triples alone."""
     rng = np.random.default_rng(777)
-    failures = []
+    failures, binding = [], 0
     for trial in range(200):
         n = int(rng.integers(3, 51))
         nodes = [f"v{i:02d}" for i in range(n)]
@@ -239,38 +240,60 @@ def check_subgraphs() -> CheckResult:
 
         cap = int(rng.integers(1, 12))
         capped = extract_subgraph(kg, v_q, v_d, max_nodes=cap)
-        if "bridge" in capped.provenance and not set(seeds) <= set(capped.node_ids[1:]):
-            failures.append(f"graph {trial}: cap {cap} kept a bridge but dropped a seed")
-        if len(capped.node_ids) > cap + 1:
-            failures.append(f"graph {trial}: {len(capped.node_ids) - 1} nodes over cap {cap}")
-    return failures, ("200 random graphs, node and edge sets equal brute-force "
-                      "enumeration; capping keeps seeds")
+        expected = oracles.capped_nodes_direct(kg.triples, v_q, v_d, cap)
+        binding += len(expected) < len(expected_nodes)
+        if list(zip(capped.node_ids, capped.provenance)) != \
+                [(INTERACTION_NODE, "interaction")] + expected:
+            failures.append(f"graph {trial}: cap {cap} retained nodes or provenance differ "
+                            f"from the priority order")
+        kept = [node for node, _ in expected]
+        want_edges = oracles.subgraph_edges_direct(kg.triples, set(kept)) | {(a, INTERACTION_RELATION, b) for node in kept
+                       for a, b in ((INTERACTION_NODE, node), (node, INTERACTION_NODE))}
+        got_capped = [(capped.node_ids[s], r, capped.node_ids[t]) for s, r, t in capped.edges]
+        if len(got_capped) != len(want_edges) or set(got_capped) != want_edges:
+            failures.append(f"graph {trial}: cap {cap} edges differ from the triples among "
+                            f"the retained nodes")
+    return failures, (f"200 random graphs, node and edge sets equal brute-force "
+                      f"enumeration; capped node lists, provenance and edges equal the "
+                      f"priority order ({binding} caps binding)")
 
 
 def check_bm25() -> CheckResult:
-    """Top-k order against the exhaustive score table, and scores against the
-    direct formula over raw tokens, on 200 random corpora."""
+    """Top-k order against the exhaustive score table, untruncated and cut at
+    a k below the number of matching documents, and scores against the direct
+    formula over raw tokens, on 200 random corpora. Each corpus holds a few
+    copies of its documents, so that equal scores straddle the k-th place."""
     rng = np.random.default_rng(31337)
     words = [f"w{i}" for i in range(12)]
-    failures = []
+    failures, straddled = [], 0
     for trial in range(200):
         n = int(rng.integers(1, 40))
         docs = [Document(f"d{i:02d}", " ".join(rng.choice(words, size=rng.integers(0, 12))))
                 for i in range(n)]
+        docs += [Document(f"d{n + j:02d}", docs[int(i)].text)
+                 for j, i in enumerate(rng.integers(0, n, size=int(rng.integers(0, 4))))]
         index = cx.build_index(docs)
         terms = list(rng.choice(words, size=int(rng.integers(1, 5))))
-        got = cx.retrieve_topk(index, Query("q", " ".join(terms)), k=n + 5)
+        query = Query("q", " ".join(terms))
         table = sorted(((d.id, cx.bm25_score(index, terms, d.id)) for d in docs
                         if cx.bm25_score(index, terms, d.id) > 0),
                        key=lambda item: (-item[1], item[0]))
-        if got != table:
+        if cx.retrieve_topk(index, query, k=len(docs) + 5) != table:
             failures.append(f"corpus {trial}: top-k differs from the exhaustive table")
+        if len(table) > 1:
+            ties = [i + 1 for i in range(len(table) - 1) if table[i][1] == table[i + 1][1]]
+            k = int(rng.choice(ties)) if ties else int(rng.integers(1, len(table)))
+            straddled += bool(ties)
+            if cx.retrieve_topk(index, query, k=k) != table[:k]:
+                failures.append(f"corpus {trial}: top-{k} differs from the exhaustive "
+                                f"table cut to {k}")
         tokens = {d.id: cx.tokenize(d.text) for d in docs}
         for d in docs[:5]:
             if abs(cx.bm25_score(index, terms, d.id)
                    - oracles.bm25_direct(tokens, terms, d.id)) >= 1e-9:
                 failures.append(f"corpus {trial}: score of {d.id} differs from the formula")
-    return failures, "exhaustive-oracle ordering and direct-formula scores on 200 random corpora"
+    return failures, (f"exhaustive-oracle ordering, untruncated and truncated ({straddled} "
+                      f"cuts inside a tie), and direct-formula scores on 200 random corpora")
 
 
 CHECKS: list[tuple[str, Callable[[], CheckResult]]] = [
