@@ -168,6 +168,12 @@ def cmd_rerank(args) -> int:
                      _require(args.lexicon, "lexicon") if args.lexicon else None)
     if cache is None and kg is None and not model_cfg.text_only:
         raise ConfigurationError("rerank needs --cache or --kg to obtain subgraphs")
+    if kg is None and not model_cfg.text_only:
+        missing = next(((qid, did) for qid in sorted(run) for did, _ in run[qid]
+                        if (qid, did) not in cache), None)
+        if missing is not None:
+            raise ValidationError(f"{args.cache}: no subgraph for query {missing[0]!r}, "
+                                  f"document {missing[1]!r}, and no --kg to extract it from")
     provider = SubgraphProvider(kg, queries, docs, cache, max_nodes=args.max_nodes)
     reranked = rerank_run(model, run, queries, docs, provider, workers=worker_count())
     for qid in run:

@@ -1,7 +1,12 @@
 """Document storage, tokenization, inverted index, and BM25 retrieval.
 
-The index is immutable after build_index; scoring and retrieval are pure
-reads, so concurrent use across queries is safe.
+The index is immutable after build_index. Retrieval scores over an impact
+view of it: the documents in id order and, per term, the positions of its
+documents and their BM25 impacts idf·tf·(k1+1)/(tf+norm). The view is
+derived from the postings on the first retrieve_topk call, cached on the
+index and never saved. Scoring and retrieval are pure reads, so concurrent
+use across queries is safe: two threads that race to derive the view
+compute equal arrays, and either one may be kept.
 """
 
 from __future__ import annotations
@@ -9,9 +14,13 @@ from __future__ import annotations
 import json
 import math
 import re
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import ParseError, ValidationError
 from .fileio import atomic_write, load_json, read_jsonl
@@ -34,6 +43,15 @@ class Query:
     text: str
 
 
+class ImpactView(NamedTuple):
+    """The index as arrays: doc_ids in sorted order, and per term the
+    positions of its documents in doc_ids (ascending) with their impacts.
+    The arrays are read-only."""
+
+    doc_ids: list[str]
+    terms: dict[str, tuple[np.ndarray, np.ndarray]]
+
+
 @dataclass
 class InvertedIndex:
     """Postings plus the corpus statistics BM25 needs.
@@ -46,15 +64,21 @@ class InvertedIndex:
     doc_lengths: dict[str, int] = field(default_factory=dict)
     avg_doc_length: float = 0.0
     num_docs: int = 0
+    # derived from the fields above on first use, reused across queries
+    _impacts: ImpactView | None = field(default=None, compare=False, repr=False)
 
     def doc_frequency(self, term: str) -> int:
         return len(self.postings.get(term, []))
 
     def term_frequency(self, term: str, doc_id: str) -> int:
-        for did, tf in self.postings.get(term, []):
-            if did == doc_id:
-                return tf
-        return 0
+        plist = self.postings.get(term, [])
+        i = bisect_left(plist, doc_id, key=lambda entry: entry[0])
+        return plist[i][1] if i < len(plist) and plist[i][0] == doc_id else 0
+
+    def impacts(self) -> ImpactView:
+        if self._impacts is None:
+            self._impacts = _impact_view(self)
+        return self._impacts
 
 
 def tokenize(text: str) -> list[str]:
@@ -109,30 +133,55 @@ def bm25_score(index: InvertedIndex, query_terms: list[str], doc_id: str) -> flo
     return score
 
 
+def _impact_view(index: InvertedIndex) -> ImpactView:
+    """Every posting's impact in one vectorised pass, with the operations of
+    bm25_score in its order, so each impact is bit-equal to its term there."""
+    doc_ids = sorted(index.doc_lengths)
+    position = {did: i for i, did in enumerate(doc_ids)}
+    lengths = np.array([index.doc_lengths[did] for did in doc_ids], dtype=np.float64)
+    norms = BM25_K1 * (1.0 - BM25_B + BM25_B * lengths / index.avg_doc_length) \
+        if index.avg_doc_length > 0 else np.full(len(doc_ids), BM25_K1)
+    plists = list(index.postings.values())
+    sizes = [len(plist) for plist in plists]
+    total = sum(sizes)
+    docs = np.fromiter((position[did] for plist in plists for did, _ in plist),
+                       dtype=np.intp, count=total)
+    tfs = np.fromiter((tf for plist in plists for _, tf in plist),
+                      dtype=np.float64, count=total)
+    idfs = np.repeat([idf(index, term) for term in index.postings], sizes)
+    impacts = idfs * tfs * (BM25_K1 + 1.0) / (tfs + norms[docs])
+    docs.flags.writeable = impacts.flags.writeable = False
+    ends = np.cumsum(sizes)
+    return ImpactView(doc_ids, {term: (docs[end - size:end], impacts[end - size:end])
+                                for term, size, end in zip(index.postings, sizes, ends)})
+
+
 def retrieve_topk(index: InvertedIndex, query: Query, k: int = 100) -> list[tuple[str, float]]:
-    """Top-k documents with positive BM25 score, ties broken by doc id ascending."""
+    """Top-k documents with positive BM25 score, ties broken by doc id ascending.
+
+    Each query-term occurrence adds its term's impacts into one score array
+    (index.impacts()); a document occurs once per term, so every score is
+    the sum bm25_score forms, in its order, and bit-equal to it. The cost is
+    the query's postings plus one pass over the documents, never the whole
+    index. Only the documents tied with the k-th score or above it are sorted.
+    """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    query_terms = tokenize(query.text)
-    # Accumulate over postings, term occurrence by term occurrence, so the
-    # result is bit-identical to calling bm25_score on each candidate.
-    scores: dict[str, float] = {}
-    idf_cache: dict[str, float] = {}
-    for term in query_terms:
-        plist = index.postings.get(term)
-        if not plist:
-            continue
-        if term not in idf_cache:
-            idf_cache[term] = idf(index, term)
-        term_idf = idf_cache[term]
-        for doc_id, tf in plist:
-            doc_len = index.doc_lengths[doc_id]
-            norm = BM25_K1 * (1.0 - BM25_B + BM25_B * doc_len / index.avg_doc_length)
-            scores[doc_id] = scores.get(doc_id, 0.0) + \
-                term_idf * tf * (BM25_K1 + 1.0) / (tf + norm)
-    ranked = sorted(((d, s) for d, s in scores.items() if s > 0.0),
-                    key=lambda item: (-item[1], item[0]))
-    return ranked[:k]
+    view = index.impacts()
+    scores = np.zeros(len(view.doc_ids))
+    for term in tokenize(query.text):
+        entry = view.terms.get(term)
+        if entry is not None:
+            docs, impacts = entry
+            scores[docs] += impacts
+    hits = np.flatnonzero(scores > 0.0)
+    top = scores[hits]
+    if len(hits) > k:
+        kth = np.partition(top, len(top) - k)[len(top) - k]
+        keep = top >= kth
+        hits, top = hits[keep], top[keep]
+    order = np.lexsort((hits, -top))[:k]
+    return [(view.doc_ids[i], s) for i, s in zip(hits[order].tolist(), top[order].tolist())]
 
 
 # ---------------------------------------------------------------------------

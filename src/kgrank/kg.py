@@ -13,6 +13,7 @@ import hashlib
 import re
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -197,7 +198,9 @@ def extract_subgraph(kg: KnowledgeGraph, v_q: set[str], v_d: set[str],
     Capping priority: seeds first (both, then query-seed, then doc-seed), then
     bridge nodes by descending count of distinct adjacent seeds; all ties break
     by node id ascending. Retained edges are every KG triple among retained
-    nodes with its original direction.
+    nodes with its original direction. Bridges are found from the seeds'
+    neighbours, so the cost grows with the sum of the seeds' degrees, not
+    with the size of the graph.
     """
     if max_nodes < 1:
         raise ValidationError(f"max_nodes must be >= 1, got {max_nodes}")
@@ -207,13 +210,13 @@ def extract_subgraph(kg: KnowledgeGraph, v_q: set[str], v_d: set[str],
     seeds = v_q | v_d
     adjacency = kg.adjacency()
 
-    bridge_scores: dict[str, int] = {}
-    for node in adjacency:
-        if node in seeds:
-            continue
-        adjacent_seeds = adjacency[node] & seeds
-        if len(adjacent_seeds) >= 2:
-            bridge_scores[node] = len(adjacent_seeds)
+    # a neighbour of a seed is reached once per distinct seed it touches
+    touching: dict[str, int] = {}
+    for seed in seeds:
+        for node in adjacency.get(seed, ()):  # lexicon-only nodes have no entry
+            if node not in seeds:
+                touching[node] = touching.get(node, 0) + 1
+    bridge_scores = {node: count for node, count in touching.items() if count >= 2}
 
     def seed_flag(node: str) -> str:
         if node in v_q and node in v_d:
@@ -260,20 +263,28 @@ def _node_key(node_id: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+@lru_cache(maxsize=1 << 16)
+def _node_vector(node_id: str, d_g: int, seed: int) -> np.ndarray:
+    """One node's vector, drawn once per (node id, d_g, seed) and read-only."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, _node_key(node_id)]))
+    vec = rng.normal(0.0, NODE_INIT_STD, size=d_g)
+    vec.flags.writeable = False
+    return vec
+
+
 def init_node_embeddings(subgraph: QuerySubgraph, d_g: int, seed: int) -> np.ndarray:
     """Per-node N(0, 0.02^2) vectors keyed by (global node id, seed).
 
     The same entity receives the same vector in every subgraph. Row 0 (the
     interaction node) is zeros here; the model substitutes its learned vector.
+    Each vector is drawn once and memoised; the returned array is a fresh
+    copy, so writing into it changes no later result.
     """
     if d_g < 1:
         raise ValidationError(f"d_g must be >= 1, got {d_g}")
     out = np.zeros((subgraph.num_nodes, d_g), dtype=np.float64)
-    for i, node_id in enumerate(subgraph.node_ids):
-        if i == 0:
-            continue
-        rng = np.random.default_rng(np.random.SeedSequence([seed, _node_key(node_id)]))
-        out[i] = rng.normal(0.0, NODE_INIT_STD, size=d_g)
+    for i, node_id in enumerate(subgraph.node_ids[1:], start=1):
+        out[i] = _node_vector(node_id, d_g, seed)
     return out
 
 

@@ -247,7 +247,8 @@ def check_subgraphs() -> CheckResult:
             failures.append(f"graph {trial}: cap {cap} retained nodes or provenance differ "
                             f"from the priority order")
         kept = [node for node, _ in expected]
-        want_edges = oracles.subgraph_edges_direct(kg.triples, set(kept)) | {(a, INTERACTION_RELATION, b) for node in kept
+        want_edges = oracles.subgraph_edges_direct(kg.triples, set(kept))
+        want_edges |= {(a, INTERACTION_RELATION, b) for node in kept
                        for a, b in ((INTERACTION_NODE, node), (node, INTERACTION_NODE))}
         got_capped = [(capped.node_ids[s], r, capped.node_ids[t]) for s, r, t in capped.edges]
         if len(got_capped) != len(want_edges) or set(got_capped) != want_edges:

@@ -167,15 +167,17 @@ class TestErrorHandling:
         ("retrieve", "index.json", lambda text: json.dumps(
             {k: v for k, v in json.loads(text).items() if k != "postings"})),
         ("train", "train.json", lambda text: text[:len(text) // 2]),
+        ("rerank", "cache.jsonl", lambda text: "".join(text.splitlines(keepends=True)[1:])),
     ], ids=["unknown config key", "truncated checkpoint", "checkpoint of another d_z",
             "checkpoint of another d_proj", "truncated index", "index without postings",
-            "truncated training config"])
+            "truncated training config", "partial subgraph cache without kg"])
     def test_bad_json_artifact_exits_2(self, pipeline_dir, tmp_path, capsys,
                                        command, name, corrupt):
-        """A malformed model config, checkpoint, index or training config, or
-        a checkpoint that does not fit its config, exits 2 naming the file."""
+        """A malformed model config, checkpoint, index or training config, a
+        checkpoint that does not fit its config, or a subgraph cache that
+        lacks a run pair when no KG is given, exits 2 naming the file."""
         files = {f: str(pipeline_dir / f)
-                 for f in ("model.json", "ckpt.json", "index.json", "train.json")}
+                 for f in ("model.json", "ckpt.json", "index.json", "train.json", "cache.jsonl")}
         bad = tmp_path / name
         bad.write_text(corrupt((pipeline_dir / name).read_text()))
         files[name] = str(bad)
@@ -184,7 +186,7 @@ class TestErrorHandling:
                            "--model-config", files["model.json"],
                            "--run", str(pipeline_dir / "run_bm25.txt"),
                            "--corpus", str(pipeline_dir / "task/corpus.jsonl"),
-                           "--queries", queries, "--cache", str(pipeline_dir / "cache.jsonl"),
+                           "--queries", queries, "--cache", files["cache.jsonl"],
                            "--out", out],
                 "retrieve": ["retrieve", "--index", files["index.json"], "--queries", queries,
                              "--out", out],

@@ -196,6 +196,40 @@ class TestRetrieveTopk:
         with pytest.raises(ValidationError):
             retrieve_topk(index, Query("q", "insulin"), k=0)
 
+    def test_empty_index_returns_nothing(self):
+        assert retrieve_topk(build_index([]), Query("q", "insulin"), k=3) == []
+        assert retrieve_topk(build_index([Document("e", "")]), Query("q", "x"), k=3) == []
+
+    def test_duplicated_query_terms_count_per_occurrence(self):
+        index = build_index(FIXTURE_DOCS)
+        terms = ["glucose", "glucose", "insulin", "glucose"]
+        table = sorted(((d.id, bm25_score(index, terms, d.id)) for d in FIXTURE_DOCS
+                        if bm25_score(index, terms, d.id) > 0),
+                       key=lambda item: (-item[1], item[0]))
+        assert retrieve_topk(index, Query("q", " ".join(terms)), k=10) == table
+
+    def test_same_results_after_save_and_load(self, tmp_path):
+        index = build_index(FIXTURE_DOCS)
+        save_index(tmp_path / "index.json", index)
+        loaded = load_index(tmp_path / "index.json")
+        for qid, text in FIXTURE_QUERIES.items():
+            for k in (1, 2, 10):
+                assert retrieve_topk(loaded, Query(qid, text), k=k) == \
+                    retrieve_topk(index, Query(qid, text), k=k)
+
+    def test_derived_view_is_left_out_of_equality(self):
+        used, fresh = build_index(FIXTURE_DOCS), build_index(FIXTURE_DOCS)
+        retrieve_topk(used, Query("q1", FIXTURE_QUERIES["q1"]))
+        assert used == fresh
+        assert repr(used) == repr(fresh)
+
+    def test_impacts_are_read_only(self):
+        docs, impacts = build_index(FIXTURE_DOCS).impacts().terms["glucose"]
+        with pytest.raises(ValueError):
+            impacts[0] = 0.0
+        with pytest.raises(ValueError):
+            docs[0] = 0
+
 
 class TestFileFormats:
     def test_corpus_roundtrip(self, tmp_path):

@@ -10,8 +10,8 @@ import pytest
 
 from kgrank.errors import ParseError, ValidationError
 from kgrank.kg import (INTERACTION_NODE, INTERACTION_RELATION, KnowledgeGraph,
-                       extract_subgraph, init_node_embeddings, link_entities,
-                       load_kg, load_subgraph_cache, save_subgraph_cache,
+                       QuerySubgraph, _node_key, extract_subgraph, init_node_embeddings,
+                       link_entities, load_kg, load_subgraph_cache, save_subgraph_cache,
                        subgraph_for_pair)
 
 
@@ -195,6 +195,16 @@ class TestExtractSubgraph:
         # both-seeds sort before query-seeds and doc-seeds
         assert sub.node_ids[1] == "a"
 
+    def test_lexicon_only_seed_without_triples(self):
+        kg = KnowledgeGraph.from_triples([("a", "r", "w"), ("w", "r", "b")],
+                                         [("lonely", "lonely")])
+        sub = extract_subgraph(kg, {"a", "lonely"}, {"b"})
+        assert sub.node_ids == [INTERACTION_NODE, "a", "lonely", "b", "w"]
+        assert sub.provenance == ["interaction", "query-seed", "query-seed", "doc-seed",
+                                  "bridge"]
+        assert {(s, r, t) for s, r, t in sub.edges if r != INTERACTION_RELATION} == \
+            {(1, "r", 4), (4, "r", 3)}
+
     def test_subgraph_for_pair_links_and_extracts(self):
         kg = KnowledgeGraph.from_triples([("a", "r", "w"), ("w", "r", "b")],
                                          [("a", "aspirin"), ("b", "headache"), ("w", "cox")])
@@ -226,9 +236,26 @@ class TestNodeEmbeddings:
         emb = init_node_embeddings(sub, d_g=8, seed=0)
         np.testing.assert_array_equal(emb[0], np.zeros(8))
 
+    def test_memoised_vector_equals_a_fresh_draw(self):
+        sub = QuerySubgraph(node_ids=[INTERACTION_NODE, "a", "b", "a"],
+                            provenance=["interaction", "query-seed", "doc-seed", "bridge"],
+                            edges=[])
+        for _ in range(2):  # the second call reads the memo
+            emb = init_node_embeddings(sub, d_g=16, seed=11)
+            for i, node in enumerate(sub.node_ids[1:], start=1):
+                rng = np.random.default_rng(np.random.SeedSequence([11, _node_key(node)]))
+                np.testing.assert_array_equal(emb[i], rng.normal(0.0, 0.02, 16))
+
+    def test_writing_into_result_changes_no_later_result(self):
+        kg = KnowledgeGraph.from_triples([("a", "r", "b")])
+        sub = extract_subgraph(kg, {"a"}, {"b"})
+        first = init_node_embeddings(sub, d_g=8, seed=5)
+        kept = first.copy()
+        first[:] = 1.0
+        np.testing.assert_array_equal(init_node_embeddings(sub, d_g=8, seed=5), kept)
+
     def test_norms_concentrate(self):
         """Monte Carlo over 1000 nodes: |v| stays within 20% of 0.02*sqrt(d_g)."""
-        from kgrank.kg import QuerySubgraph
         sub = QuerySubgraph(node_ids=[INTERACTION_NODE] + [f"x{i}" for i in range(1000)],
                             provenance=["interaction"] + ["bridge"] * 1000, edges=[])
         emb = init_node_embeddings(sub, d_g=200, seed=3)
