@@ -8,8 +8,7 @@ differences and every metric by a brute-force oracle; the checks live in
 `kgrank.selftest` and run with `kgrank selftest`.
 """
 
-from .corpus import (Document, InvertedIndex, Query, bm25_score, build_index,
-                     retrieve_topk, tokenize)
+from .corpus import Document, InvertedIndex, Query, build_index, retrieve_topk, tokenize
 from .evaluation import (average_precision, evaluate_run, ndcg_at_k,
                          recall_at_k)
 from .kg import (KnowledgeGraph, QuerySubgraph, extract_subgraph,
@@ -23,8 +22,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Adam", "Document", "ForwardTrace", "InvertedIndex", "KnowledgeGraph",
     "ModelConfig", "Query", "QuerySubgraph", "RankerModel", "Tensor",
-    "TrainingExample", "average_precision", "backward", "bm25_score",
-    "build_index", "evaluate_run", "extract_subgraph", "finite_diff_check",
+    "TrainingExample", "average_precision", "backward", "build_index",
+    "evaluate_run", "extract_subgraph", "finite_diff_check",
     "init_node_embeddings", "kl_gaussian_std_normal", "link_entities",
     "load_kg", "loss_from_trace", "ndcg_at_k", "recall_at_k", "retrieve_topk",
     "sample_training_set", "tokenize", "train_model",

@@ -3,10 +3,9 @@ selftest.
 
 Each subcommand validates its inputs, writes outputs atomically, and is
 idempotent given identical inputs and seeds. Exit codes: 2 for missing or
-invalid inputs, 3 for violated internal invariants. KGRANK_THREADS caps how
-many queries rerank scores in parallel (default: machine cores). `selftest`
-runs the oracle checks of `kgrank.selftest`, the same ones the acceptance
-tests for criteria 1-5 call, and exits 3 if any fails.
+invalid inputs, 3 for violated internal invariants. `selftest` runs the
+oracle checks of `kgrank.selftest`, the same ones the acceptance tests for
+criteria 1-5 call, and exits 3 if any fails.
 """
 
 from __future__ import annotations
@@ -28,16 +27,6 @@ from .model import ModelConfig, RankerModel, build_vocab
 from .synth import TaskKnobs, generate, write_task
 from .tensor import load_checkpoint, save_checkpoint
 from .training import SubgraphProvider, rerank_run, save_metrics, train_model
-
-
-def worker_count() -> int:
-    value = os.environ.get("KGRANK_THREADS", "").strip()
-    if value:
-        try:
-            return max(1, int(value))
-        except ValueError as exc:
-            raise ConfigurationError(f"KGRANK_THREADS={value!r} is not an integer") from exc
-    return os.cpu_count() or 1
 
 
 def _require(path: str, kind: str) -> Path:
@@ -175,7 +164,7 @@ def cmd_rerank(args) -> int:
             raise ValidationError(f"{args.cache}: no subgraph for query {missing[0]!r}, "
                                   f"document {missing[1]!r}, and no --kg to extract it from")
     provider = SubgraphProvider(kg, queries, docs, cache, max_nodes=args.max_nodes)
-    reranked = rerank_run(model, run, queries, docs, provider, workers=worker_count())
+    reranked = rerank_run(model, run, queries, docs, provider)
     for qid in run:
         if {d for d, _ in run[qid]} != {d for d, _ in reranked[qid]}:
             raise KgrankError(f"candidate set changed for query {qid!r}")  # invariant

@@ -4,9 +4,11 @@ The index is immutable after build_index. Retrieval scores over an impact
 view of it: the documents in id order and, per term, the positions of its
 documents and their BM25 impacts idf·tf·(k1+1)/(tf+norm). The view is
 derived from the postings on the first retrieve_topk call, cached on the
-index and never saved. Scoring and retrieval are pure reads, so concurrent
-use across queries is safe: two threads that race to derive the view
-compute equal arrays, and either one may be kept.
+index and never saved. It is the only BM25 in the package;
+oracles.bm25_direct recomputes each score from raw tokens, and
+selftest.check_bm25 compares the two. Scoring and retrieval are pure reads,
+so concurrent use across queries is safe: two threads that race to derive
+the view compute equal arrays, and either one may be kept.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -67,14 +68,6 @@ class InvertedIndex:
     # derived from the fields above on first use, reused across queries
     _impacts: ImpactView | None = field(default=None, compare=False, repr=False)
 
-    def doc_frequency(self, term: str) -> int:
-        return len(self.postings.get(term, []))
-
-    def term_frequency(self, term: str, doc_id: str) -> int:
-        plist = self.postings.get(term, [])
-        i = bisect_left(plist, doc_id, key=lambda entry: entry[0])
-        return plist[i][1] if i < len(plist) and plist[i][0] == doc_id else 0
-
     def impacts(self) -> ImpactView:
         if self._impacts is None:
             self._impacts = _impact_view(self)
@@ -111,31 +104,12 @@ def build_index(corpus: list[Document]) -> InvertedIndex:
                          avg_doc_length=avg, num_docs=num_docs)
 
 
-def idf(index: InvertedIndex, term: str) -> float:
-    """Smoothed non-negative idf: ln(1 + (N - n + 0.5) / (n + 0.5))."""
-    n = index.doc_frequency(term)
-    return math.log(1.0 + (index.num_docs - n + 0.5) / (n + 0.5))
-
-
-def bm25_score(index: InvertedIndex, query_terms: list[str], doc_id: str) -> float:
-    """BM25 with k1=1.2, b=0.75; duplicated query terms contribute per occurrence."""
-    if doc_id not in index.doc_lengths:
-        raise KeyError(f"unknown document id: {doc_id!r}")
-    doc_len = index.doc_lengths[doc_id]
-    norm = BM25_K1 * (1.0 - BM25_B + BM25_B * doc_len / index.avg_doc_length) \
-        if index.avg_doc_length > 0 else BM25_K1
-    score = 0.0
-    for term in query_terms:
-        tf = index.term_frequency(term, doc_id)
-        if tf == 0:
-            continue
-        score += idf(index, term) * tf * (BM25_K1 + 1.0) / (tf + norm)
-    return score
-
-
 def _impact_view(index: InvertedIndex) -> ImpactView:
-    """Every posting's impact in one vectorised pass, with the operations of
-    bm25_score in its order, so each impact is bit-equal to its term there."""
+    """Every posting's impact in one vectorised pass: BM25 (Robertson &
+    Zaragoza, 2009) with k1=1.2, b=0.75 and the smoothed non-negative idf
+    ln(1 + (N - df + 0.5) / (df + 0.5)), df being the posting-list length.
+    The operations follow oracles.bm25_direct in its order, so each impact is
+    bit-equal to that oracle's term for the posting."""
     doc_ids = sorted(index.doc_lengths)
     position = {did: i for i, did in enumerate(doc_ids)}
     lengths = np.array([index.doc_lengths[did] for did in doc_ids], dtype=np.float64)
@@ -148,7 +122,8 @@ def _impact_view(index: InvertedIndex) -> ImpactView:
                        dtype=np.intp, count=total)
     tfs = np.fromiter((tf for plist in plists for _, tf in plist),
                       dtype=np.float64, count=total)
-    idfs = np.repeat([idf(index, term) for term in index.postings], sizes)
+    idfs = np.repeat([math.log(1.0 + (index.num_docs - df + 0.5) / (df + 0.5))
+                      for df in sizes], sizes)
     impacts = idfs * tfs * (BM25_K1 + 1.0) / (tfs + norms[docs])
     docs.flags.writeable = impacts.flags.writeable = False
     ends = np.cumsum(sizes)
@@ -161,7 +136,8 @@ def retrieve_topk(index: InvertedIndex, query: Query, k: int = 100) -> list[tupl
 
     Each query-term occurrence adds its term's impacts into one score array
     (index.impacts()); a document occurs once per term, so every score is
-    the sum bm25_score forms, in its order, and bit-equal to it. The cost is
+    the sum oracles.bm25_direct forms from raw tokens, in its order, and
+    bit-equal to it (selftest.check_bm25 compares the two). The cost is
     the query's postings plus one pass over the documents, never the whole
     index. Only the documents tied with the k-th score or above it are sorted.
     """
@@ -259,11 +235,17 @@ def load_index(path: str | Path) -> InvertedIndex:
     try:
         postings = {term: [(did, int(tf)) for did, tf in plist]
                     for term, plist in payload["postings"].items()}
-        return InvertedIndex(postings=postings,
-                             doc_lengths={k: int(v) for k, v in payload["doc_lengths"].items()},
-                             avg_doc_length=float(payload["avg_doc_length"]),
-                             num_docs=int(payload["num_docs"]))
+        index = InvertedIndex(postings=postings,
+                              doc_lengths={k: int(v) for k, v in payload["doc_lengths"].items()},
+                              avg_doc_length=float(payload["avg_doc_length"]),
+                              num_docs=int(payload["num_docs"]))
     except KeyError as exc:
         raise ParseError(f"{path}: index has no {exc.args[0]!r} field") from exc
     except (AttributeError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed index ({exc})") from exc
+    unknown = next(((term, did) for term, plist in postings.items() for did, _ in plist
+                    if did not in index.doc_lengths), None)
+    if unknown is not None:
+        raise ParseError(f"{path}: postings of {unknown[0]!r} name document {unknown[1]!r}, "
+                         f"which is not in doc_lengths")
+    return index

@@ -317,5 +317,11 @@ def load_subgraph_cache(path: str | Path) -> dict[tuple[str, str], QuerySubgraph
             key = (str(obj["query_id"]), str(obj["doc_id"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"{path}:{lineno}: malformed subgraph record") from exc
+        n = sub.num_nodes
+        if len(sub.provenance) != n:
+            raise ParseError(f"{path}:{lineno}: {len(sub.provenance)} provenance entries "
+                             f"for {n} nodes")
+        if not all(0 <= s < n and 0 <= t < n for s, _, t in sub.edges):
+            raise ParseError(f"{path}:{lineno}: an edge names a node index outside [0, {n})")
         cache[key] = sub
     return cache

@@ -4,11 +4,12 @@ Everything here is written directly from definitions and deliberately shares
 no code with the production implementations: metrics recount prefixes
 quadratically, BM25 rescans raw token lists, subgraph candidates come from a
 triple loop over node pairs, the KL term is estimated by Monte Carlo
-sampling, and the ranker network is recomputed one pair, one head and one
-node at a time in plain numpy (only its inputs, the prompt ids and the fixed
-node features, come from the model and the KG code). The random-instance
-comparisons live in `kgrank.selftest`, which both `kgrank selftest` and the
-acceptance tests run; the model tests compare against the network twins.
+sampling, Adam updates one scalar at a time, and the ranker network is
+recomputed one pair, one head and one node at a time in plain numpy (only its
+inputs, the prompt ids and the fixed node features, come from the model and
+the KG code). The random-instance comparisons live in `kgrank.selftest`,
+which both `kgrank selftest` and the acceptance tests run; the model and
+training tests compare against the network twins and the Adam loop.
 """
 
 from __future__ import annotations
@@ -151,6 +152,25 @@ def mutual_information_mc(weights: np.ndarray, mus: np.ndarray, sigmas: np.ndarr
 def kl_closed_form_direct(mu: np.ndarray, sigma: np.ndarray) -> float:
     """0.5 * sum(mu^2 + sigma^2 - 1 - ln sigma^2), written independently."""
     return float(0.5 * np.sum(mu ** 2 + sigma ** 2 - 1.0 - np.log(sigma ** 2)))
+
+
+def adam_direct(theta: list[float], grads: list[list[float]], lr: float,
+                beta1: float = 0.9, beta2: float = 0.999,
+                eps: float = 1e-8) -> list[list[float]]:
+    """Adam as in Kingma & Ba (2015), Algorithm 1, one scalar at a time:
+    the parameters after each step, for the gradient of each step."""
+    theta = list(theta)
+    m, v = [0.0] * len(theta), [0.0] * len(theta)
+    after = []
+    for t, g in enumerate(grads, start=1):
+        for i in range(len(theta)):
+            m[i] = beta1 * m[i] + (1.0 - beta1) * g[i]
+            v[i] = beta2 * v[i] + (1.0 - beta2) * g[i] ** 2
+            m_hat = m[i] / (1.0 - beta1 ** t)
+            v_hat = v[i] / (1.0 - beta2 ** t)
+            theta[i] = theta[i] - lr * m_hat / (math.sqrt(v_hat) + eps)
+        after.append(list(theta))
+    return after
 
 
 # ---------------------------------------------------------------------------

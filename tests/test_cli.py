@@ -7,17 +7,30 @@ selftest` clean and with a planted fault; and resolves the public names.
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
 import kgrank
 from kgrank import evaluation as ev
 from kgrank import selftest
-from kgrank.cli import main, worker_count
+from kgrank.cli import main
 from kgrank.evaluation import load_run
+from kgrank.kg import INTERACTION_RELATION
 
 GEN_ARGS = ["--num-queries", "10", "--corpus-size", "200", "--kg-nodes", "120",
             "--decoy-edges", "60"]
+
+
+def with_first_cache_record(change):
+    """A subgraph-cache corruption: change(record) edits the first record."""
+    def corrupt(text: str) -> str:
+        first, *rest = text.splitlines(keepends=True)
+        record = json.loads(first)
+        change(record)
+        return json.dumps(record) + "\n" + "".join(rest)
+    return corrupt
+
 
 TRAIN_CONFIG = {
     "corpus": "task/corpus.jsonl",
@@ -89,10 +102,7 @@ class TestPipeline:
                      "--k", "100", "--out", str(out2)]) == 0
         assert out2.read_bytes() == (pipeline_dir / "run_bm25.txt").read_bytes()
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_rerank_rerun_is_byte_identical(self, pipeline_dir, tmp_path, monkeypatch,
-                                            threads):
-        monkeypatch.setenv("KGRANK_THREADS", threads)
+    def test_rerank_rerun_is_byte_identical(self, pipeline_dir, tmp_path):
         out2 = tmp_path / "run_rr_again.txt"
         assert main(["rerank", "--checkpoint", str(pipeline_dir / "ckpt.json"),
                      "--model-config", str(pipeline_dir / "model.json"),
@@ -168,29 +178,45 @@ class TestErrorHandling:
             {k: v for k, v in json.loads(text).items() if k != "postings"})),
         ("train", "train.json", lambda text: text[:len(text) // 2]),
         ("rerank", "cache.jsonl", lambda text: "".join(text.splitlines(keepends=True)[1:])),
+        ("retrieve", "index.json", lambda text: json.dumps(
+            {**json.loads(text), "postings": {"x": [["ghost", 1]]}})),
+        ("rerank", "cache.jsonl", with_first_cache_record(
+            lambda r: r["edges"].append([0, INTERACTION_RELATION, len(r["nodes"])]))),
+        ("rerank", "cache.jsonl", with_first_cache_record(
+            lambda r: r["edges"].append([0, INTERACTION_RELATION, -1]))),
+        ("rerank", "cache.jsonl", with_first_cache_record(lambda r: r["provenance"].pop())),
+        ("rerank", "run_bm25.txt", lambda text: "q1 Q0 d1\n" + text),
+        ("eval", "task/qrels_test.txt", lambda text: "q1 0 d1 high\n" + text),
     ], ids=["unknown config key", "truncated checkpoint", "checkpoint of another d_z",
             "checkpoint of another d_proj", "truncated index", "index without postings",
-            "truncated training config", "partial subgraph cache without kg"])
+            "truncated training config", "partial subgraph cache without kg",
+            "index posting of an unknown document", "cache edge past the node list",
+            "negative cache edge", "cache provenance shorter than its nodes",
+            "malformed run line", "malformed qrels line"])
     def test_bad_json_artifact_exits_2(self, pipeline_dir, tmp_path, capsys,
                                        command, name, corrupt):
-        """A malformed model config, checkpoint, index or training config, a
-        checkpoint that does not fit its config, or a subgraph cache that
-        lacks a run pair when no KG is given, exits 2 naming the file."""
+        """A malformed model config, checkpoint, index, training config,
+        subgraph cache, run or qrels file, a checkpoint that does not fit its
+        config, or a subgraph cache that lacks a run pair when no KG is given,
+        exits 2 naming the file."""
         files = {f: str(pipeline_dir / f)
-                 for f in ("model.json", "ckpt.json", "index.json", "train.json", "cache.jsonl")}
-        bad = tmp_path / name
+                 for f in ("model.json", "ckpt.json", "index.json", "train.json", "cache.jsonl",
+                           "run_bm25.txt", "task/qrels_test.txt")}
+        bad = tmp_path / Path(name).name
         bad.write_text(corrupt((pipeline_dir / name).read_text()))
         files[name] = str(bad)
         queries, out = str(pipeline_dir / "task/queries.jsonl"), str(tmp_path / "out.txt")
         argv = {"rerank": ["rerank", "--checkpoint", files["ckpt.json"],
                            "--model-config", files["model.json"],
-                           "--run", str(pipeline_dir / "run_bm25.txt"),
+                           "--run", files["run_bm25.txt"],
                            "--corpus", str(pipeline_dir / "task/corpus.jsonl"),
                            "--queries", queries, "--cache", files["cache.jsonl"],
                            "--out", out],
                 "retrieve": ["retrieve", "--index", files["index.json"], "--queries", queries,
                              "--out", out],
-                "train": ["train", "--config", files["train.json"]]}[command]
+                "train": ["train", "--config", files["train.json"]],
+                "eval": ["eval", "--run", files["run_bm25.txt"],
+                         "--qrels", files["task/qrels_test.txt"], "--out", out]}[command]
         capsys.readouterr()
         assert main(argv) == 2
         err = capsys.readouterr().err
@@ -201,22 +227,6 @@ class TestErrorHandling:
     def test_infeasible_gen_knobs_exit_2(self, tmp_path):
         assert main(["gen", "--out", str(tmp_path / "t"), "--seed", "1",
                      "--num-queries", "10", "--corpus-size", "50"]) == 2
-
-
-class TestWorkerCount:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("KGRANK_THREADS", "3")
-        assert worker_count() == 3
-
-    def test_default_positive(self, monkeypatch):
-        monkeypatch.delenv("KGRANK_THREADS", raising=False)
-        assert worker_count() >= 1
-
-    def test_invalid_value_rejected(self, monkeypatch):
-        from kgrank.errors import ConfigurationError
-        monkeypatch.setenv("KGRANK_THREADS", "many")
-        with pytest.raises(ConfigurationError):
-            worker_count()
 
 
 class TestSelftest:

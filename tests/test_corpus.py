@@ -9,10 +9,10 @@ import math
 import numpy as np
 import pytest
 
-from kgrank.corpus import (Document, Query, bm25_score, build_index, idf,
-                           load_documents, load_qrels, load_queries,
-                           retrieve_topk, save_index, load_index, tokenize)
+from kgrank.corpus import (Document, Query, build_index, load_documents, load_qrels,
+                           load_queries, retrieve_topk, save_index, load_index, tokenize)
 from kgrank.errors import ParseError, ValidationError
+from kgrank.oracles import bm25_direct
 
 FIXTURE_DOCS = [
     Document("d1", "insulin regulates glucose uptake"),
@@ -41,6 +41,12 @@ FIXTURE_SCORES = {
     ("q3", "d5"): 1.8270976372363537,
 }
 FIXTURE_QUERIES = {"q1": "insulin glucose", "q2": "liver cells", "q3": "energy metabolism"}
+
+
+def direct_scores(docs: list[Document], terms: list[str]) -> dict[str, float]:
+    """Every document's BM25 score from the raw-token oracle."""
+    tokens = {d.id: tokenize(d.text) for d in docs}
+    return {d.id: bm25_direct(tokens, terms, d.id) for d in docs}
 
 
 class TestTokenize:
@@ -107,38 +113,40 @@ class TestBuildIndex:
 
 
 class TestBm25Score:
+    """BM25 scores as retrieve_topk serves them."""
+
     def test_absent_terms_contribute_zero(self):
         index = build_index(FIXTURE_DOCS)
-        assert bm25_score(index, ["zzz"], "d1") == 0.0
-        assert bm25_score(index, ["zzz", "qqq"], "d1") == 0.0
+        assert retrieve_topk(index, Query("q", "insulin zzz glucose qqq")) == \
+            retrieve_topk(index, Query("q", "insulin glucose"))
 
     def test_single_doc_closed_form(self):
         """One doc 'a', query ['a']: idf = ln(4/3) and the tf factor is 1."""
         index = build_index([Document("d", "a")])
-        assert bm25_score(index, ["a"], "d") == pytest.approx(math.log(4 / 3), abs=1e-12)
+        assert retrieve_topk(index, Query("q", "a")) == \
+            [("d", pytest.approx(math.log(4 / 3), abs=1e-12))]
 
     def test_fixture_table_matches_frozen_hand_values(self):
+        """The served scores are the frozen table's; zero-score documents
+        are absent."""
         index = build_index(FIXTURE_DOCS)
-        for (qid, did), expected in FIXTURE_SCORES.items():
-            got = bm25_score(index, tokenize(FIXTURE_QUERIES[qid]), did)
-            assert got == pytest.approx(expected, abs=1e-6), (qid, did)
+        for qid, text in FIXTURE_QUERIES.items():
+            want = {did: score for (q, did), score in FIXTURE_SCORES.items()
+                    if q == qid and score > 0}
+            got = dict(retrieve_topk(index, Query(qid, text), k=10))
+            assert got == pytest.approx(want, abs=1e-6), qid
 
     def test_duplicated_query_terms_count_per_occurrence(self):
         index = build_index(FIXTURE_DOCS)
-        one = bm25_score(index, ["glucose"], "d2")
-        two = bm25_score(index, ["glucose", "glucose"], "d2")
-        assert two == pytest.approx(2 * one)
+        one = dict(retrieve_topk(index, Query("q", "glucose")))
+        two = dict(retrieve_topk(index, Query("q", "glucose glucose")))
+        assert two == pytest.approx({did: 2 * score for did, score in one.items()})
 
     def test_monotone_in_tf(self):
         docs = [Document("a", "t x x x"), Document("b", "t t x x"), Document("c", "t t t x")]
-        index = build_index(docs)
-        scores = [bm25_score(index, ["t"], d) for d in ("a", "b", "c")]
-        assert scores[0] < scores[1] < scores[2]
-
-    def test_unknown_doc_raises(self):
-        index = build_index(FIXTURE_DOCS)
-        with pytest.raises(KeyError, match="nope"):
-            bm25_score(index, ["a"], "nope")
+        run = retrieve_topk(build_index(docs), Query("q", "t"))
+        assert [did for did, _ in run] == ["c", "b", "a"]
+        assert run[0][1] > run[1][1] > run[2][1]
 
 
 class TestRetrieveTopk:
@@ -150,7 +158,7 @@ class TestRetrieveTopk:
         index = build_index(FIXTURE_DOCS)
         for qid, text in FIXTURE_QUERIES.items():
             terms = tokenize(text)
-            table = {d.id: bm25_score(index, terms, d.id) for d in FIXTURE_DOCS}
+            table = direct_scores(FIXTURE_DOCS, terms)
             best = min((d for d, s in table.items() if s == max(table.values())))
             (got, _), = retrieve_topk(index, Query(qid, text), k=1)
             assert got == best
@@ -181,13 +189,12 @@ class TestRetrieveTopk:
             docs = [Document(f"d{i}", " ".join(rng.choice(words[:10], size=rng.integers(1, 12))))
                     for i in range(n)]
             terms = list(rng.choice(words[:10], size=int(rng.integers(1, 4))))
-            index = build_index(docs)
-            scores = {d.id: bm25_score(index, terms, d.id) for d in docs}
+            scores = direct_scores(docs, terms)
             argmax = {d for d, s in scores.items() if s == max(scores.values())}
             extra = Document("zz_extra", " ".join(rng.choice(words[10:],
                                                              size=int(rng.integers(1, 12)))))
-            index2 = build_index(docs + [extra])
-            scores2 = {d.id: bm25_score(index2, terms, d.id) for d in docs}
+            scores2 = direct_scores(docs + [extra], terms)
+            del scores2[extra.id]
             argmax2 = {d for d, s in scores2.items() if s == max(scores2.values())}
             assert argmax == argmax2
 
@@ -203,9 +210,8 @@ class TestRetrieveTopk:
     def test_duplicated_query_terms_count_per_occurrence(self):
         index = build_index(FIXTURE_DOCS)
         terms = ["glucose", "glucose", "insulin", "glucose"]
-        table = sorted(((d.id, bm25_score(index, terms, d.id)) for d in FIXTURE_DOCS
-                        if bm25_score(index, terms, d.id) > 0),
-                       key=lambda item: (-item[1], item[0]))
+        table = sorted(((did, score) for did, score in direct_scores(FIXTURE_DOCS, terms).items()
+                        if score > 0), key=lambda item: (-item[1], item[0]))
         assert retrieve_topk(index, Query("q", " ".join(terms)), k=10) == table
 
     def test_same_results_after_save_and_load(self, tmp_path):
@@ -273,5 +279,7 @@ class TestFileFormats:
         assert loaded.doc_lengths == index.doc_lengths
         assert loaded.num_docs == index.num_docs
         assert loaded.avg_doc_length == index.avg_doc_length
-        # idf identical through the roundtrip
-        assert idf(loaded, "glucose") == idf(index, "glucose")
+        # impacts identical through the roundtrip
+        for term, (docs, impacts) in index.impacts().terms.items():
+            assert np.array_equal(loaded.impacts().terms[term][0], docs)
+            assert np.array_equal(loaded.impacts().terms[term][1], impacts)

@@ -20,9 +20,8 @@ from kgrank.kg import (INTERACTION_NODE, INTERACTION_RELATION, SELF_RELATION,
                        QuerySubgraph, empty_subgraph)
 from kgrank.model import (RESERVED_TOKENS, ModelConfig, RankerModel,
                           build_vocab, kl_gaussian_std_normal)
-from kgrank.oracles import kl_closed_form_direct, kl_mc_estimate, mutual_information_mc
+from kgrank.oracles import kl_closed_form_direct
 from kgrank.tensor import Tensor, finite_diff_check
-from kgrank.training import loss_from_trace
 
 
 class TestModelConfig:
@@ -85,6 +84,14 @@ class TestBuildPrompt:
             toks = [model.cfg.vocab[i] for i in ids]
             assert toks.count("alpha") == q_words  # query intact
             assert toks[-1] == "relevant:"
+
+    def test_truncation_keeps_the_document_head(self):
+        """A document cut to fit keeps its first tokens, in order."""
+        model = RankerModel.build(tiny_config(max_len=9), seed=0)
+        ids = model.build_prompt("alpha", "beta gamma delta epsilon alpha beta")
+        assert [model.cfg.vocab[i] for i in ids] == [
+            "<int>", "query:", "alpha", "document:",
+            "beta", "gamma", "delta", "epsilon", "relevant:"]
 
     def test_query_overflow_rejected(self):
         model = RankerModel.build(tiny_config(max_len=8), seed=0)
@@ -209,16 +216,6 @@ class TestKlGaussianStdNormal:
             sigma = rng.uniform(0.2, 2.5, size=5)
             got = kl_gaussian_std_normal(Tensor(mu), Tensor(sigma)).item()
             assert got == pytest.approx(kl_closed_form_direct(mu, sigma), rel=1e-12)
-
-    def test_matches_monte_carlo(self):
-        """Sampled estimate of E[ln p(z|x) - ln q(z)] agrees with closed form."""
-        rng = np.random.default_rng(23)
-        for i in range(5):
-            mu = rng.uniform(-1.5, 1.5, size=4)
-            sigma = rng.uniform(0.4, 1.8, size=4)
-            closed = kl_gaussian_std_normal(Tensor(mu), Tensor(sigma)).item()
-            estimate, se = kl_mc_estimate(mu, sigma, 200_000, seed=100 + i)
-            assert abs(closed - estimate) < max(1e-2, 4 * se)
 
     def test_gradient(self):
         rng = np.random.default_rng(24)
@@ -490,36 +487,3 @@ class TestScoreBatch:
     def test_length_mismatch_rejected(self, tiny_model):
         with pytest.raises(UsageError):
             tiny_model.score_batch(Query("q", "alpha"), [Document("d", "beta")], [])
-
-
-class TestFullModelGradient:
-    def test_finite_difference_whole_objective(self, tiny_model, tiny_pair):
-        """Every parameter of the full loss passes the central-difference
-        check with frozen noise (the acceptance suite repeats this with the
-        documented budget)."""
-        query, doc = tiny_pair
-        noise = frozen_noise(tiny_model.cfg, seed=23)
-
-        def objective():
-            trace = tiny_model.forward(query, doc, tiny_subgraph(), noise=noise)
-            return loss_from_trace(trace, [True], tiny_model.cfg.alpha, tiny_model.cfg.S)
-
-        err = finite_diff_check(objective, tiny_model.params, step=1e-4,
-                                max_coords=150, seed=24)
-        assert err < 1e-4
-
-
-class TestMutualInformationBound:
-    def test_mc_estimate_below_mean_kl(self):
-        """For a discrete input with Gaussian encoders, the sampled mutual
-        information never exceeds the average closed-form KL to the standard
-        normal prior (plus Monte Carlo error)."""
-        rng = np.random.default_rng(25)
-        k, d = 6, 3
-        weights = rng.dirichlet(np.ones(k))
-        mus = rng.uniform(-1.5, 1.5, size=(k, d))
-        sigmas = rng.uniform(0.4, 1.2, size=(k, d))
-        mean_kl = sum(w * kl_gaussian_std_normal(Tensor(m), Tensor(s)).item()
-                      for w, m, s in zip(weights, mus, sigmas))
-        mi, se = mutual_information_mc(weights, mus, sigmas, 100_000, seed=26)
-        assert mi <= mean_kl + 3 * se

@@ -13,6 +13,7 @@ from kgrank.errors import ComputationError, UsageError, ValidationError
 from kgrank.kg import (INTERACTION_NODE, INTERACTION_RELATION, KnowledgeGraph,
                        QuerySubgraph, empty_subgraph)
 from kgrank.model import ForwardTrace, RankerModel
+from kgrank.oracles import adam_direct
 from kgrank.tensor import Tensor, backward, save_checkpoint
 from kgrank.training import (Adam, SubgraphProvider, TrainingExample,
                              clip_gradients, loss_from_trace, rerank_run,
@@ -151,6 +152,29 @@ class TestAdam:
             p.grad = 2 * scales * (p.data - target)
             opt.step()
         assert np.abs(p.data - target).max() < 1e-3
+
+    def test_first_steps_match_the_scalar_oracle(self):
+        """Five steps with gradients of varied sign and scale, where bias
+        correction and eps both matter, against Algorithm 1 of Kingma & Ba
+        (2015) run one scalar at a time."""
+        rng = np.random.default_rng(17)
+        shapes = {"a": (2, 3), "b": (4,)}
+        params = {name: Tensor(rng.normal(size=shape), requires_grad=True)
+                  for name, shape in shapes.items()}
+        start = {name: p.data.ravel().tolist() for name, p in params.items()}
+        grads = {name: [rng.normal(size=shape) * 10.0 ** rng.uniform(-4, 1, size=shape)
+                        for _ in range(5)] for name, shape in shapes.items()}
+        opt = Adam(params, lr=1e-2)
+        got = {name: [] for name in params}
+        for step in range(5):
+            for name, p in params.items():
+                p.grad = grads[name][step].copy()
+            opt.step()
+            for name, p in params.items():
+                got[name].append(p.data.ravel().tolist())
+        for name in params:
+            want = adam_direct(start[name], [g.ravel().tolist() for g in grads[name]], lr=1e-2)
+            np.testing.assert_allclose(got[name], want, rtol=0, atol=1e-12)
 
     def test_nan_gradient_aborts_with_name(self):
         p = Tensor(np.array([1.0]), requires_grad=True)
@@ -368,6 +392,20 @@ class TestRerankRun:
             assert {d for d, _ in out[qid]} == {d for d, _ in run[qid]}
             scores = [s for _, s in out[qid]]
             assert scores == sorted(scores, reverse=True)
+
+    def test_tied_scores_come_out_in_ascending_doc_id_order(self):
+        """Five copies of one document score bit-equal; their order is doc id
+        ascending, whatever the first-stage order."""
+        model = selftest.tiny_model()
+        query, doc = selftest.tiny_pair()
+        dids = ["d5", "d4", "d3", "d2", "d1"]
+        docs = {did: Document(did, doc.text) for did in dids}
+        provider = SubgraphProvider(None, {query.id: query}, docs,
+                                    {(query.id, did): selftest.tiny_subgraph() for did in dids})
+        run = {query.id: [(did, 5.0 - rank) for rank, did in enumerate(dids)]}
+        out = rerank_run(model, run, {query.id: query}, docs, provider)[query.id]
+        assert len({score for _, score in out}) == 1
+        assert [did for did, _ in out] == ["d1", "d2", "d3", "d4", "d5"]
 
     def test_workers_do_not_change_result(self):
         docs, queries, qrels, kg = tiny_task()
