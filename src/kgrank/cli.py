@@ -22,7 +22,7 @@ from . import evaluation as ev
 from . import selftest
 from .errors import ConfigurationError, InputError, KgrankError, ParseError, ValidationError
 from .fileio import load_json
-from .kg import load_kg, load_subgraph_cache, save_subgraph_cache, subgraph_for_pair
+from .kg import load_kg, load_subgraph_cache, save_subgraph_cache
 from .model import ModelConfig, RankerModel, build_vocab
 from .synth import TaskKnobs, generate, write_task
 from .tensor import load_checkpoint, save_checkpoint
@@ -34,6 +34,10 @@ def _require(path: str, kind: str) -> Path:
     if not p.is_file():
         raise InputError(f"{kind} file not found: {path}")
     return p
+
+
+def _load_kg(path: str, lexicon: str | None):
+    return load_kg(_require(path, "kg"), _require(lexicon, "lexicon") if lexicon else None)
 
 
 def _check_run(run: dict[str, list[tuple[str, float]]], queries: dict, docs: dict) -> None:
@@ -69,65 +73,71 @@ def cmd_retrieve(args) -> int:
 
 
 def cmd_subgraphs(args) -> int:
-    kg = load_kg(_require(args.kg, "kg"),
-                 _require(args.lexicon, "lexicon") if args.lexicon else None)
+    kg = _load_kg(args.kg, args.lexicon)
     queries = {q.id: q for q in cx.load_queries(_require(args.queries, "queries"))}
     docs = {d.id: d for d in cx.load_documents(_require(args.corpus, "corpus"))}
     run = ev.load_run(_require(args.run, "run"))
     _check_run(run, queries, docs)
-    cache = {}
+    provider = SubgraphProvider(kg, queries, docs)
     for qid in sorted(run):
         for did, _ in run[qid]:
-            cache[(qid, did)] = subgraph_for_pair(kg, queries[qid].text, docs[did].text,
-                                                  max_nodes=args.max_nodes)
-    save_subgraph_cache(args.out, cache)
-    print(f"cached {len(cache)} subgraphs -> {args.out}")
+            provider.get(qid, did)
+    save_subgraph_cache(args.out, provider.cache)
+    print(f"cached {len(provider.cache)} subgraphs -> {args.out}")
     return 0
+
+
+# Training-config keys besides "model": file paths, and train_model settings.
+CONFIG_PATHS = ("corpus", "queries", "qrels", "kg", "lexicon", "subgraph_cache",
+                "checkpoint_out", "model_config_out", "metrics_out")
+CONFIG_SETTINGS = {"epochs": int, "batch_size": int, "seed": int, "lr": float,
+                   "negatives_per_positive": int}
 
 
 def _training_config(path: str | Path) -> dict:
     cfg = load_json(path, "training config")
     if not isinstance(cfg, dict):
         raise ParseError(f"{path}: training config must be a JSON object")
+    unknown = sorted(set(cfg) - set(CONFIG_PATHS) - set(CONFIG_SETTINGS) - {"model"})
+    if unknown:
+        raise ConfigurationError(f"{path}: unknown training config key {unknown[0]!r}")
+    if not isinstance(cfg.get("model", {}), dict):
+        raise ConfigurationError(f"{path}: training config key 'model' must hold an object")
     base = Path(path).resolve().parent
-    for key in ("corpus", "queries", "qrels", "kg", "lexicon", "subgraph_cache",
-                "checkpoint_out", "model_config_out", "metrics_out"):
+    for key in CONFIG_PATHS:
         if cfg.get(key):
+            if not isinstance(cfg[key], str):
+                raise ConfigurationError(f"{path}: training config key {key!r} must hold a path")
             cfg[key] = str((base / cfg[key]).resolve()) if not os.path.isabs(cfg[key]) else cfg[key]
     for key in ("corpus", "queries", "qrels", "kg", "checkpoint_out"):
         if not cfg.get(key):
-            raise ConfigurationError(f"training config missing required key {key!r}")
+            raise ConfigurationError(f"{path}: training config missing required key {key!r}")
     return cfg
 
 
 def cmd_train(args) -> int:
     cfg = _training_config(_require(args.config, "config"))
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 42))
+    try:
+        settings = {key: cast(cfg[key]) for key, cast in CONFIG_SETTINGS.items() if key in cfg}
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{args.config}: bad training setting ({exc})") from exc
+    if args.seed is not None:
+        settings["seed"] = args.seed
     docs = cx.load_documents(_require(cfg["corpus"], "corpus"))
     queries = cx.load_queries(_require(cfg["queries"], "queries"))
     qrels = cx.load_qrels(_require(cfg["qrels"], "qrels"))
-    kg = load_kg(_require(cfg["kg"], "kg"),
-                 _require(cfg["lexicon"], "lexicon") if cfg.get("lexicon") else None)
+    kg = _load_kg(cfg["kg"], cfg.get("lexicon"))
     cache = load_subgraph_cache(cfg["subgraph_cache"]) if cfg.get("subgraph_cache") else None
 
-    model_fields = {f.name for f in fields(ModelConfig)}
-    overrides = dict(cfg.get("model", {}))
-    unknown = set(overrides) - model_fields
+    # vocab and relations are derived from the corpus and the KG
+    overrides = {k: v for k, v in cfg.get("model", {}).items() if k not in ("vocab", "relations")}
+    unknown = set(overrides) - {f.name for f in fields(ModelConfig)}
     if unknown:
-        raise ConfigurationError(f"unknown model config keys: {sorted(unknown)}")
-    overrides.pop("vocab", None)
-    overrides.pop("relations", None)
-    if "alpha" in cfg:  # top-level alpha wins over the model section
-        overrides["alpha"] = float(cfg["alpha"])
+        raise ConfigurationError(f"{args.config}: unknown model config keys: {sorted(unknown)}")
     model_cfg = ModelConfig(vocab=build_vocab(docs), relations=sorted(kg.relations),
                             **overrides)
 
-    model, stats = train_model(
-        model_cfg, docs, queries, qrels, kg,
-        epochs=int(cfg.get("epochs", 3)), batch_size=int(cfg.get("batch_size", 8)),
-        seed=seed, lr=float(cfg.get("lr", 3e-4)),
-        negatives_per_positive=int(cfg.get("negatives_per_positive", 2)),
-        max_nodes=int(cfg.get("max_nodes", 10)), cache=cache)
+    model, stats = train_model(model_cfg, docs, queries, qrels, kg, cache=cache, **settings)
     save_checkpoint(cfg["checkpoint_out"], model.params)
     if cfg.get("model_config_out"):
         model_cfg.save(cfg["model_config_out"])
@@ -151,10 +161,7 @@ def cmd_rerank(args) -> int:
     queries = {q.id: q for q in cx.load_queries(_require(args.queries, "queries"))}
     _check_run(run, queries, docs)
     cache = load_subgraph_cache(_require(args.cache, "subgraph cache")) if args.cache else None
-    kg = None
-    if args.kg:
-        kg = load_kg(_require(args.kg, "kg"),
-                     _require(args.lexicon, "lexicon") if args.lexicon else None)
+    kg = _load_kg(args.kg, args.lexicon) if args.kg else None
     if cache is None and kg is None and not model_cfg.text_only:
         raise ConfigurationError("rerank needs --cache or --kg to obtain subgraphs")
     if kg is None and not model_cfg.text_only:
@@ -163,7 +170,7 @@ def cmd_rerank(args) -> int:
         if missing is not None:
             raise ValidationError(f"{args.cache}: no subgraph for query {missing[0]!r}, "
                                   f"document {missing[1]!r}, and no --kg to extract it from")
-    provider = SubgraphProvider(kg, queries, docs, cache, max_nodes=args.max_nodes)
+    provider = SubgraphProvider(kg, queries, docs, cache)
     reranked = rerank_run(model, run, queries, docs, provider)
     for qid in run:
         if {d for d, _ in run[qid]} != {d for d, _ in reranked[qid]}:
@@ -189,8 +196,7 @@ def cmd_eval(args) -> int:
 def cmd_gen(args) -> int:
     knob_fields = {f.name for f in fields(TaskKnobs)}
     overrides = {k: v for k, v in vars(args).items() if k in knob_fields and v is not None}
-    seed = args.seed if args.seed is not None else 42
-    task = generate(seed=seed, knobs=TaskKnobs(**overrides))
+    task = generate(seed=args.seed, knobs=TaskKnobs(**overrides))
     write_task(task, args.out)
     print(f"generated task (BM25 nDCG@10={task.manifest['bm25_ndcg10']:.3f}, "
           f"graph oracle={task.manifest['oracle_ndcg10']:.3f}) -> {args.out}")
@@ -218,12 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kgrank",
         description="Knowledge-graph-enriched document re-ranking pipeline.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
-                        help="seed for any randomized step (default 42, or the "
-                             "training config's seed)")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=lambda **kw:
-                                argparse.ArgumentParser(parents=[common], **kw))
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("index", help="build and persist the inverted index")
     p.add_argument("--corpus", required=True)
@@ -244,12 +245,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--queries", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--run", required=True)
-    p.add_argument("--max-nodes", type=int, default=10)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_subgraphs)
 
     p = sub.add_parser("train", help="train the ranker from a JSON config")
     p.add_argument("--config", required=True)
+    p.add_argument("--seed", type=int, default=None,
+                   help="overrides the training config's seed")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("rerank", help="re-score a run with a trained model")
@@ -261,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache")
     p.add_argument("--kg")
     p.add_argument("--lexicon")
-    p.add_argument("--max-nodes", type=int, default=10)
     p.add_argument("--tag", default="kgrank")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_rerank)
@@ -275,6 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a synthetic KG-dependent task")
     p.add_argument("--out", required=True)
+    p.add_argument("--seed", type=int, default=42)
     for f in fields(TaskKnobs):
         p.add_argument(f"--{f.name.replace('_', '-')}",
                        type=type(f.default), default=None, dest=f.name)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import re
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -98,53 +98,55 @@ class QuerySubgraph:
 
     provenance[i] is one of interaction/query-seed/doc-seed/both/bridge;
     edges are (source index, relation, target index) triples and include the
-    bidirectional interaction edges.
+    bidirectional interaction edges. Construction raises ValidationError unless
+    there is one provenance entry per node and every edge index is a node.
     """
 
     node_ids: list[str]
     provenance: list[str]
     edges: list[tuple[int, str, int]]
 
+    def __post_init__(self) -> None:
+        n = len(self.node_ids)
+        if len(self.provenance) != n:
+            raise ValidationError(f"{len(self.provenance)} provenance entries for {n} nodes")
+        bad = next((e for e in self.edges if not (0 <= e[0] < n and 0 <= e[2] < n)), None)
+        if bad is not None:
+            raise ValidationError(f"edge {bad} names a node index outside [0, {n})")
+
     @property
     def num_nodes(self) -> int:
         return len(self.node_ids)
 
 
+def _tsv_rows(path: str | Path, width: int,
+              expected: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, stripped fields) of each line neither blank nor a # comment."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line.strip() or line.startswith("#"):
+                continue
+            parts = line.split("\t")
+            if len(parts) != width or not all(p.strip() for p in parts):
+                raise ParseError(f"{path}:{lineno}: expected {expected!r}")
+            yield lineno, [p.strip() for p in parts]
+
+
 def load_kg(path: str | Path, lexicon_path: str | Path | None = None) -> KnowledgeGraph:
-    """Load 'head<TAB>relation<TAB>tail' triples, deduplicated and canonically sorted."""
+    """Load 'head<TAB>relation<TAB>tail' triples, deduplicated and canonically
+    sorted, and the optional 'node_id<TAB>surface name' lexicon in file order."""
     triples: list[tuple[str, str, str]] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3 or not all(p.strip() for p in parts):
-                raise ParseError(f"{path}:{lineno}: expected 'head<TAB>relation<TAB>tail'")
-            head, rel, tail = (p.strip() for p in parts)
-            if rel in (INTERACTION_RELATION, SELF_RELATION):
-                raise ParseError(f"{path}:{lineno}: relation {rel!r} is reserved")
-            if INTERACTION_NODE in (head, tail):
-                raise ParseError(f"{path}:{lineno}: node id {INTERACTION_NODE!r} is reserved")
-            triples.append((head, rel, tail))
-    lexicon = _read_lexicon(lexicon_path) if lexicon_path is not None else ()
+    for lineno, (head, rel, tail) in _tsv_rows(path, 3, "head<TAB>relation<TAB>tail"):
+        if rel in (INTERACTION_RELATION, SELF_RELATION):
+            raise ParseError(f"{path}:{lineno}: relation {rel!r} is reserved")
+        if INTERACTION_NODE in (head, tail):
+            raise ParseError(f"{path}:{lineno}: node id {INTERACTION_NODE!r} is reserved")
+        triples.append((head, rel, tail))
+    lexicon = [] if lexicon_path is None else [
+        (node, surface) for _, (node, surface)
+        in _tsv_rows(lexicon_path, 2, "node_id<TAB>surface name")]
     return KnowledgeGraph.from_triples(triples, lexicon)
-
-
-def _read_lexicon(path: str | Path) -> list[tuple[str, str]]:
-    """'node_id<TAB>surface name' pairs in file order."""
-    pairs = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not all(p.strip() for p in parts):
-                raise ParseError(f"{path}:{lineno}: expected 'node_id<TAB>surface name'")
-            node, surface = (p.strip() for p in parts)
-            pairs.append((node, surface))
-    return pairs
 
 
 def _surface_index(kg: KnowledgeGraph) -> dict[tuple[str, ...], str]:
@@ -245,14 +247,6 @@ def extract_subgraph(kg: KnowledgeGraph, v_q: set[str], v_d: set[str],
     return QuerySubgraph(node_ids=node_ids, provenance=provenance, edges=edges)
 
 
-def subgraph_for_pair(kg: KnowledgeGraph, query_text: str, doc_text: str,
-                      max_nodes: int = DEFAULT_MAX_NODES) -> QuerySubgraph:
-    """Link both texts and extract their subgraph in one step."""
-    v_q = {m.node for m in link_entities(query_text, kg, source="query")}
-    v_d = {m.node for m in link_entities(doc_text, kg, source="document")}
-    return extract_subgraph(kg, v_q, v_d, max_nodes=max_nodes)
-
-
 def empty_subgraph() -> QuerySubgraph:
     """Interaction node only; used by the text-only ablation."""
     return QuerySubgraph(node_ids=[INTERACTION_NODE], provenance=["interaction"], edges=[])
@@ -315,13 +309,7 @@ def load_subgraph_cache(path: str | Path) -> dict[tuple[str, str], QuerySubgraph
                 edges=[(int(s), str(r), int(t)) for s, r, t in obj["edges"]],
             )
             key = (str(obj["query_id"]), str(obj["doc_id"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"{path}:{lineno}: malformed subgraph record") from exc
-        n = sub.num_nodes
-        if len(sub.provenance) != n:
-            raise ParseError(f"{path}:{lineno}: {len(sub.provenance)} provenance entries "
-                             f"for {n} nodes")
-        if not all(0 <= s < n and 0 <= t < n for s, _, t in sub.edges):
-            raise ParseError(f"{path}:{lineno}: an edge names a node index outside [0, {n})")
+        except (KeyError, TypeError, ValueError, ValidationError) as exc:
+            raise ParseError(f"{path}:{lineno}: malformed subgraph record ({exc})") from exc
         cache[key] = sub
     return cache

@@ -15,11 +15,12 @@ from pathlib import Path
 
 import numpy as np
 
+from . import kg as kgm
 from . import tensor as tz
 from .corpus import Document, Query
 from .errors import ComputationError, UsageError, ValidationError
 from .fileio import atomic_write
-from .kg import DEFAULT_MAX_NODES, KnowledgeGraph, QuerySubgraph, subgraph_for_pair
+from .kg import KnowledgeGraph, QuerySubgraph
 from .model import ForwardTrace, ModelConfig, RankerModel
 from .tensor import Tensor, backward
 
@@ -141,17 +142,22 @@ class EpochStats:
 
 
 class SubgraphProvider:
-    """Serves per-(query, doc) subgraphs from a cache, extracting on miss."""
+    """The one source of per-(query, doc) subgraphs. A miss links the document
+    and extracts at the fixed cap kg.DEFAULT_MAX_NODES; a query is linked on
+    its first miss only. link_entities and extract_subgraph are looked up on
+    the kg module at each call, so wrappers installed there see them."""
 
     def __init__(self, kg: KnowledgeGraph | None,
                  queries_by_id: dict[str, Query], docs_by_id: dict[str, Document],
-                 cache: dict[tuple[str, str], QuerySubgraph] | None = None,
-                 max_nodes: int = DEFAULT_MAX_NODES):
+                 cache: dict[tuple[str, str], QuerySubgraph] | None = None):
         self.kg = kg
         self.queries_by_id = queries_by_id
         self.docs_by_id = docs_by_id
         self.cache = dict(cache) if cache else {}
-        self.max_nodes = max_nodes
+        self.query_seeds: dict[str, set[str]] = {}
+
+    def _seeds(self, text: str, source: str) -> set[str]:
+        return {m.node for m in kgm.link_entities(text, self.kg, source)}
 
     def get(self, qid: str, did: str) -> QuerySubgraph:
         key = (qid, did)
@@ -159,9 +165,11 @@ class SubgraphProvider:
         if sub is None:
             if self.kg is None:
                 raise UsageError(f"no cached subgraph for {key} and no KG to extract from")
-            sub = subgraph_for_pair(self.kg, self.queries_by_id[qid].text,
-                                    self.docs_by_id[did].text, self.max_nodes)
-            self.cache[key] = sub
+            v_q = self.query_seeds.get(qid)
+            if v_q is None:
+                v_q = self.query_seeds[qid] = self._seeds(self.queries_by_id[qid].text, "query")
+            v_d = self._seeds(self.docs_by_id[did].text, "document")
+            sub = self.cache[key] = kgm.extract_subgraph(self.kg, v_q, v_d)
         return sub
 
 
@@ -170,7 +178,6 @@ def train_model(cfg: ModelConfig, corpus: list[Document], queries: list[Query],
                 *, epochs: int = DEFAULT_EPOCHS, batch_size: int = DEFAULT_BATCH_SIZE,
                 seed: int = 42, lr: float = DEFAULT_LR,
                 negatives_per_positive: int = DEFAULT_NEGATIVES,
-                max_nodes: int = DEFAULT_MAX_NODES,
                 cache: dict[tuple[str, str], QuerySubgraph] | None = None,
                 ) -> tuple[RankerModel, list[EpochStats]]:
     """Train from scratch; deterministic given the seed (wall time aside)."""
@@ -183,7 +190,7 @@ def train_model(cfg: ModelConfig, corpus: list[Document], queries: list[Query],
     for ex in examples:
         if ex.query_id not in queries_by_id:
             raise ValidationError(f"qrels query {ex.query_id!r} missing from queries file")
-    provider = SubgraphProvider(kg, queries_by_id, docs_by_id, cache, max_nodes)
+    provider = SubgraphProvider(kg, queries_by_id, docs_by_id, cache)
     optimizer = Adam(model.params, lr=lr)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5f1e]))
     noise_rng = np.random.default_rng(np.random.SeedSequence([seed, 0xe95]))

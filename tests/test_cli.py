@@ -177,6 +177,10 @@ class TestErrorHandling:
         ("retrieve", "index.json", lambda text: json.dumps(
             {k: v for k, v in json.loads(text).items() if k != "postings"})),
         ("train", "train.json", lambda text: text[:len(text) // 2]),
+        ("train", "train.json", lambda text: json.dumps({**json.loads(text), "epoch": 5})),
+        ("train", "train.json", lambda text: json.dumps({**json.loads(text), "max_nodes": 10})),
+        ("train", "train.json", lambda text: json.dumps({**json.loads(text), "model": [16]})),
+        ("train", "train.json", lambda text: json.dumps({**json.loads(text), "corpus": 5})),
         ("rerank", "cache.jsonl", lambda text: "".join(text.splitlines(keepends=True)[1:])),
         ("retrieve", "index.json", lambda text: json.dumps(
             {**json.loads(text), "postings": {"x": [["ghost", 1]]}})),
@@ -189,7 +193,9 @@ class TestErrorHandling:
         ("eval", "task/qrels_test.txt", lambda text: "q1 0 d1 high\n" + text),
     ], ids=["unknown config key", "truncated checkpoint", "checkpoint of another d_z",
             "checkpoint of another d_proj", "truncated index", "index without postings",
-            "truncated training config", "partial subgraph cache without kg",
+            "truncated training config", "misspelt training config key",
+            "removed max_nodes training config key", "training config model not an object",
+            "training config path not a string", "partial subgraph cache without kg",
             "index posting of an unknown document", "cache edge past the node list",
             "negative cache edge", "cache provenance shorter than its nodes",
             "malformed run line", "malformed qrels line"])

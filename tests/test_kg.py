@@ -8,11 +8,11 @@ cases and the capping rules.
 import numpy as np
 import pytest
 
+from kgrank import selftest
 from kgrank.errors import ParseError, ValidationError
 from kgrank.kg import (INTERACTION_NODE, INTERACTION_RELATION, KnowledgeGraph,
                        QuerySubgraph, _node_key, extract_subgraph, init_node_embeddings,
-                       link_entities, load_kg, load_subgraph_cache, save_subgraph_cache,
-                       subgraph_for_pair)
+                       link_entities, load_kg, load_subgraph_cache, save_subgraph_cache)
 
 
 def random_kg(rng, max_nodes=50):
@@ -205,11 +205,17 @@ class TestExtractSubgraph:
         assert {(s, r, t) for s, r, t in sub.edges if r != INTERACTION_RELATION} == \
             {(1, "r", 4), (4, "r", 3)}
 
-    def test_subgraph_for_pair_links_and_extracts(self):
-        kg = KnowledgeGraph.from_triples([("a", "r", "w"), ("w", "r", "b")],
-                                         [("a", "aspirin"), ("b", "headache"), ("w", "cox")])
-        sub = subgraph_for_pair(kg, "does aspirin help", "chronic headache relief")
-        assert set(sub.node_ids) == {INTERACTION_NODE, "a", "b", "w"}
+
+class TestQuerySubgraph:
+    @pytest.mark.parametrize("edge", [(1, "rel_a", -1), (4, "rel_a", 1)])
+    def test_edge_outside_the_nodes_raises(self, edge):
+        sub = selftest.tiny_subgraph()
+        with pytest.raises(ValidationError, match="outside"):
+            QuerySubgraph(sub.node_ids, sub.provenance, sub.edges + [edge])
+
+    def test_provenance_of_another_length_raises(self):
+        with pytest.raises(ValidationError, match="provenance"):
+            QuerySubgraph([INTERACTION_NODE, "a"], ["interaction"], [])
 
 
 class TestNodeEmbeddings:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import kgrank.kg as kgm
 import kgrank.tensor as tz
 from conftest import tiny_config
 from kgrank import selftest
@@ -290,6 +291,58 @@ class TestBatchedStep:
             np.testing.assert_allclose(grad, mean, rtol=1e-10, atol=1e-15, err_msg=name)
 
 
+class TestSubgraphProvider:
+    """The provider is the only code that turns a pair into a subgraph."""
+
+    def test_links_each_query_once_and_extracts_from_both_texts(self, monkeypatch):
+        docs, queries, _, kg = tiny_task()
+        queries_by_id, docs_by_id = {q.id: q for q in queries}, {d.id: d for d in docs}
+        link = kgm.link_entities
+        sources = []
+
+        def counting_link(text, graph, source="document"):
+            sources.append(source)
+            return link(text, graph, source)
+
+        monkeypatch.setattr(kgm, "link_entities", counting_link)
+        cached = {("q3", d.id): empty_subgraph() for d in docs}  # q3 never misses
+        provider = SubgraphProvider(kg, queries_by_id, docs_by_id, cached)
+        pairs = [(q.id, d.id) for q in queries for d in docs]
+        for qid, did in pairs + pairs:  # the second pass only hits
+            provider.get(qid, did)
+        assert sources.count("query") == len(queries) - 1
+        assert sources.count("document") == len(pairs) - len(cached)
+        for qid, did in pairs:
+            if (qid, did) in cached:
+                assert provider.cache[(qid, did)] is cached[(qid, did)]
+                continue
+            v_q = {m.node for m in link(queries_by_id[qid].text, kg, "query")}
+            v_d = {m.node for m in link(docs_by_id[did].text, kg, "document")}
+            assert provider.cache[(qid, did)] == kgm.extract_subgraph(kg, v_q, v_d)
+        assert provider.cache[("q0", "d0_rel")].node_ids == [INTERACTION_NODE, "na0", "nb0",
+                                                             "nw0"]
+
+    def test_extracts_at_the_fixed_cap(self):
+        """Two query seeds share 12 bridges: the subgraph keeps DEFAULT_MAX_NODES."""
+        triples = [(s, "rel_a", f"w{i:02d}") for s in ("s0", "s1") for i in range(12)]
+        kg = KnowledgeGraph.from_triples(triples)
+        provider = SubgraphProvider(kg, {"q": Query("q", "s0 s1")}, {"d": Document("d", "")})
+        assert provider.get("q", "d").num_nodes == 1 + kgm.DEFAULT_MAX_NODES
+
+    def test_extraction_is_looked_up_on_the_kg_module(self, monkeypatch):
+        docs, queries, _, kg = tiny_task()
+        calls = []
+
+        def stub(graph, v_q, v_d, *args, **kwargs):
+            calls.append((v_q, v_d))
+            return empty_subgraph()
+
+        monkeypatch.setattr(kgm, "extract_subgraph", stub)
+        provider = SubgraphProvider(kg, {q.id: q for q in queries}, {d.id: d for d in docs})
+        assert provider.get("q1", "d1_rel") == empty_subgraph()
+        assert calls == [({"na1"}, {"nb1"})]
+
+
 class TestTrainModel:
     def _cfg(self, docs, kg, **overrides):
         from kgrank.model import build_vocab
@@ -322,9 +375,10 @@ class TestTrainModel:
         assert outs[0] != outs[1]
 
     def test_text_only_never_touches_the_graph(self):
+        """With no KG and an empty cache, any subgraph fetch would raise."""
         docs, queries, qrels, kg = tiny_task()
         cfg = self._cfg(docs, kg, text_only=True)
-        model, stats = train_model(cfg, docs, queries, qrels, kg, epochs=1,
+        model, stats = train_model(cfg, docs, queries, qrels, None, epochs=1,
                                    batch_size=4, seed=3, negatives_per_positive=1,
                                    cache={})
         assert len(stats) == 1
