@@ -13,18 +13,19 @@ the view compute equal arrays, and either one may be kept.
 
 from __future__ import annotations
 
-import json
+import itertools
 import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .fileio import atomic_write, load_json, read_jsonl
+from .fileio import atomic_write, load_arrays, read_jsonl, save_arrays
 
 BM25_K1 = 1.2
 BM25_B = 0.75
@@ -104,31 +105,51 @@ def build_index(corpus: list[Document]) -> InvertedIndex:
                          avg_doc_length=avg, num_docs=num_docs)
 
 
+class _FlatPostings(NamedTuple):
+    """The postings as arrays, documents and terms in sorted order."""
+
+    doc_ids: list[str]
+    lengths: np.ndarray  # int64 token count of each document in doc_ids
+    terms: list[str]
+    sizes: list[int]  # postings per term, in terms order
+    docs: np.ndarray  # intp position in doc_ids of each posting, term by term
+    tfs: np.ndarray  # int64 tf of each posting
+
+
+def _flatten(index: InvertedIndex) -> _FlatPostings:
+    """One pass over the postings, shared by the impact view and save_index."""
+    doc_ids = sorted(index.doc_lengths)
+    position = {did: i for i, did in enumerate(doc_ids)}
+    terms = sorted(index.postings)
+    plists = [index.postings[term] for term in terms]
+    sizes = [len(plist) for plist in plists]
+    flat = list(itertools.chain.from_iterable(plists))
+    docs = np.fromiter(map(position.__getitem__, map(itemgetter(0), flat)),
+                       dtype=np.intp, count=len(flat))
+    tfs = np.fromiter(map(itemgetter(1), flat), dtype=np.int64, count=len(flat))
+    lengths = np.fromiter(map(index.doc_lengths.__getitem__, doc_ids), dtype=np.int64,
+                          count=len(doc_ids))
+    return _FlatPostings(doc_ids, lengths, terms, sizes, docs, tfs)
+
+
 def _impact_view(index: InvertedIndex) -> ImpactView:
     """Every posting's impact in one vectorised pass: BM25 (Robertson &
     Zaragoza, 2009) with k1=1.2, b=0.75 and the smoothed non-negative idf
     ln(1 + (N - df + 0.5) / (df + 0.5)), df being the posting-list length.
     The operations follow oracles.bm25_direct in its order, so each impact is
     bit-equal to that oracle's term for the posting."""
-    doc_ids = sorted(index.doc_lengths)
-    position = {did: i for i, did in enumerate(doc_ids)}
-    lengths = np.array([index.doc_lengths[did] for did in doc_ids], dtype=np.float64)
+    flat = _flatten(index)
+    lengths = flat.lengths.astype(np.float64)
     norms = BM25_K1 * (1.0 - BM25_B + BM25_B * lengths / index.avg_doc_length) \
-        if index.avg_doc_length > 0 else np.full(len(doc_ids), BM25_K1)
-    plists = list(index.postings.values())
-    sizes = [len(plist) for plist in plists]
-    total = sum(sizes)
-    docs = np.fromiter((position[did] for plist in plists for did, _ in plist),
-                       dtype=np.intp, count=total)
-    tfs = np.fromiter((tf for plist in plists for _, tf in plist),
-                      dtype=np.float64, count=total)
+        if index.avg_doc_length > 0 else np.full(len(flat.doc_ids), BM25_K1)
+    docs, tfs = flat.docs, flat.tfs.astype(np.float64)
     idfs = np.repeat([math.log(1.0 + (index.num_docs - df + 0.5) / (df + 0.5))
-                      for df in sizes], sizes)
+                      for df in flat.sizes], flat.sizes)
     impacts = idfs * tfs * (BM25_K1 + 1.0) / (tfs + norms[docs])
     docs.flags.writeable = impacts.flags.writeable = False
-    ends = np.cumsum(sizes)
-    return ImpactView(doc_ids, {term: (docs[end - size:end], impacts[end - size:end])
-                                for term, size, end in zip(index.postings, sizes, ends)})
+    ends = np.cumsum(flat.sizes)
+    return ImpactView(flat.doc_ids, {term: (docs[end - size:end], impacts[end - size:end])
+                                     for term, size, end in zip(flat.terms, flat.sizes, ends)})
 
 
 def retrieve_topk(index: InvertedIndex, query: Query, k: int = 100) -> list[tuple[str, float]]:
@@ -215,37 +236,91 @@ def save_qrels(path: str | Path, qrels: dict[tuple[str, str], int]) -> None:
     atomic_write(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
+# An index file is an .npz archive (fileio.save_arrays) of these arrays. Doc
+# ids and terms, each list sorted, are stored as their UTF-8 bytes joined,
+# with the end offset of each; the postings of terms[i] are entries
+# offsets[i]:offsets[i + 1] of docs (positions in the doc ids) and tfs.
+INDEX_LAYOUT = {"doc_ids": (np.uint8, 1), "doc_id_ends": (np.int64, 1),
+                "doc_lengths": (np.int64, 1), "terms": (np.uint8, 1),
+                "term_ends": (np.int64, 1), "offsets": (np.int64, 1),
+                "docs": (np.int32, 1), "tfs": (np.int32, 1),
+                "num_docs": (np.int64, 0), "avg_doc_length": (np.float64, 0)}
+
+
+def _pack(strings: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    encoded = [s.encode("utf-8") for s in strings]
+    return (np.frombuffer(b"".join(encoded), dtype=np.uint8),
+            np.cumsum([len(b) for b in encoded], dtype=np.int64))
+
+
+def _unpack(path: str | Path, what: str, blob: np.ndarray, ends: np.ndarray) -> list[str]:
+    """The strings _pack stored; they must be strictly ascending."""
+    if len(ends) and (ends[0] < 0 or np.any(np.diff(ends) < 0) or ends[-1] != len(blob)) \
+            or not len(ends) and len(blob):
+        raise ParseError(f"{path}: index {what} offsets do not span their bytes")
+    data = blob.tobytes()
+    bounds = [0, *ends.tolist()]
+    try:
+        strings = [data[lo:hi].decode("utf-8") for lo, hi in zip(bounds, bounds[1:])]
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: index {what} are not UTF-8 ({exc})") from exc
+    if any(a >= b for a, b in zip(strings, strings[1:])):
+        raise ParseError(f"{path}: index {what} are not strictly ascending")
+    return strings
+
+
 def save_index(path: str | Path, index: InvertedIndex) -> None:
-    payload = {
-        "format_version": 1,
-        "num_docs": index.num_docs,
-        "avg_doc_length": index.avg_doc_length,
-        "doc_lengths": index.doc_lengths,
-        "postings": {term: [[did, tf] for did, tf in plist]
-                     for term, plist in index.postings.items()},
-    }
-    atomic_write(path, json.dumps(payload, sort_keys=True, ensure_ascii=False))
+    flat = _flatten(index)
+    doc_ids, doc_id_ends = _pack(flat.doc_ids)
+    terms, term_ends = _pack(flat.terms)
+    save_arrays(path, {
+        "doc_ids": doc_ids, "doc_id_ends": doc_id_ends, "doc_lengths": flat.lengths,
+        "terms": terms, "term_ends": term_ends,
+        "offsets": np.cumsum([0, *flat.sizes], dtype=np.int64),
+        "docs": flat.docs.astype(np.int32), "tfs": flat.tfs.astype(np.int32),
+        "num_docs": np.array(index.num_docs, dtype=np.int64),
+        "avg_doc_length": np.array(index.avg_doc_length, dtype=np.float64)})
+
+
+def _index_fault(n: int, lengths: np.ndarray, num_docs: int, avg: float, n_terms: int,
+                 offsets: np.ndarray, docs: np.ndarray, tfs: np.ndarray) -> str | None:
+    """What makes the arrays of an index file inconsistent, or None."""
+    if len(lengths) != n or num_docs != n:
+        return f"{n} doc ids, {len(lengths)} doc_lengths and num_docs {num_docs} disagree"
+    if len(offsets) != n_terms + 1 or offsets[0] != 0 or offsets[-1] != len(docs) \
+            or len(tfs) != len(docs):
+        return "term offsets do not span the postings"
+    if np.any(np.diff(offsets) <= 0):
+        return "term offsets are not strictly increasing"
+    if len(docs) and (docs.min() < 0 or docs.max() >= n):
+        return f"a posting names a document position outside 0..{n - 1}"
+    ascending = np.diff(docs) > 0
+    ascending[offsets[1:-1] - 1] = True  # a term's first posting follows another term's
+    if not ascending.all():
+        return "the documents of a term are not in ascending order"
+    if len(tfs) and tfs.min() < 1:
+        return "a posting has tf < 1"
+    if not np.array_equal(np.bincount(docs, weights=tfs, minlength=n), lengths):
+        return "the tfs of a document do not sum to its doc_length"
+    if avg != (int(lengths.sum()) / n if n else 0.0):
+        return f"avg_doc_length {avg} is not the mean doc_length"
+    return None
 
 
 def load_index(path: str | Path) -> InvertedIndex:
     """Read a saved index; a malformed file raises a ParseError naming it."""
-    payload = load_json(path, "index")
-    if not isinstance(payload, dict) or payload.get("format_version") != 1:
-        raise ParseError(f"{path}: unsupported index format_version")
-    try:
-        postings = {term: [(did, int(tf)) for did, tf in plist]
-                    for term, plist in payload["postings"].items()}
-        index = InvertedIndex(postings=postings,
-                              doc_lengths={k: int(v) for k, v in payload["doc_lengths"].items()},
-                              avg_doc_length=float(payload["avg_doc_length"]),
-                              num_docs=int(payload["num_docs"]))
-    except KeyError as exc:
-        raise ParseError(f"{path}: index has no {exc.args[0]!r} field") from exc
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: malformed index ({exc})") from exc
-    unknown = next(((term, did) for term, plist in postings.items() for did, _ in plist
-                    if did not in index.doc_lengths), None)
-    if unknown is not None:
-        raise ParseError(f"{path}: postings of {unknown[0]!r} name document {unknown[1]!r}, "
-                         f"which is not in doc_lengths")
-    return index
+    arrays = load_arrays(path, "index", "kgrank index", INDEX_LAYOUT)
+    doc_ids = _unpack(path, "doc ids", arrays["doc_ids"], arrays["doc_id_ends"])
+    terms = _unpack(path, "terms", arrays["terms"], arrays["term_ends"])
+    lengths, offsets, docs, tfs = (arrays[name] for name in ("doc_lengths", "offsets",
+                                                             "docs", "tfs"))
+    num_docs, avg = int(arrays["num_docs"]), float(arrays["avg_doc_length"])
+    fault = _index_fault(len(doc_ids), lengths, num_docs, avg, len(terms), offsets, docs, tfs)
+    if fault is not None:
+        raise ParseError(f"{path}: {fault}")
+    entries = list(zip(np.array(doc_ids, dtype=object)[docs].tolist(), tfs.tolist()))
+    bounds = offsets.tolist()
+    return InvertedIndex(
+        postings={term: entries[lo:hi] for term, lo, hi in zip(terms, bounds, bounds[1:])},
+        doc_lengths=dict(zip(doc_ids, lengths.tolist())), avg_doc_length=avg,
+        num_docs=num_docs)

@@ -24,7 +24,6 @@ raise at the producing operation of a recorded op.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from collections.abc import Callable, Sequence
 from pathlib import Path
@@ -32,6 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ComputationError, ParseError, ShapeError, UsageError
+from .fileio import load_arrays, save_arrays
 
 LAYER_NORM_EPS = 1e-5
 
@@ -525,33 +525,21 @@ def finite_diff_check(f: Callable[[], Tensor], params: dict[str, Tensor],
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints: flat, versioned JSON maps, byte-stable across identical runs.
+# Checkpoints: .npz archives of one float64 array per parameter, in sorted
+# name order, byte-stable across identical runs.
 
 def save_checkpoint(path: str | Path, params: dict[str, Tensor]) -> None:
-    payload = {
-        "format_version": 1,
-        "params": {name: {"shape": list(p.shape), "values": p.data.reshape(-1).tolist()}
-                   for name, p in sorted(params.items())},
-    }
-    from .fileio import atomic_write
-    atomic_write(path, json.dumps(payload, sort_keys=True, separators=(",", ":")))
+    save_arrays(path, {name: p.data for name, p in sorted(params.items())})
 
 
 def load_checkpoint(path: str | Path) -> dict[str, Tensor]:
     """Read a checkpoint; a malformed file raises a ParseError naming it.
     Names and shapes are checked against a config by RankerModel."""
-    from .fileio import load_json
-    payload = load_json(path, "checkpoint")
-    if not isinstance(payload, dict) or payload.get("format_version") != 1:
-        raise ParseError(f"{path}: unsupported checkpoint format_version")
-    entries = payload.get("params")
-    if not isinstance(entries, dict):
-        raise ParseError(f"{path}: checkpoint has no 'params' object")
     params = {}
-    for name, entry in entries.items():
-        try:
-            arr = np.asarray(entry["values"], dtype=np.float64).reshape(entry["shape"])
-            params[name] = Tensor(arr, requires_grad=True)
-        except (KeyError, TypeError, ValueError, ComputationError) as exc:
-            raise ParseError(f"{path}: malformed parameter {name!r} ({exc})") from exc
+    for name, arr in load_arrays(path, "checkpoint", "kgrank train").items():
+        if not isinstance(arr, np.ndarray) or arr.dtype != np.float64:
+            raise ParseError(f"{path}: parameter {name!r} is not a float64 array")
+        if not np.all(np.isfinite(arr)):
+            raise ParseError(f"{path}: parameter {name!r} has non-finite values")
+        params[name] = Tensor(arr, requires_grad=True)
     return params

@@ -5,10 +5,13 @@ exit codes, idempotence, and the candidate-set contract; runs `kgrank
 selftest` clean and with a planted fault; and resolves the public names.
 """
 
+import io
 import json
 import os
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import kgrank
@@ -16,6 +19,7 @@ from kgrank import evaluation as ev
 from kgrank import selftest
 from kgrank.cli import main
 from kgrank.evaluation import load_run
+from kgrank.fileio import save_arrays
 from kgrank.kg import INTERACTION_RELATION
 
 GEN_ARGS = ["--num-queries", "10", "--corpus-size", "200", "--kg-nodes", "120",
@@ -30,6 +34,37 @@ def with_first_cache_record(change):
         change(record)
         return json.dumps(record) + "\n" + "".join(rest)
     return corrupt
+
+
+ARCHIVES = ("index.json", "ckpt.json")  # .npz archives, corrupted as bytes
+
+
+def with_arrays(change):
+    """An index or checkpoint corruption: change(arrays) edits the arrays of
+    the archive in place, and the result is saved as a valid archive."""
+    def corrupt(data: bytes) -> bytes:
+        with np.load(io.BytesIO(data), allow_pickle=False) as npz:
+            arrays = {name: npz[name] for name in npz.files if name != "format_version"}
+        change(arrays)
+        with tempfile.TemporaryDirectory() as tmp:
+            save_arrays(Path(tmp) / "archive", arrays)
+            return (Path(tmp) / "archive").read_bytes()
+    return corrupt
+
+
+def swap_first_docs_of_a_term(arrays):
+    offsets, docs = arrays["offsets"], arrays["docs"]
+    lo = int(offsets[:-1][np.diff(offsets) >= 2][0])
+    docs[lo], docs[lo + 1] = docs[lo + 1], docs[lo]
+
+
+def nan_first_parameter(arrays):
+    arrays[min(arrays)].reshape(-1)[0] = np.nan
+
+
+FORMAT_1_INDEX = json.dumps({"format_version": 1, "num_docs": 0, "avg_doc_length": 0.0,
+                             "doc_lengths": {}, "postings": {}})
+FORMAT_1_CHECKPOINT = json.dumps({"format_version": 1, "params": {}})
 
 
 TRAIN_CONFIG = {
@@ -170,20 +205,19 @@ class TestErrorHandling:
 
     @pytest.mark.parametrize("command,name,corrupt", [
         ("rerank", "model.json", lambda text: json.dumps({**json.loads(text), "dropout": 0.1})),
-        ("rerank", "ckpt.json", lambda text: text[:len(text) // 2]),
+        ("rerank", "ckpt.json", lambda data: data[:len(data) // 2]),
         ("rerank", "model.json", lambda text: json.dumps({**json.loads(text), "d_z": 8})),
         ("rerank", "model.json", lambda text: json.dumps({**json.loads(text), "d_proj": 12})),
-        ("retrieve", "index.json", lambda text: text[:len(text) // 2]),
-        ("retrieve", "index.json", lambda text: json.dumps(
-            {k: v for k, v in json.loads(text).items() if k != "postings"})),
+        ("retrieve", "index.json", lambda data: data[:len(data) // 2]),
+        ("retrieve", "index.json", with_arrays(lambda a: a.pop("docs"))),
         ("train", "train.json", lambda text: text[:len(text) // 2]),
         ("train", "train.json", lambda text: json.dumps({**json.loads(text), "epoch": 5})),
         ("train", "train.json", lambda text: json.dumps({**json.loads(text), "max_nodes": 10})),
         ("train", "train.json", lambda text: json.dumps({**json.loads(text), "model": [16]})),
         ("train", "train.json", lambda text: json.dumps({**json.loads(text), "corpus": 5})),
         ("rerank", "cache.jsonl", lambda text: "".join(text.splitlines(keepends=True)[1:])),
-        ("retrieve", "index.json", lambda text: json.dumps(
-            {**json.loads(text), "postings": {"x": [["ghost", 1]]}})),
+        ("retrieve", "index.json", with_arrays(
+            lambda a: a["docs"].__setitem__(0, len(a["doc_lengths"])))),
         ("rerank", "cache.jsonl", with_first_cache_record(
             lambda r: r["edges"].append([0, INTERACTION_RELATION, len(r["nodes"])]))),
         ("rerank", "cache.jsonl", with_first_cache_record(
@@ -191,6 +225,16 @@ class TestErrorHandling:
         ("rerank", "cache.jsonl", with_first_cache_record(lambda r: r["provenance"].pop())),
         ("rerank", "run_bm25.txt", lambda text: "q1 Q0 d1\n" + text),
         ("eval", "task/qrels_test.txt", lambda text: "q1 0 d1 high\n" + text),
+        ("retrieve", "index.json", with_arrays(
+            lambda a: a["offsets"].__setitem__(1, a["offsets"][2] + 1))),
+        ("retrieve", "index.json", with_arrays(swap_first_docs_of_a_term)),
+        ("retrieve", "index.json", with_arrays(
+            lambda a: a.__setitem__("tfs", a["tfs"].astype(np.float64)))),
+        ("retrieve", "index.json", with_arrays(
+            lambda a: a["doc_lengths"].__setitem__(0, a["doc_lengths"][0] + 1))),
+        ("retrieve", "index.json", lambda data: FORMAT_1_INDEX.encode()),
+        ("rerank", "ckpt.json", lambda data: FORMAT_1_CHECKPOINT.encode()),
+        ("rerank", "ckpt.json", with_arrays(nan_first_parameter)),
     ], ids=["unknown config key", "truncated checkpoint", "checkpoint of another d_z",
             "checkpoint of another d_proj", "truncated index", "index without postings",
             "truncated training config", "misspelt training config key",
@@ -198,18 +242,23 @@ class TestErrorHandling:
             "training config path not a string", "partial subgraph cache without kg",
             "index posting of an unknown document", "cache edge past the node list",
             "negative cache edge", "cache provenance shorter than its nodes",
-            "malformed run line", "malformed qrels line"])
+            "malformed run line", "malformed qrels line", "non-monotone index term offsets",
+            "index documents not ascending within a term", "index tfs of float dtype",
+            "index tf sums unequal to doc_lengths", "format-1 JSON index",
+            "format-1 JSON checkpoint", "NaN checkpoint parameter"])
     def test_bad_json_artifact_exits_2(self, pipeline_dir, tmp_path, capsys,
                                        command, name, corrupt):
         """A malformed model config, checkpoint, index, training config,
         subgraph cache, run or qrels file, a checkpoint that does not fit its
         config, or a subgraph cache that lacks a run pair when no KG is given,
-        exits 2 naming the file."""
+        exits 2 naming the file. Index and checkpoint archives are corrupted
+        as bytes, every other file as text."""
         files = {f: str(pipeline_dir / f)
                  for f in ("model.json", "ckpt.json", "index.json", "train.json", "cache.jsonl",
                            "run_bm25.txt", "task/qrels_test.txt")}
         bad = tmp_path / Path(name).name
-        bad.write_text(corrupt((pipeline_dir / name).read_text()))
+        data = (pipeline_dir / name).read_bytes()
+        bad.write_bytes(corrupt(data) if name in ARCHIVES else corrupt(data.decode()).encode())
         files[name] = str(bad)
         queries, out = str(pipeline_dir / "task/queries.jsonl"), str(tmp_path / "out.txt")
         argv = {"rerank": ["rerank", "--checkpoint", files["ckpt.json"],

@@ -103,10 +103,13 @@ class TestBuildIndex:
             for did, _ in plist:
                 assert did in index.doc_lengths
 
-    def test_rebuild_is_bit_identical(self, tmp_path):
+    def test_rebuild_is_bit_identical(self, tmp_path, set_clock):
+        """Saves an hour apart give equal bytes: no member carries the clock."""
         index1 = build_index(FIXTURE_DOCS)
         index2 = build_index(FIXTURE_DOCS)
+        set_clock(1_700_000_000.0)
         save_index(tmp_path / "a.json", index1)
+        set_clock(1_700_003_600.0)
         save_index(tmp_path / "b.json", index2)
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
         assert load_index(tmp_path / "a.json").postings == index1.postings
@@ -283,3 +286,24 @@ class TestFileFormats:
         for term, (docs, impacts) in index.impacts().terms.items():
             assert np.array_equal(loaded.impacts().terms[term][0], docs)
             assert np.array_equal(loaded.impacts().terms[term][1], impacts)
+
+    @pytest.mark.parametrize("docs", [
+        [Document("dé-漢", "alpha beta"), Document("d\x00", "beta"), Document("d", "beta gamma"),
+         Document("blank", "!! ..")],
+        [],
+    ], ids=["non-ascii, NUL-ended and term-free documents", "empty corpus"])
+    def test_index_roundtrip_keeps_exact_ids(self, tmp_path, docs):
+        """Doc ids are stored as UTF-8 bytes: a fixed-width numpy string
+        array would drop the trailing NUL of "d\x00" and merge it with "d"."""
+        index = build_index(docs)
+        save_index(tmp_path / "index.json", index)
+        loaded = load_index(tmp_path / "index.json")
+        assert loaded.postings == index.postings
+        assert loaded.doc_lengths == index.doc_lengths
+        assert loaded.num_docs == index.num_docs
+        assert loaded.avg_doc_length == index.avg_doc_length
+
+    def test_format_1_json_index_asks_for_a_rebuild(self, tmp_path):
+        (tmp_path / "old.json").write_text('{"format_version": 1, "postings": {}}')
+        with pytest.raises(ParseError, match="format-1 JSON.*rebuild it"):
+            load_index(tmp_path / "old.json")

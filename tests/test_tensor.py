@@ -199,14 +199,23 @@ class TestCheckpoints:
             np.testing.assert_array_equal(loaded[name].data, params[name].data)
             assert loaded[name].requires_grad
 
-    def test_byte_stable(self, tmp_path):
+    def test_byte_stable(self, tmp_path, set_clock):
+        """Saves an hour apart give equal bytes: no member carries the clock."""
         rng = np.random.default_rng(14)
         params = {"w": leaf(rng, (4, 4))}
+        set_clock(1_700_000_000.0)
         save_checkpoint(tmp_path / "a.json", params)
+        set_clock(1_700_003_600.0)
         save_checkpoint(tmp_path / "b.json", params)
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     def test_version_checked(self, tmp_path):
-        (tmp_path / "bad.json").write_text('{"format_version": 99, "params": {}}')
-        with pytest.raises(ParseError):
+        with open(tmp_path / "bad.json", "wb") as fh:
+            np.savez(fh, format_version=np.array(99), w=np.zeros(2))
+        with pytest.raises(ParseError, match="format_version"):
             load_checkpoint(tmp_path / "bad.json")
+
+    def test_format_1_json_asks_for_a_rebuild(self, tmp_path):
+        (tmp_path / "old.json").write_text('{"format_version": 1, "params": {}}')
+        with pytest.raises(ParseError, match="format-1 JSON.*rebuild it"):
+            load_checkpoint(tmp_path / "old.json")
