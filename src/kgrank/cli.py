@@ -127,7 +127,8 @@ def cmd_train(args) -> int:
     queries = cx.load_queries(_require(cfg["queries"], "queries"))
     qrels = cx.load_qrels(_require(cfg["qrels"], "qrels"))
     kg = _load_kg(cfg["kg"], cfg.get("lexicon"))
-    cache = load_subgraph_cache(cfg["subgraph_cache"]) if cfg.get("subgraph_cache") else None
+    cache = (load_subgraph_cache(_require(cfg["subgraph_cache"], "subgraph cache"))
+             if cfg.get("subgraph_cache") else None)
 
     # vocab and relations are derived from the corpus and the KG
     overrides = {k: v for k, v in cfg.get("model", {}).items() if k not in ("vocab", "relations")}

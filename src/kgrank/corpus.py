@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .fileio import atomic_write, load_arrays, read_jsonl, save_arrays
+from .fileio import atomic_write, load_arrays, read_jsonl, read_lines, save_arrays
 
 BM25_K1 = 1.2
 BM25_B = 0.75
@@ -186,7 +186,7 @@ def retrieve_topk(index: InvertedIndex, query: Query, k: int = 100) -> list[tupl
 
 def load_documents(path: str | Path) -> list[Document]:
     docs = []
-    for lineno, obj in read_jsonl(path):
+    for lineno, obj in read_jsonl(path, "corpus"):
         if "id" not in obj or "text" not in obj:
             raise ParseError(f"{path}:{lineno}: missing 'id' or 'text' field")
         if not obj["id"]:
@@ -198,7 +198,7 @@ def load_documents(path: str | Path) -> list[Document]:
 def load_queries(path: str | Path) -> list[Query]:
     queries = []
     seen: set[str] = set()
-    for lineno, obj in read_jsonl(path):
+    for lineno, obj in read_jsonl(path, "queries"):
         if "id" not in obj or "text" not in obj:
             raise ParseError(f"{path}:{lineno}: missing 'id' or 'text' field")
         qid = str(obj["id"])
@@ -212,22 +212,18 @@ def load_queries(path: str | Path) -> list[Query]:
 def load_qrels(path: str | Path) -> dict[tuple[str, str], int]:
     """TREC qrels: 'qid 0 docid grade' per line, '#' comments ignored."""
     qrels: dict[tuple[str, str], int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise ParseError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
-            qid, _, did, grade_s = parts
-            try:
-                grade = int(grade_s)
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: non-integer grade {grade_s!r}") from exc
-            if grade < 0:
-                raise ParseError(f"{path}:{lineno}: negative grade {grade}")
-            qrels[(qid, did)] = grade
+    for lineno, line in read_lines(path, "qrels", comments=True):
+        parts = line.split()
+        if len(parts) != 4:
+            raise ParseError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
+        qid, _, did, grade_s = parts
+        try:
+            grade = int(grade_s)
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: non-integer grade {grade_s!r}") from exc
+        if grade < 0:
+            raise ParseError(f"{path}:{lineno}: negative grade {grade}")
+        qrels[(qid, did)] = grade
     return qrels
 
 

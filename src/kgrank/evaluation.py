@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from .errors import ParseError, ValidationError
-from .fileio import atomic_write
+from .fileio import atomic_write, read_lines
 
 Ranking = list[tuple[str, float]]
 Qrels = dict[tuple[str, str], int]
@@ -125,20 +125,16 @@ def save_run(path: str | Path, run: dict[str, Ranking], tag: str = "kgrank") -> 
 
 def load_run(path: str | Path) -> dict[str, Ranking]:
     run: dict[str, Ranking] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 6:
-                raise ParseError(f"{path}:{lineno}: expected 6 fields, got {len(parts)}")
-            qid, _, did, _, score_s, _ = parts
-            try:
-                score = float(score_s)
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: non-numeric score {score_s!r}") from exc
-            run.setdefault(qid, []).append((did, score))
+    for lineno, line in read_lines(path, "run", comments=True):
+        parts = line.split()
+        if len(parts) != 6:
+            raise ParseError(f"{path}:{lineno}: expected 6 fields, got {len(parts)}")
+        qid, _, did, _, score_s, _ = parts
+        try:
+            score = float(score_s)
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: non-numeric score {score_s!r}") from exc
+        run.setdefault(qid, []).append((did, score))
     for qid, ranking in run.items():
         ranking.sort(key=lambda item: (-item[1], item[0]))
         seen: set[str] = set()

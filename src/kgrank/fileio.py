@@ -1,5 +1,5 @@
-"""Small file helpers: atomic writes, JSON and JSON-lines parsing, and
-array archives.
+"""Small file helpers: atomic writes, the one text-line reader, JSON and
+JSON-lines parsing, and array archives.
 
 Every artifact the pipeline emits goes through atomic_write so that rerunning
 a stage either replaces the file completely or leaves the old one intact.
@@ -10,14 +10,14 @@ from __future__ import annotations
 import io
 import json
 import os
-import tempfile
+import secrets
 import zipfile
 from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import InputError, ParseError
 
 # The format of every array archive (index and checkpoint files). Format 1
 # was a JSON document; it is not read any more.
@@ -28,10 +28,17 @@ _ARCHIVE_DATE = (1980, 1, 1, 0, 0, 0)
 
 def atomic_write(path: str | Path, data: str | bytes) -> None:
     """Write text (as UTF-8) or bytes to path via a temp file + rename in the
-    same directory."""
+    same directory. The file gets mode 0666 less the umask, as open() gives.
+    A path that names a directory, or lies under a file, raises an InputError."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    if path.is_dir():
+        raise InputError(f"cannot write {path}: it is a directory")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise InputError(f"cannot write {path}: {path.parent} is not a directory") from exc
+    tmp = path.parent / f"{path.name}.{secrets.token_hex(4)}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data.encode("utf-8") if isinstance(data, str) else data)
@@ -42,32 +49,43 @@ def atomic_write(path: str | Path, data: str | bytes) -> None:
         raise
 
 
-def load_json(path: str | Path, kind: str) -> object:
-    """Parse a whole-file JSON artifact; malformed JSON raises a ParseError
-    naming the file and the line where the parser stopped."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}:{exc.lineno}: malformed {kind} JSON ({exc.msg})") from exc
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{path}: {kind} is not UTF-8 text") from exc
-
-
-def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
-    """Yield (line_number, object) for each non-empty line of a JSON-lines file."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+def _decoded_lines(path: str | Path, kind: str) -> Iterator[str]:
+    """Each line of a text file without its line end, decoded as UTF-8, or a
+    ParseError naming the file and line. Lines end at \\n, \\r\\n or a lone \\r,
+    as in text-mode open; str.splitlines would also split at U+2028 and such."""
+    with open(path, "rb") as fh:  # a binary read ends at \n, so \r\n stays in one
+        for lineno, raw in enumerate((raw for chunk in fh for raw in chunk.splitlines()), 1):
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(obj, dict):
-                raise ParseError(f"{path}:{lineno}: expected a JSON object")
-            yield lineno, obj
+                yield raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"{path}:{lineno}: {kind} is not UTF-8 ({exc.reason})") from exc
+
+
+def read_lines(path: str | Path, kind: str, comments: bool) -> Iterator[tuple[int, str]]:
+    """(line number, line) of each line not blank and, if comments, not a '#'
+    comment; its ends keep their whitespace, as a TSV field there may be empty."""
+    return ((lineno, line) for lineno, line in enumerate(_decoded_lines(path, kind), start=1)
+            if line.strip() and not (comments and line.lstrip().startswith("#")))
+
+
+def load_json(path: str | Path, kind: str) -> object:
+    """Parse a whole-file JSON artifact; errors name the file and the line."""
+    try:
+        return json.loads("\n".join(_decoded_lines(path, kind)))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}:{exc.lineno}: malformed {kind} JSON ({exc.msg})") from exc
+
+
+def read_jsonl(path: str | Path, kind: str) -> Iterator[tuple[int, dict]]:
+    """Yield (line_number, object) for each non-blank line of a JSON-lines file."""
+    for lineno, line in read_lines(path, kind, comments=False):
+        try:
+            obj = json.loads(line.strip())
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
+        if not isinstance(obj, dict):
+            raise ParseError(f"{path}:{lineno}: expected a JSON object")
+        yield lineno, obj
 
 
 def dump_json(obj: object) -> str:

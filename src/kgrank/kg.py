@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .fileio import atomic_write, dump_json, read_jsonl
+from .fileio import atomic_write, dump_json, read_jsonl, read_lines
 
 INTERACTION_RELATION = "<int>"
 INTERACTION_NODE = "<interaction>"
@@ -119,25 +119,21 @@ class QuerySubgraph:
         return len(self.node_ids)
 
 
-def _tsv_rows(path: str | Path, width: int,
+def _tsv_rows(path: str | Path, kind: str, width: int,
               expected: str) -> Iterator[tuple[int, list[str]]]:
     """(line number, stripped fields) of each line neither blank nor a # comment."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != width or not all(p.strip() for p in parts):
-                raise ParseError(f"{path}:{lineno}: expected {expected!r}")
-            yield lineno, [p.strip() for p in parts]
+    for lineno, line in read_lines(path, kind, comments=True):
+        parts = line.split("\t")
+        if len(parts) != width or not all(p.strip() for p in parts):
+            raise ParseError(f"{path}:{lineno}: expected {expected!r}")
+        yield lineno, [p.strip() for p in parts]
 
 
 def load_kg(path: str | Path, lexicon_path: str | Path | None = None) -> KnowledgeGraph:
     """Load 'head<TAB>relation<TAB>tail' triples, deduplicated and canonically
     sorted, and the optional 'node_id<TAB>surface name' lexicon in file order."""
     triples: list[tuple[str, str, str]] = []
-    for lineno, (head, rel, tail) in _tsv_rows(path, 3, "head<TAB>relation<TAB>tail"):
+    for lineno, (head, rel, tail) in _tsv_rows(path, "KG", 3, "head<TAB>relation<TAB>tail"):
         if rel in (INTERACTION_RELATION, SELF_RELATION):
             raise ParseError(f"{path}:{lineno}: relation {rel!r} is reserved")
         if INTERACTION_NODE in (head, tail):
@@ -145,7 +141,7 @@ def load_kg(path: str | Path, lexicon_path: str | Path | None = None) -> Knowled
         triples.append((head, rel, tail))
     lexicon = [] if lexicon_path is None else [
         (node, surface) for _, (node, surface)
-        in _tsv_rows(lexicon_path, 2, "node_id<TAB>surface name")]
+        in _tsv_rows(lexicon_path, "lexicon", 2, "node_id<TAB>surface name")]
     return KnowledgeGraph.from_triples(triples, lexicon)
 
 
@@ -301,7 +297,7 @@ def save_subgraph_cache(path: str | Path,
 
 def load_subgraph_cache(path: str | Path) -> dict[tuple[str, str], QuerySubgraph]:
     cache: dict[tuple[str, str], QuerySubgraph] = {}
-    for lineno, obj in read_jsonl(path):
+    for lineno, obj in read_jsonl(path, "subgraph cache"):
         try:
             sub = QuerySubgraph(
                 node_ids=list(obj["nodes"]),

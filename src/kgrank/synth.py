@@ -237,7 +237,6 @@ def _check_and_annotate(task: SyntheticTask, seed: int, knobs: TaskKnobs) -> Non
 def write_task(task: SyntheticTask, out_dir: str | Path) -> None:
     """Emit the task directory in the pipeline's file formats."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     def jsonl(records) -> str:
         return "".join(json.dumps({"id": r.id, "text": r.text}) + "\n" for r in records)

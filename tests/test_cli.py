@@ -1,14 +1,17 @@
 """End-to-end CLI tests over a small generated task.
 
 Runs every subcommand in pipeline order inside a temp directory, then checks
-exit codes, idempotence, and the candidate-set contract; runs `kgrank
-selftest` clean and with a planted fault; and resolves the public names.
+exit codes, idempotence, and the candidate-set contract; sends corrupted and
+seeded random mutations of every input through the commands that read them;
+runs `kgrank selftest` over stand-in checks and with a planted fault; and
+resolves the public names.
 """
 
 import io
 import json
 import os
 import tempfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +40,17 @@ def with_first_cache_record(change):
 
 
 ARCHIVES = ("index.json", "ckpt.json")  # .npz archives, corrupted as bytes
+
+
+def latin1_on_line(lineno):
+    """A byte corruption: Latin-1 "caf\xe9", which is not UTF-8, starts line
+    lineno, and the error must name that line."""
+    def corrupt(data: bytes) -> bytes:
+        lines = data.splitlines(keepends=True)
+        lines[lineno - 1] = b"caf\xe9" + lines[lineno - 1]
+        return b"".join(lines)
+    corrupt.lineno = lineno
+    return corrupt
 
 
 def with_arrays(change):
@@ -82,6 +96,37 @@ TRAIN_CONFIG = {
     "model": {"d_l": 16, "d_g": 8, "heads": 2, "R": 0, "S": 1, "d_z": 4,
               "d_proj": 8, "max_len": 32},
 }
+
+
+def absolute_train_config(root: Path) -> dict:
+    """TRAIN_CONFIG with its inputs under root by absolute path; its outputs
+    go beside wherever the config is written."""
+    return {**TRAIN_CONFIG, **{key: str(root / TRAIN_CONFIG[key])
+                               for key in ("corpus", "queries", "qrels", "kg", "lexicon")}}
+
+
+# The pipeline's input files, by their names under its directory.
+INPUTS = ("task/corpus.jsonl", "task/queries.jsonl", "task/qrels_test.txt", "task/kg.tsv",
+          "task/lexicon.tsv", "run_bm25.txt", "cache.jsonl", "index.json", "ckpt.json",
+          "model.json", "train.json")
+
+
+def command_argv(command: str, f: dict[str, str], out: Path) -> list[str]:
+    """argv of a command that reads the file f[name] for each input it takes."""
+    return {"index": ["index", "--corpus", f["task/corpus.jsonl"], "--out", str(out)],
+            "retrieve": ["retrieve", "--index", f["index.json"],
+                         "--queries", f["task/queries.jsonl"], "--out", str(out)],
+            "subgraphs": ["subgraphs", "--kg", f["task/kg.tsv"], "--lexicon", f["task/lexicon.tsv"],
+                          "--queries", f["task/queries.jsonl"],
+                          "--corpus", f["task/corpus.jsonl"], "--run", f["run_bm25.txt"],
+                          "--out", str(out)],
+            "train": ["train", "--config", f["train.json"]],
+            "rerank": ["rerank", "--checkpoint", f["ckpt.json"], "--model-config", f["model.json"],
+                       "--run", f["run_bm25.txt"], "--corpus", f["task/corpus.jsonl"],
+                       "--queries", f["task/queries.jsonl"], "--cache", f["cache.jsonl"],
+                       "--out", str(out)],
+            "eval": ["eval", "--run", f["run_bm25.txt"], "--qrels", f["task/qrels_test.txt"],
+                     "--out", str(out)]}[command]
 
 
 @pytest.fixture(scope="module")
@@ -147,6 +192,44 @@ class TestPipeline:
                      "--cache", str(pipeline_dir / "cache.jsonl"),
                      "--out", str(out2)]) == 0
         assert out2.read_bytes() == (pipeline_dir / "run_rr.txt").read_bytes()
+
+    def test_other_line_ends_and_u2028_read_as_before(self, pipeline_dir, tmp_path):
+        """\\r\\n and a lone \\r end a line as \\n does, and U+2028 inside a JSON
+        string is text, not a line end: subgraphs and eval over inputs so
+        rewritten write the pipeline's cache and report."""
+        def rewrite(name, text):
+            lines = text.splitlines()  # the pipeline writes \n line ends only
+            if name == "task/corpus.jsonl":
+                lines = [json.dumps({**doc, "text": doc["text"].replace(" ", "\u2028")},
+                                    ensure_ascii=False) for doc in map(json.loads, lines)]
+                assert "\u2028" in lines[0]
+            (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / name).write_bytes(
+                "".join(line + ("\r\n", "\r")[i % 2] for i, line in enumerate(lines)).encode())
+        for name in INPUTS:
+            if not name.endswith(".json"):
+                rewrite(name, (pipeline_dir / name).read_text())
+        rewrite("run_rr.txt", (pipeline_dir / "run_rr.txt").read_text())
+        files = {name: str(tmp_path / name) for name in INPUTS}
+        assert main(command_argv("subgraphs", files, tmp_path / "cache_again.jsonl")) == 0
+        assert ((tmp_path / "cache_again.jsonl").read_bytes()
+                == (pipeline_dir / "cache.jsonl").read_bytes())
+        assert main(command_argv("eval", {**files, "run_bm25.txt": str(tmp_path / "run_rr.txt")},
+                                 tmp_path / "report_again.csv")) == 0
+        assert ((tmp_path / "report_again.csv").read_bytes()
+                == (pipeline_dir / "report.csv").read_bytes())
+
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask 022", "umask 077"])
+    def test_outputs_follow_the_umask(self, pipeline_dir, tmp_path, umask, mode):
+        previous = os.umask(umask)
+        try:
+            assert main(["index", "--corpus", str(pipeline_dir / "task/corpus.jsonl"),
+                         "--out", str(tmp_path / "index.json")]) == 0
+        finally:
+            os.umask(previous)
+        assert (tmp_path / "index.json").stat().st_mode & 0o777 == mode
+        assert os.listdir(tmp_path) == ["index.json"]
 
     def test_eval_of_bm25_run_works(self, pipeline_dir, capsys):
         assert main(["eval", "--run", str(pipeline_dir / "run_bm25.txt"),
@@ -235,6 +318,11 @@ class TestErrorHandling:
         ("retrieve", "index.json", lambda data: FORMAT_1_INDEX.encode()),
         ("rerank", "ckpt.json", lambda data: FORMAT_1_CHECKPOINT.encode()),
         ("rerank", "ckpt.json", with_arrays(nan_first_parameter)),
+        ("rerank", "cache.jsonl", latin1_on_line(3)),
+        ("rerank", "run_bm25.txt", latin1_on_line(5)),
+        ("eval", "task/qrels_test.txt", latin1_on_line(2)),
+        ("subgraphs", "task/kg.tsv", latin1_on_line(4)),
+        ("subgraphs", "task/lexicon.tsv", latin1_on_line(6)),
     ], ids=["unknown config key", "truncated checkpoint", "checkpoint of another d_z",
             "checkpoint of another d_proj", "truncated index", "index without postings",
             "truncated training config", "misspelt training config key",
@@ -245,52 +333,138 @@ class TestErrorHandling:
             "malformed run line", "malformed qrels line", "non-monotone index term offsets",
             "index documents not ascending within a term", "index tfs of float dtype",
             "index tf sums unequal to doc_lengths", "format-1 JSON index",
-            "format-1 JSON checkpoint", "NaN checkpoint parameter"])
+            "format-1 JSON checkpoint", "NaN checkpoint parameter",
+            "cache line not UTF-8", "run line not UTF-8", "qrels line not UTF-8",
+            "KG line not UTF-8", "lexicon line not UTF-8"])
     def test_bad_json_artifact_exits_2(self, pipeline_dir, tmp_path, capsys,
                                        command, name, corrupt):
         """A malformed model config, checkpoint, index, training config,
-        subgraph cache, run or qrels file, a checkpoint that does not fit its
-        config, or a subgraph cache that lacks a run pair when no KG is given,
-        exits 2 naming the file. Index and checkpoint archives are corrupted
-        as bytes, every other file as text."""
-        files = {f: str(pipeline_dir / f)
-                 for f in ("model.json", "ckpt.json", "index.json", "train.json", "cache.jsonl",
-                           "run_bm25.txt", "task/qrels_test.txt")}
+        subgraph cache, run, qrels, KG or lexicon file, a checkpoint that does
+        not fit its config, or a subgraph cache that lacks a run pair when no
+        KG is given, exits 2 naming the file, and a line that is not UTF-8
+        exits 2 naming the file and the line. Index and checkpoint archives
+        and the non-UTF-8 lines are corrupted as bytes, the rest as text."""
         bad = tmp_path / Path(name).name
         data = (pipeline_dir / name).read_bytes()
-        bad.write_bytes(corrupt(data) if name in ARCHIVES else corrupt(data.decode()).encode())
-        files[name] = str(bad)
-        queries, out = str(pipeline_dir / "task/queries.jsonl"), str(tmp_path / "out.txt")
-        argv = {"rerank": ["rerank", "--checkpoint", files["ckpt.json"],
-                           "--model-config", files["model.json"],
-                           "--run", files["run_bm25.txt"],
-                           "--corpus", str(pipeline_dir / "task/corpus.jsonl"),
-                           "--queries", queries, "--cache", files["cache.jsonl"],
-                           "--out", out],
-                "retrieve": ["retrieve", "--index", files["index.json"], "--queries", queries,
-                             "--out", out],
-                "train": ["train", "--config", files["train.json"]],
-                "eval": ["eval", "--run", files["run_bm25.txt"],
-                         "--qrels", files["task/qrels_test.txt"], "--out", out]}[command]
+        lineno = getattr(corrupt, "lineno", None)
+        on_bytes = name in ARCHIVES or lineno is not None
+        bad.write_bytes(corrupt(data) if on_bytes else corrupt(data.decode()).encode())
+        files = {f: str(pipeline_dir / f) for f in INPUTS} | {name: str(bad)}
+        capsys.readouterr()
+        assert main(command_argv(command, files, tmp_path / "out.txt")) == 2
+        err = capsys.readouterr().err
+        assert (str(bad) if lineno is None else f"{bad}:{lineno}: ") in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out.txt").exists()
+
+    @pytest.mark.parametrize("argv,written", [
+        (["index", "--corpus", "corpus.jsonl", "--out", "."], "."),
+        (["index", "--corpus", "corpus.jsonl", "--out", "corpus.jsonl/index.json"],
+         "corpus.jsonl/index.json"),
+        (["gen", *GEN_ARGS, "--out", "corpus.jsonl"], "corpus.jsonl/corpus.jsonl"),
+    ], ids=["out names a directory", "out under a file", "gen out names a file"])
+    def test_bad_output_path_exits_2(self, pipeline_dir, tmp_path, monkeypatch, capsys,
+                                     argv, written):
+        (tmp_path / "corpus.jsonl").write_bytes((pipeline_dir / "task/corpus.jsonl").read_bytes())
+        monkeypatch.chdir(tmp_path)
         capsys.readouterr()
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert str(bad) in err
+        assert f"cannot write {written}: " in err
         assert "Traceback" not in err
-        assert not (tmp_path / "out.txt").exists()
+        assert os.listdir(tmp_path) == ["corpus.jsonl"]
+
+    def test_training_subgraph_cache_that_is_a_directory_exits_2(self, pipeline_dir, tmp_path,
+                                                                 capsys):
+        config = tmp_path / "train.json"
+        config.write_text(json.dumps({**absolute_train_config(pipeline_dir),
+                                      "subgraph_cache": str(tmp_path)}))
+        capsys.readouterr()
+        assert main(["train", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert f"subgraph cache file not found: {tmp_path}" in err
+        assert "Traceback" not in err
 
     def test_infeasible_gen_knobs_exit_2(self, tmp_path):
         assert main(["gen", "--out", str(tmp_path / "t"), "--seed", "1",
                      "--num-queries", "10", "--corpus-size", "50"]) == 2
 
 
+# Each input kind, its file and a command that reads it.
+FUZZ_KINDS = [("corpus", "task/corpus.jsonl", "index"),
+              ("queries", "task/queries.jsonl", "retrieve"),
+              ("qrels", "task/qrels_test.txt", "eval"),
+              ("KG", "task/kg.tsv", "subgraphs"),
+              ("lexicon", "task/lexicon.tsv", "subgraphs"),
+              ("run", "run_bm25.txt", "eval"),
+              ("subgraph cache", "cache.jsonl", "rerank"),
+              ("index", "index.json", "retrieve"),
+              ("checkpoint", "ckpt.json", "rerank"),
+              ("model config", "model.json", "rerank"),
+              ("training config", "train.json", "train")]
+FUZZ_TRIALS = 6
+NOT_SLASH = [b for b in range(256) if b != ord("/")]
+
+
+def mutate(data: bytes, rng: np.random.Generator, trial: int) -> bytes:
+    """Trial 0 overwrites one byte with 0xff, which UTF-8 never holds; later
+    trials replace, insert or delete one byte, truncate, or repeat a line. A
+    new byte is never '/', so no path in a training config leaves its
+    directory."""
+    at = int(rng.integers(len(data)))
+    if trial == 0:
+        return data[:at] + b"\xff" + data[at + 1:]
+    new = bytes([NOT_SLASH[int(rng.integers(len(NOT_SLASH)))]])
+    op = int(rng.integers(5))
+    if op == 0:
+        return data[:at] + new + data[at + 1:]
+    if op == 1:
+        return data[:at] + new + data[at:]
+    if op == 2:
+        return data[:at] + data[at + 1:]
+    if op == 3:
+        return data[:at]
+    lines = data.splitlines(keepends=True)
+    i = int(rng.integers(len(lines)))
+    return b"".join(lines[:i + 1] + lines[i:])
+
+
+class TestFuzz:
+    """Seeded byte mutations of every input kind, each sent through a command
+    that reads it (random-input testing, Miller et al., 1990)."""
+
+    @pytest.mark.parametrize("kind,name,command", FUZZ_KINDS, ids=[k for k, _, _ in FUZZ_KINDS])
+    def test_mutated_input_exits_0_or_2(self, pipeline_dir, tmp_path, capsys,
+                                        kind, name, command):
+        """Every trial exits 0 or 2. An exception that escapes main, which
+        the command line would print as a traceback, fails the test."""
+        data = (pipeline_dir / name).read_bytes()
+        if name == "train.json":
+            data = json.dumps(absolute_train_config(pipeline_dir)).encode()
+        rng = np.random.default_rng(zlib.crc32(name.encode()))
+        bad = tmp_path / Path(name).name
+        files = {f: str(pipeline_dir / f) for f in INPUTS} | {name: str(bad)}
+        for trial in range(FUZZ_TRIALS):
+            bad.write_bytes(mutate(data, rng, trial))
+            code = main(command_argv(command, files, tmp_path / "out"))
+            err = capsys.readouterr().err
+            assert code in (0, 2), f"{kind} trial {trial}: exit {code}: {err}"
+            assert "Traceback" not in err
+
+
 class TestSelftest:
-    def test_every_check_passes(self, capsys):
+    def test_every_check_passes(self, monkeypatch, capsys):
+        """One [PASS] line per check, then exit 0. The checks themselves run
+        in tests/test_acceptance.py (criteria 1-5), so stand-ins take their
+        place here."""
+        names = [name for name, _ in selftest.CHECKS]
+        stand_ins = [(name, lambda i=i: ([], f"stand-in {i}")) for i, name in enumerate(names)]
+        monkeypatch.setattr(selftest, "CHECKS", stand_ins)
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
-        for name, _ in selftest.CHECKS:
-            assert f"[PASS] {name}: " in out
-        assert out.count("[PASS]") == len(selftest.CHECKS)
+        for i, name in enumerate(names):
+            assert f"[PASS] {name}: stand-in {i}\n" in out
+        assert out.count("[PASS]") == len(names)
         assert "[FAIL]" not in out
 
     def test_planted_metric_fault_exits_3(self, monkeypatch, capsys):

@@ -64,6 +64,13 @@ class TestLoadKg:
         with pytest.raises(ParseError, match=":2:"):
             load_kg(path)
 
+    def test_indented_comment_line_is_skipped(self, tmp_path):
+        """A line whose first non-blank character is '#' is a comment, in a
+        TSV file as in qrels and run files."""
+        path = tmp_path / "kg.tsv"
+        path.write_text("  # note\n\t# note\t\t\na\trel\tb\n")
+        assert load_kg(path).triples == [("a", "rel", "b")]
+
     def test_reserved_relation_rejected(self, tmp_path):
         path = tmp_path / "kg.tsv"
         path.write_text(f"a\t{INTERACTION_RELATION}\tb\n")

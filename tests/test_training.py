@@ -408,6 +408,25 @@ class TestTrainModel:
             tol = dict(abs=1e-11) if name.endswith(".bk") else dict(rel=1e-10)
             assert np.linalg.norm(params[name].data) == pytest.approx(frozen, **tol), name
 
+    def test_mean_kl_is_the_mean_of_the_kl_terms(self, monkeypatch):
+        """At S = 2, an epoch's mean_kl is the mean of trace.kl_terms over its
+        pairs and fused layers; with one fused layer a sum would read the same."""
+        docs, queries, qrels, kg = tiny_task()
+        kl_terms = []
+        forward_batch = RankerModel.forward_batch
+
+        def recording(model, *args, **kwargs):
+            trace = forward_batch(model, *args, **kwargs)
+            kl_terms.append(trace.kl_terms)
+            return trace
+
+        monkeypatch.setattr(RankerModel, "forward_batch", recording)
+        _, stats = train_model(self._cfg(docs, kg, S=2), docs, queries, qrels, kg, epochs=1,
+                               batch_size=3, seed=7, negatives_per_positive=1)
+        terms = np.concatenate(kl_terms)
+        assert terms.shape == (8, 2)
+        assert stats[0].mean_kl == pytest.approx(terms.mean(), rel=1e-12)
+
     def test_different_seed_differs(self, tmp_path):
         docs, queries, qrels, kg = tiny_task()
         cfg = self._cfg(docs, kg)
