@@ -31,6 +31,8 @@ from .training import SubgraphProvider, rerank_run, save_metrics, train_model
 
 def _require(path: str, kind: str) -> Path:
     p = Path(path)
+    if p.is_dir():
+        raise InputError(f"{kind} file is a directory: {path}")
     if not p.is_file():
         raise InputError(f"{kind} file not found: {path}")
     return p
@@ -58,7 +60,7 @@ def cmd_index(args) -> int:
     docs = cx.load_documents(_require(args.corpus, "corpus"))
     index = cx.build_index(docs)
     cx.save_index(args.out, index)
-    print(f"indexed {index.num_docs} documents, {len(index.postings)} terms -> {args.out}")
+    print(f"indexed {index.num_docs} documents, {len(index.terms)} terms -> {args.out}")
     return 0
 
 
@@ -87,11 +89,13 @@ def cmd_subgraphs(args) -> int:
     return 0
 
 
-# Training-config keys besides "model": file paths, and train_model settings.
+# Training-config keys besides "model": file paths, and train_model settings
+# with the JSON types each may hold (bool is not an int here). train_model
+# holds their defaults and checks their ranges.
 CONFIG_PATHS = ("corpus", "queries", "qrels", "kg", "lexicon", "subgraph_cache",
                 "checkpoint_out", "model_config_out", "metrics_out")
-CONFIG_SETTINGS = {"epochs": int, "batch_size": int, "seed": int, "lr": float,
-                   "negatives_per_positive": int}
+CONFIG_SETTINGS = {"epochs": (int,), "batch_size": (int,), "seed": (int,), "lr": (int, float),
+                   "negatives_per_positive": (int,)}
 
 
 def _training_config(path: str | Path) -> dict:
@@ -103,6 +107,11 @@ def _training_config(path: str | Path) -> dict:
         raise ConfigurationError(f"{path}: unknown training config key {unknown[0]!r}")
     if not isinstance(cfg.get("model", {}), dict):
         raise ConfigurationError(f"{path}: training config key 'model' must hold an object")
+    for key, types in CONFIG_SETTINGS.items():
+        if key in cfg and type(cfg[key]) not in types:
+            raise ConfigurationError(f"{path}: training config key {key!r} must hold "
+                                     f"{' or '.join(t.__name__ for t in types)}, "
+                                     f"not {cfg[key]!r}")
     base = Path(path).resolve().parent
     for key in CONFIG_PATHS:
         if cfg.get(key):
@@ -117,10 +126,7 @@ def _training_config(path: str | Path) -> dict:
 
 def cmd_train(args) -> int:
     cfg = _training_config(_require(args.config, "config"))
-    try:
-        settings = {key: cast(cfg[key]) for key, cast in CONFIG_SETTINGS.items() if key in cfg}
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"{args.config}: bad training setting ({exc})") from exc
+    settings = {key: cfg[key] for key in CONFIG_SETTINGS if key in cfg}
     if args.seed is not None:
         settings["seed"] = args.seed
     docs = cx.load_documents(_require(cfg["corpus"], "corpus"))
@@ -135,10 +141,12 @@ def cmd_train(args) -> int:
     unknown = set(overrides) - {f.name for f in fields(ModelConfig)}
     if unknown:
         raise ConfigurationError(f"{args.config}: unknown model config keys: {sorted(unknown)}")
-    model_cfg = ModelConfig(vocab=build_vocab(docs), relations=sorted(kg.relations),
-                            **overrides)
-
-    model, stats = train_model(model_cfg, docs, queries, qrels, kg, cache=cache, **settings)
+    try:
+        model_cfg = ModelConfig(vocab=build_vocab(docs), relations=sorted(kg.relations),
+                                **overrides)
+        model, stats = train_model(model_cfg, docs, queries, qrels, kg, cache=cache, **settings)
+    except ConfigurationError as exc:  # a model or training setting of the config
+        raise ConfigurationError(f"{args.config}: {exc}") from exc
     save_checkpoint(cfg["checkpoint_out"], model.params)
     if cfg.get("model_config_out"):
         model_cfg.save(cfg["model_config_out"])

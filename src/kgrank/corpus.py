@@ -1,26 +1,24 @@
 """Document storage, tokenization, inverted index, and BM25 retrieval.
 
-The index is immutable after build_index. Retrieval scores over an impact
-view of it: the documents in id order and, per term, the positions of its
-documents and their BM25 impacts idf·tf·(k1+1)/(tf+norm). The view is
-derived from the postings on the first retrieve_topk call, cached on the
-index and never saved. It is the only BM25 in the package;
-oracles.bm25_direct recomputes each score from raw tokens, and
-selftest.check_bm25 compares the two. Scoring and retrieval are pure reads,
-so concurrent use across queries is safe: two threads that race to derive
-the view compute equal arrays, and either one may be kept.
+The index is the arrays of its file (INDEX_LAYOUT), held as they are stored:
+build_index makes them, save_index writes them and load_index reads and
+checks them; nothing converts between forms. It is immutable after it is
+made. Retrieval scores over an impact view of it: per term, the positions of
+its documents and their BM25 impacts idf·tf·(k1+1)/(tf+norm). The view is
+derived from the arrays on the first retrieve_topk call, cached on the index
+and never saved. It is the only BM25 in the package; oracles.bm25_direct
+recomputes each score from raw tokens, and selftest.check_bm25 compares the
+two. Scoring and retrieval are pure reads, so concurrent use across queries
+is safe: two threads that race to derive the view compute equal arrays, and
+either one may be kept.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass, field
-from operator import itemgetter
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -45,34 +43,54 @@ class Query:
     text: str
 
 
-class ImpactView(NamedTuple):
-    """The index as arrays: doc_ids in sorted order, and per term the
-    positions of its documents in doc_ids (ascending) with their impacts.
-    The arrays are read-only."""
-
-    doc_ids: list[str]
-    terms: dict[str, tuple[np.ndarray, np.ndarray]]
-
-
-@dataclass
+@dataclass(eq=False)  # arrays have no ==; compare the saved bytes instead
 class InvertedIndex:
-    """Postings plus the corpus statistics BM25 needs.
+    """The postings as arrays, documents and terms in sorted order. The
+    postings of terms[i] are entries offsets[i]:offsets[i + 1] of docs and
+    tfs. The arrays are read-only."""
 
-    postings maps term -> [(doc_id, tf), ...] sorted by doc_id; doc_lengths
-    maps every doc id (including term-free documents) to its token count.
-    """
-
-    postings: dict[str, list[tuple[str, int]]] = field(default_factory=dict)
-    doc_lengths: dict[str, int] = field(default_factory=dict)
-    avg_doc_length: float = 0.0
-    num_docs: int = 0
+    doc_ids: list[str]  # sorted
+    lengths: np.ndarray  # int64 token count of each document in doc_ids
+    terms: list[str]  # sorted
+    offsets: np.ndarray  # int64, len(terms) + 1 of them
+    docs: np.ndarray  # int32 position in doc_ids of each posting, ascending within a term
+    tfs: np.ndarray  # int32 tf of each posting
+    num_docs: int
+    avg_doc_length: float
     # derived from the fields above on first use, reused across queries
-    _impacts: ImpactView | None = field(default=None, compare=False, repr=False)
+    _impacts: dict[str, tuple[np.ndarray, np.ndarray]] | None = \
+        field(default=None, init=False, repr=False)
+    _postings: dict[str, list[tuple[str, int]]] | None = \
+        field(default=None, init=False, repr=False)
 
-    def impacts(self) -> ImpactView:
+    def __post_init__(self):
+        for arr in (self.lengths, self.offsets, self.docs, self.tfs):
+            arr.flags.writeable = False
+
+    def impacts(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """term -> (its documents' positions in doc_ids, their impacts)."""
         if self._impacts is None:
             self._impacts = _impact_view(self)
         return self._impacts
+
+    @property
+    def postings(self) -> dict[str, list[tuple[str, int]]]:
+        """term -> [(doc id, tf), ...] in doc id order, built on first use.
+        Only the benchmark (kgbench) reads this view and doc_lengths; both go
+        when ROADMAP item 1 stops it reading them."""
+        if self._postings is None:
+            entries = list(zip(np.array(self.doc_ids, dtype=object)[self.docs].tolist(),
+                               self.tfs.tolist()))
+            bounds = self.offsets.tolist()
+            self._postings = {term: entries[lo:hi]
+                              for term, lo, hi in zip(self.terms, bounds, bounds[1:])}
+        return self._postings
+
+    @property
+    def doc_lengths(self) -> dict[str, int]:
+        """doc id -> token count, for every document (term-free ones too);
+        a view for the benchmark only, as postings is."""
+        return dict(zip(self.doc_ids, self.lengths.tolist()))
 
 
 def tokenize(text: str) -> list[str]:
@@ -88,68 +106,45 @@ def build_index(corpus: list[Document]) -> InvertedIndex:
             raise ValidationError(f"duplicate document id: {doc.id!r}")
         seen.add(doc.id)
 
-    postings: dict[str, list[tuple[str, int]]] = {}
-    doc_lengths: dict[str, int] = {}
-    for doc in corpus:
-        terms = tokenize(doc.text)
-        doc_lengths[doc.id] = len(terms)
-        for term, tf in Counter(terms).items():
-            postings.setdefault(term, []).append((doc.id, tf))
-    for plist in postings.values():
-        plist.sort(key=lambda entry: entry[0])
-
-    num_docs = len(corpus)
-    total = sum(doc_lengths.values())
-    avg = total / num_docs if num_docs else 0.0
-    return InvertedIndex(postings=postings, doc_lengths=doc_lengths,
-                         avg_doc_length=avg, num_docs=num_docs)
-
-
-class _FlatPostings(NamedTuple):
-    """The postings as arrays, documents and terms in sorted order."""
-
-    doc_ids: list[str]
-    lengths: np.ndarray  # int64 token count of each document in doc_ids
-    terms: list[str]
-    sizes: list[int]  # postings per term, in terms order
-    docs: np.ndarray  # intp position in doc_ids of each posting, term by term
-    tfs: np.ndarray  # int64 tf of each posting
+    ordered = sorted(corpus, key=lambda doc: doc.id)
+    n = len(ordered)
+    term_ids: dict[str, int] = {}
+    tokens = [np.fromiter([term_ids.setdefault(t, len(term_ids)) for t in tokenize(doc.text)],
+                          dtype=np.int64) for doc in ordered]
+    lengths = np.fromiter(map(len, tokens), dtype=np.int64, count=n)
+    terms = sorted(term_ids)
+    rank = np.empty(len(terms), dtype=np.int64)
+    rank[[term_ids[t] for t in terms]] = np.arange(len(terms))
+    # one key per token, ordered by (term rank, doc position)
+    keys = rank[np.concatenate(tokens)] * n + np.repeat(np.arange(n), lengths) if n \
+        else np.zeros(0, dtype=np.int64)
+    keys, tfs = np.unique(keys, return_counts=True)
+    term_of, docs = np.divmod(keys, max(n, 1))
+    offsets = np.zeros(len(terms) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(term_of, minlength=len(terms)), out=offsets[1:])
+    return InvertedIndex([doc.id for doc in ordered], lengths, terms, offsets,
+                         docs.astype(np.int32), tfs.astype(np.int32),
+                         n, int(lengths.sum()) / n if n else 0.0)
 
 
-def _flatten(index: InvertedIndex) -> _FlatPostings:
-    """One pass over the postings, shared by the impact view and save_index."""
-    doc_ids = sorted(index.doc_lengths)
-    position = {did: i for i, did in enumerate(doc_ids)}
-    terms = sorted(index.postings)
-    plists = [index.postings[term] for term in terms]
-    sizes = [len(plist) for plist in plists]
-    flat = list(itertools.chain.from_iterable(plists))
-    docs = np.fromiter(map(position.__getitem__, map(itemgetter(0), flat)),
-                       dtype=np.intp, count=len(flat))
-    tfs = np.fromiter(map(itemgetter(1), flat), dtype=np.int64, count=len(flat))
-    lengths = np.fromiter(map(index.doc_lengths.__getitem__, doc_ids), dtype=np.int64,
-                          count=len(doc_ids))
-    return _FlatPostings(doc_ids, lengths, terms, sizes, docs, tfs)
-
-
-def _impact_view(index: InvertedIndex) -> ImpactView:
+def _impact_view(index: InvertedIndex) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Every posting's impact in one vectorised pass: BM25 (Robertson &
     Zaragoza, 2009) with k1=1.2, b=0.75 and the smoothed non-negative idf
     ln(1 + (N - df + 0.5) / (df + 0.5)), df being the posting-list length.
     The operations follow oracles.bm25_direct in its order, so each impact is
     bit-equal to that oracle's term for the posting."""
-    flat = _flatten(index)
-    lengths = flat.lengths.astype(np.float64)
+    lengths = index.lengths.astype(np.float64)
     norms = BM25_K1 * (1.0 - BM25_B + BM25_B * lengths / index.avg_doc_length) \
-        if index.avg_doc_length > 0 else np.full(len(flat.doc_ids), BM25_K1)
-    docs, tfs = flat.docs, flat.tfs.astype(np.float64)
+        if index.avg_doc_length > 0 else np.full(len(index.doc_ids), BM25_K1)
+    docs, tfs = index.docs.astype(np.intp), index.tfs.astype(np.float64)
+    sizes = np.diff(index.offsets)
     idfs = np.repeat([math.log(1.0 + (index.num_docs - df + 0.5) / (df + 0.5))
-                      for df in flat.sizes], flat.sizes)
+                      for df in sizes.tolist()], sizes)
     impacts = idfs * tfs * (BM25_K1 + 1.0) / (tfs + norms[docs])
     docs.flags.writeable = impacts.flags.writeable = False
-    ends = np.cumsum(flat.sizes)
-    return ImpactView(flat.doc_ids, {term: (docs[end - size:end], impacts[end - size:end])
-                                     for term, size, end in zip(flat.terms, flat.sizes, ends)})
+    bounds = index.offsets.tolist()
+    return {term: (docs[lo:hi], impacts[lo:hi])
+            for term, lo, hi in zip(index.terms, bounds, bounds[1:])}
 
 
 def retrieve_topk(index: InvertedIndex, query: Query, k: int = 100) -> list[tuple[str, float]]:
@@ -165,9 +160,9 @@ def retrieve_topk(index: InvertedIndex, query: Query, k: int = 100) -> list[tupl
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     view = index.impacts()
-    scores = np.zeros(len(view.doc_ids))
+    scores = np.zeros(len(index.doc_ids))
     for term in tokenize(query.text):
-        entry = view.terms.get(term)
+        entry = view.get(term)
         if entry is not None:
             docs, impacts = entry
             scores[docs] += impacts
@@ -178,7 +173,7 @@ def retrieve_topk(index: InvertedIndex, query: Query, k: int = 100) -> list[tupl
         keep = top >= kth
         hits, top = hits[keep], top[keep]
     order = np.lexsort((hits, -top))[:k]
-    return [(view.doc_ids[i], s) for i, s in zip(hits[order].tolist(), top[order].tolist())]
+    return [(index.doc_ids[i], s) for i, s in zip(hits[order].tolist(), top[order].tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -186,12 +181,17 @@ def retrieve_topk(index: InvertedIndex, query: Query, k: int = 100) -> list[tupl
 
 def load_documents(path: str | Path) -> list[Document]:
     docs = []
+    seen: set[str] = set()
     for lineno, obj in read_jsonl(path, "corpus"):
         if "id" not in obj or "text" not in obj:
             raise ParseError(f"{path}:{lineno}: missing 'id' or 'text' field")
         if not obj["id"]:
             raise ParseError(f"{path}:{lineno}: empty document id")
-        docs.append(Document(id=str(obj["id"]), text=str(obj["text"])))
+        did = str(obj["id"])
+        if did in seen:
+            raise ParseError(f"{path}:{lineno}: duplicate document id {did!r}")
+        seen.add(did)
+        docs.append(Document(id=did, text=str(obj["text"])))
     return docs
 
 
@@ -266,14 +266,12 @@ def _unpack(path: str | Path, what: str, blob: np.ndarray, ends: np.ndarray) -> 
 
 
 def save_index(path: str | Path, index: InvertedIndex) -> None:
-    flat = _flatten(index)
-    doc_ids, doc_id_ends = _pack(flat.doc_ids)
-    terms, term_ends = _pack(flat.terms)
+    doc_ids, doc_id_ends = _pack(index.doc_ids)
+    terms, term_ends = _pack(index.terms)
     save_arrays(path, {
-        "doc_ids": doc_ids, "doc_id_ends": doc_id_ends, "doc_lengths": flat.lengths,
-        "terms": terms, "term_ends": term_ends,
-        "offsets": np.cumsum([0, *flat.sizes], dtype=np.int64),
-        "docs": flat.docs.astype(np.int32), "tfs": flat.tfs.astype(np.int32),
+        "doc_ids": doc_ids, "doc_id_ends": doc_id_ends, "doc_lengths": index.lengths,
+        "terms": terms, "term_ends": term_ends, "offsets": index.offsets,
+        "docs": index.docs, "tfs": index.tfs,
         "num_docs": np.array(index.num_docs, dtype=np.int64),
         "avg_doc_length": np.array(index.avg_doc_length, dtype=np.float64)})
 
@@ -314,9 +312,4 @@ def load_index(path: str | Path) -> InvertedIndex:
     fault = _index_fault(len(doc_ids), lengths, num_docs, avg, len(terms), offsets, docs, tfs)
     if fault is not None:
         raise ParseError(f"{path}: {fault}")
-    entries = list(zip(np.array(doc_ids, dtype=object)[docs].tolist(), tfs.tolist()))
-    bounds = offsets.tolist()
-    return InvertedIndex(
-        postings={term: entries[lo:hi] for term, lo, hi in zip(terms, bounds, bounds[1:])},
-        doc_lengths=dict(zip(doc_ids, lengths.tolist())), avg_doc_length=avg,
-        num_docs=num_docs)
+    return InvertedIndex(doc_ids, lengths, terms, offsets, docs, tfs, num_docs, avg)

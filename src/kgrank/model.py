@@ -89,8 +89,8 @@ class ModelConfig:
             raise ConfigurationError(f"max_len={self.max_len} must be >= 8")
         if self.S < 1 or self.R < 0:
             raise ConfigurationError(f"need S >= 1 and R >= 0, got S={self.S} R={self.R}")
-        if self.alpha < 0:
-            raise ConfigurationError(f"alpha={self.alpha} must be >= 0")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise ConfigurationError(f"alpha={self.alpha} must be finite and >= 0")
         if tuple(self.vocab[:len(RESERVED_TOKENS)]) != RESERVED_TOKENS:
             raise ConfigurationError("vocab must start with the reserved tokens")
         for rel in self.relations:

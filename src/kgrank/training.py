@@ -18,7 +18,7 @@ import numpy as np
 from . import kg as kgm
 from . import tensor as tz
 from .corpus import Document, Query
-from .errors import ComputationError, UsageError, ValidationError
+from .errors import ComputationError, ConfigurationError, UsageError, ValidationError
 from .fileio import atomic_write
 from .kg import KnowledgeGraph, QuerySubgraph
 from .model import ForwardTrace, ModelConfig, RankerModel
@@ -44,7 +44,8 @@ def sample_training_set(qrels: dict[tuple[str, str], int], corpus_ids: list[str]
     """One true example per positive pair plus uniform negatives outside the
     query's relevant set."""
     if negatives_per_positive < 0:
-        raise ValidationError(f"negatives_per_positive must be >= 0, got {negatives_per_positive}")
+        raise ConfigurationError(
+            f"negatives_per_positive must be >= 0, got {negatives_per_positive}")
     relevant: dict[str, set[str]] = {}
     for (qid, did), grade in qrels.items():
         if grade > 0:
@@ -180,9 +181,15 @@ def train_model(cfg: ModelConfig, corpus: list[Document], queries: list[Query],
                 negatives_per_positive: int = DEFAULT_NEGATIVES,
                 cache: dict[tuple[str, str], QuerySubgraph] | None = None,
                 ) -> tuple[RankerModel, list[EpochStats]]:
-    """Train from scratch; deterministic given the seed (wall time aside)."""
+    """Train from scratch; deterministic given the seed (wall time aside).
+    A setting out of range raises a ConfigurationError."""
     if epochs < 1 or batch_size < 1:
-        raise ValidationError(f"need epochs >= 1 and batch_size >= 1")
+        raise ConfigurationError(
+            f"need epochs >= 1 and batch_size >= 1, got {epochs} and {batch_size}")
+    if not (math.isfinite(lr) and lr > 0):
+        raise ConfigurationError(f"lr must be finite and > 0, got {lr}")
+    if seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
     model = RankerModel.build(cfg, seed=seed)
     docs_by_id = {d.id: d for d in corpus}
     queries_by_id = {q.id: q for q in queries}

@@ -72,6 +72,25 @@ def swap_first_docs_of_a_term(arrays):
     docs[lo], docs[lo + 1] = docs[lo + 1], docs[lo]
 
 
+def with_setting(fragment: str, section: str | None = None):
+    """A training-config corruption: the JSON members of fragment, such as
+    '"lr": 1e999', set at the top level or in the named section."""
+    def corrupt(text: str) -> str:
+        cfg = json.loads(text)
+        (cfg[section] if section else cfg).update(json.loads("{" + fragment + "}"))
+        return json.dumps(cfg)
+    return corrupt
+
+
+def first_line_repeated(data: bytes) -> bytes:
+    """A corpus corruption: line 2 repeats line 1, so a document id recurs there."""
+    lines = data.splitlines(keepends=True)
+    return b"".join(lines[:1] + lines)
+
+
+first_line_repeated.lineno = 2
+
+
 def nan_first_parameter(arrays):
     arrays[min(arrays)].reshape(-1)[0] = np.nan
 
@@ -323,6 +342,19 @@ class TestErrorHandling:
         ("eval", "task/qrels_test.txt", latin1_on_line(2)),
         ("subgraphs", "task/kg.tsv", latin1_on_line(4)),
         ("subgraphs", "task/lexicon.tsv", latin1_on_line(6)),
+        ("train", "train.json", with_setting('"lr": "nan"')),
+        ("train", "train.json", with_setting('"lr": 1e999')),
+        ("train", "train.json", with_setting('"lr": -1')),
+        ("train", "train.json", with_setting('"alpha": NaN', "model")),
+        ("train", "train.json", with_setting('"alpha": Infinity', "model")),
+        ("train", "train.json", with_setting('"epochs": 2.5')),
+        ("train", "train.json", with_setting('"epochs": true')),
+        ("train", "train.json", with_setting('"seed": "7"')),
+        ("train", "train.json", with_setting('"seed": -1')),
+        ("train", "train.json", with_setting('"negatives_per_positive": 1.9')),
+        ("train", "train.json", with_setting('"batch_size": 0')),
+        ("train", "train.json", with_setting('"d_l": "16"', "model")),
+        ("index", "task/corpus.jsonl", first_line_repeated),
     ], ids=["unknown config key", "truncated checkpoint", "checkpoint of another d_z",
             "checkpoint of another d_proj", "truncated index", "index without postings",
             "truncated training config", "misspelt training config key",
@@ -335,17 +367,23 @@ class TestErrorHandling:
             "index tf sums unequal to doc_lengths", "format-1 JSON index",
             "format-1 JSON checkpoint", "NaN checkpoint parameter",
             "cache line not UTF-8", "run line not UTF-8", "qrels line not UTF-8",
-            "KG line not UTF-8", "lexicon line not UTF-8"])
+            "KG line not UTF-8", "lexicon line not UTF-8", "lr a string",
+            "lr infinite", "lr negative", "alpha NaN", "alpha infinite", "epochs a float",
+            "epochs a bool", "seed a string", "seed negative", "negatives_per_positive a float",
+            "batch_size zero", "model d_l a string", "repeated document id"])
     def test_bad_json_artifact_exits_2(self, pipeline_dir, tmp_path, capsys,
                                        command, name, corrupt):
         """A malformed model config, checkpoint, index, training config,
         subgraph cache, run, qrels, KG or lexicon file, a checkpoint that does
         not fit its config, or a subgraph cache that lacks a run pair when no
         KG is given, exits 2 naming the file, and a line that is not UTF-8
-        exits 2 naming the file and the line. Index and checkpoint archives
-        and the non-UTF-8 lines are corrupted as bytes, the rest as text."""
+        or repeats a document id exits 2 naming the file and the line.
+        Index and checkpoint archives and the line corruptions are made on
+        bytes, the rest on text. The training config names its inputs by
+        absolute path, so that the copy finds them."""
         bad = tmp_path / Path(name).name
-        data = (pipeline_dir / name).read_bytes()
+        data = (json.dumps(absolute_train_config(pipeline_dir)).encode() if name == "train.json"
+                else (pipeline_dir / name).read_bytes())
         lineno = getattr(corrupt, "lineno", None)
         on_bytes = name in ARCHIVES or lineno is not None
         bad.write_bytes(corrupt(data) if on_bytes else corrupt(data.decode()).encode())
@@ -382,7 +420,7 @@ class TestErrorHandling:
         capsys.readouterr()
         assert main(["train", "--config", str(config)]) == 2
         err = capsys.readouterr().err
-        assert f"subgraph cache file not found: {tmp_path}" in err
+        assert f"subgraph cache file is a directory: {tmp_path}" in err
         assert "Traceback" not in err
 
     def test_infeasible_gen_knobs_exit_2(self, tmp_path):

@@ -43,6 +43,23 @@ FIXTURE_SCORES = {
 FIXTURE_QUERIES = {"q1": "insulin glucose", "q2": "liver cells", "q3": "energy metabolism"}
 
 
+def postings_of(index, term: str) -> list[tuple[str, int]]:
+    """(doc id, tf) of each posting of term, read from the index arrays."""
+    i = index.terms.index(term)
+    lo, hi = index.offsets[i], index.offsets[i + 1]
+    return [(index.doc_ids[d], tf) for d, tf in zip(index.docs[lo:hi].tolist(),
+                                                    index.tfs[lo:hi].tolist())]
+
+
+def assert_same_index(a, b):
+    """Every field equal, arrays in value and dtype."""
+    assert (a.doc_ids, a.terms, a.num_docs, a.avg_doc_length) == \
+        (b.doc_ids, b.terms, b.num_docs, b.avg_doc_length)
+    for name in ("lengths", "offsets", "docs", "tfs"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+
 def direct_scores(docs: list[Document], terms: list[str]) -> dict[str, float]:
     """Every document's BM25 score from the raw-token oracle."""
     tokens = {d.id: tokenize(d.text) for d in docs}
@@ -67,12 +84,17 @@ class TestBuildIndex:
         index = build_index([])
         assert index.num_docs == 0
         assert index.avg_doc_length == 0.0
-        assert index.postings == {}
+        assert index.doc_ids == [] and index.terms == []
+        assert index.offsets.tolist() == [0]
+        assert len(index.lengths) == len(index.docs) == len(index.tfs) == 0
 
     def test_single_doc_counts(self):
         index = build_index([Document("d", "a a b")])
-        assert index.postings == {"a": [("d", 2)], "b": [("d", 1)]}
-        assert index.doc_lengths == {"d": 3}
+        assert (index.doc_ids, index.lengths.tolist()) == (["d"], [3])
+        assert (index.terms, index.offsets.tolist()) == (["a", "b"], [0, 1, 2])
+        assert (index.docs.tolist(), index.tfs.tolist()) == ([0, 0], [2, 1])
+        assert (index.lengths.dtype, index.offsets.dtype, index.docs.dtype, index.tfs.dtype) \
+            == (np.int64, np.int64, np.int32, np.int32)
 
     def test_three_doc_corpus_against_hand_count(self):
         """Postings verified term by term against a brute-force recount."""
@@ -83,9 +105,10 @@ class TestBuildIndex:
         for doc in docs:
             counts = Counter(tokenize(doc.text))
             for term, tf in counts.items():
-                assert (doc.id, tf) in index.postings[term]
-            assert index.doc_lengths[doc.id] == len(tokenize(doc.text))
-        assert set(index.postings) == {"gene", "therapy", "trial"}
+                assert (doc.id, tf) in postings_of(index, term)
+            assert index.lengths[index.doc_ids.index(doc.id)] == len(tokenize(doc.text))
+        assert index.terms == ["gene", "therapy", "trial"]
+        assert index.doc_ids == ["x", "y", "z"]
 
     def test_duplicate_id_raises_with_name(self):
         with pytest.raises(ValidationError, match="dup1"):
@@ -95,13 +118,30 @@ class TestBuildIndex:
         rng = np.random.default_rng(5)
         docs = [Document(f"d{i}", " ".join(rng.choice(["a", "b", "c"], size=rng.integers(0, 6))))
                 for i in range(9)]
-        index = build_index(docs)
-        assert abs(sum(index.doc_lengths.values()) / index.num_docs
-                   - index.avg_doc_length) < 1e-9
-        for plist in index.postings.values():
-            assert plist == sorted(plist)
-            for did, _ in plist:
-                assert did in index.doc_lengths
+        index = build_index(docs[::-1])
+        assert index.doc_ids == sorted(d.id for d in docs)
+        assert abs(index.lengths.sum() / index.num_docs - index.avg_doc_length) < 1e-9
+        assert np.all(np.diff(index.offsets) > 0)
+        for i in range(len(index.terms)):
+            docs_of_term = index.docs[index.offsets[i]:index.offsets[i + 1]]
+            assert np.all(np.diff(docs_of_term) > 0)
+        assert np.array_equal(np.bincount(index.docs, weights=index.tfs,
+                                          minlength=index.num_docs), index.lengths)
+
+    def test_benchmark_views_are_the_old_dicts(self):
+        """postings and doc_lengths, the dict views the benchmark reads, hold
+        the dicts the index was once stored as."""
+        index = build_index(FIXTURE_DOCS)
+        assert index.postings == {
+            "and": [("d3", 1)], "break": [("d4", 1)], "cells": [("d2", 1), ("d5", 1)],
+            "diabetes": [("d3", 1)], "down": [("d4", 1)], "energy": [("d5", 2)],
+            "enzymes": [("d4", 1)], "for": [("d5", 1)],
+            "glucose": [("d1", 1), ("d2", 1), ("d5", 1)], "in": [("d2", 1)],
+            "insulin": [("d1", 1), ("d3", 1)], "liver": [("d2", 1), ("d4", 1)],
+            "metabolism": [("d2", 1)], "regulates": [("d1", 1)], "resistance": [("d3", 1)],
+            "toxins": [("d4", 1)], "two": [("d3", 1)], "type": [("d3", 1)],
+            "uptake": [("d1", 1)], "use": [("d5", 1)]}
+        assert index.doc_lengths == {"d1": 4, "d2": 5, "d3": 6, "d4": 5, "d5": 6}
 
     def test_rebuild_is_bit_identical(self, tmp_path, set_clock):
         """Saves an hour apart give equal bytes: no member carries the clock."""
@@ -112,7 +152,7 @@ class TestBuildIndex:
         set_clock(1_700_003_600.0)
         save_index(tmp_path / "b.json", index2)
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
-        assert load_index(tmp_path / "a.json").postings == index1.postings
+        assert_same_index(load_index(tmp_path / "a.json"), index1)
 
 
 class TestBm25Score:
@@ -226,18 +266,27 @@ class TestRetrieveTopk:
                 assert retrieve_topk(loaded, Query(qid, text), k=k) == \
                     retrieve_topk(index, Query(qid, text), k=k)
 
-    def test_derived_view_is_left_out_of_equality(self):
-        used, fresh = build_index(FIXTURE_DOCS), build_index(FIXTURE_DOCS)
-        retrieve_topk(used, Query("q1", FIXTURE_QUERIES["q1"]))
-        assert used == fresh
-        assert repr(used) == repr(fresh)
+    def test_saved_bytes_survive_load_and_retrieval(self, tmp_path):
+        """A built index and its loaded copy save to the same bytes, and
+        deriving the impact view on either changes nothing that is saved."""
+        built = build_index(FIXTURE_DOCS)
+        save_index(tmp_path / "built", built)
+        loaded = load_index(tmp_path / "built")
+        save_index(tmp_path / "loaded", loaded)
+        for index in (built, loaded):
+            retrieve_topk(index, Query("q1", FIXTURE_QUERIES["q1"]))
+        save_index(tmp_path / "built_used", built)
+        save_index(tmp_path / "loaded_used", loaded)
+        want = (tmp_path / "built").read_bytes()
+        for name in ("loaded", "built_used", "loaded_used"):
+            assert (tmp_path / name).read_bytes() == want, name
 
     def test_impacts_are_read_only(self):
-        docs, impacts = build_index(FIXTURE_DOCS).impacts().terms["glucose"]
-        with pytest.raises(ValueError):
-            impacts[0] = 0.0
-        with pytest.raises(ValueError):
-            docs[0] = 0
+        index = build_index(FIXTURE_DOCS)
+        docs, impacts = index.impacts()["glucose"]
+        for arr in (docs, impacts, index.lengths, index.offsets, index.docs, index.tfs):
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
 
 class TestFileFormats:
@@ -278,14 +327,12 @@ class TestFileFormats:
         index = build_index(FIXTURE_DOCS)
         save_index(tmp_path / "index.json", index)
         loaded = load_index(tmp_path / "index.json")
-        assert loaded.postings == index.postings
-        assert loaded.doc_lengths == index.doc_lengths
-        assert loaded.num_docs == index.num_docs
-        assert loaded.avg_doc_length == index.avg_doc_length
+        assert_same_index(loaded, index)
         # impacts identical through the roundtrip
-        for term, (docs, impacts) in index.impacts().terms.items():
-            assert np.array_equal(loaded.impacts().terms[term][0], docs)
-            assert np.array_equal(loaded.impacts().terms[term][1], impacts)
+        assert loaded.impacts().keys() == index.impacts().keys()
+        for term, (docs, impacts) in index.impacts().items():
+            assert np.array_equal(loaded.impacts()[term][0], docs)
+            assert np.array_equal(loaded.impacts()[term][1], impacts)
 
     @pytest.mark.parametrize("docs", [
         [Document("dé-漢", "alpha beta"), Document("d\x00", "beta"), Document("d", "beta gamma"),
@@ -298,10 +345,8 @@ class TestFileFormats:
         index = build_index(docs)
         save_index(tmp_path / "index.json", index)
         loaded = load_index(tmp_path / "index.json")
-        assert loaded.postings == index.postings
-        assert loaded.doc_lengths == index.doc_lengths
-        assert loaded.num_docs == index.num_docs
-        assert loaded.avg_doc_length == index.avg_doc_length
+        assert_same_index(loaded, index)
+        assert loaded.doc_ids == sorted(d.id for d in docs)
 
     def test_format_1_json_index_asks_for_a_rebuild(self, tmp_path):
         (tmp_path / "old.json").write_text('{"format_version": 1, "postings": {}}')
