@@ -291,7 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
                        type=type(f.default), default=None, dest=f.name)
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("selftest", help="run the gradient, KL, metric, subgraph and BM25 oracle checks")
+    p = sub.add_parser("selftest", help="run the gradient, KL, metric, subgraph, linking "
+                                        "and BM25 oracle checks")
     p.set_defaults(func=cmd_selftest)
     return parser
 

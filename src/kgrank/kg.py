@@ -25,6 +25,7 @@ INTERACTION_RELATION = "<int>"
 INTERACTION_NODE = "<interaction>"
 SELF_RELATION = "<self>"
 DEFAULT_MAX_NODES = 10
+MAX_SURFACE_WORDS = 4
 NODE_INIT_STD = 0.02
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
@@ -36,10 +37,13 @@ class KnowledgeGraph:
     relations: set[str] = field(default_factory=set)
     triples: list[tuple[str, str, str]] = field(default_factory=list)
     names: dict[str, list[str]] = field(default_factory=dict)
-    # derived lookup structures, built lazily and reused across calls
-    _surfaces: dict[tuple[str, ...], str] | None = field(default=None, repr=False)
-    _adjacency: dict[str, set[str]] | None = field(default=None, repr=False)
-    _by_head: dict[str, list[tuple[str, str, str]]] | None = field(default=None, repr=False)
+    # derived lookups, built lazily, reused across calls and never compared
+    _surfaces: dict[tuple[str, ...], str] | None = field(
+        default=None, compare=False, repr=False)
+    _first_words: dict[str, int] | None = field(default=None, compare=False, repr=False)
+    _adjacency: dict[str, set[str]] | None = field(default=None, compare=False, repr=False)
+    _by_head: dict[str, list[tuple[str, str, str]]] | None = field(
+        default=None, compare=False, repr=False)
 
     @classmethod
     def from_triples(cls, triples: Iterable[tuple[str, str, str]],
@@ -63,8 +67,13 @@ class KnowledgeGraph:
 
     def surface_index(self) -> dict[tuple[str, ...], str]:
         if self._surfaces is None:
-            self._surfaces = _surface_index(self)
+            self._surfaces, self._first_words = _surface_index(self)
         return self._surfaces
+
+    def first_word_lengths(self) -> dict[str, int]:
+        """First word of a linkable surface -> the most words such a surface has."""
+        self.surface_index()
+        return self._first_words
 
     def adjacency(self) -> dict[str, set[str]]:
         if self._adjacency is None:
@@ -145,34 +154,60 @@ def load_kg(path: str | Path, lexicon_path: str | Path | None = None) -> Knowled
     return KnowledgeGraph.from_triples(triples, lexicon)
 
 
-def _surface_index(kg: KnowledgeGraph) -> dict[tuple[str, ...], str]:
-    """Lowercased surface token tuple -> smallest matching node id."""
+def _surface_index(kg: KnowledgeGraph) -> tuple[dict[tuple[str, ...], str], dict[str, int]]:
+    """Lowercased surface word tuple -> smallest matching node id, and the
+    first word of each tuple of at most MAX_SURFACE_WORDS words -> the length
+    of the longest such tuple."""
     index: dict[tuple[str, ...], str] = {}
+    first_words: dict[str, int] = {}
     for node in sorted(kg.nodes):
         for surface in kg.surface_names(node):
             key = tuple(_WORD_RE.findall(surface.lower()))
-            if key and (key not in index or node < index[key]):
+            if key:
                 index.setdefault(key, node)
-    return index
+                if len(key) <= MAX_SURFACE_WORDS:
+                    first_words[key[0]] = max(first_words.get(key[0], 0), len(key))
+    return index, first_words
 
 
 def link_entities(text: str, kg: KnowledgeGraph,
                   source: str = "document") -> list[EntityMention]:
-    """Greedy longest-match of node surface names against token n-grams (n <= 4).
+    """Greedy longest match of node surface names against the text's words.
 
-    Overlaps resolve longer-span-first, then earlier start; the result is
-    deterministic and mentions never overlap.
+    Words are the runs of a-z/0-9 in the lowercased text. A surface matches
+    where its words equal consecutive words of the text; surfaces of more
+    than MAX_SURFACE_WORDS (4) words are never linked, and a surface shared
+    by several nodes links the smallest node id. Overlaps resolve
+    longer-span-first, then earlier start, on spans that index `text`; the
+    result is deterministic and mentions never overlap. The cost is one dict
+    lookup per word, plus n-gram lookups only at words where a surface name
+    starts, up to that word's longest surface.
     """
     surface_index = kg.surface_index()
-    tokens = [(m.group(), m.start(), m.end()) for m in _WORD_RE.finditer(text.lower())]
+    first_words = kg.first_word_lengths()
+    lowered = text.lower()
+    words = _WORD_RE.findall(lowered)
+    found: list[tuple[int, int, str]] = []  # (first word, word count, node)
+    for i, word in enumerate(words):
+        longest = first_words.get(word)
+        if longest is not None:
+            for n in range(1, min(longest, len(words) - i) + 1):
+                node = surface_index.get(tuple(words[i:i + n]))
+                if node is not None:
+                    found.append((i, n, node))
+    if not found:
+        return []
+    spans = [m.span() for m in _WORD_RE.finditer(lowered)]
+    if len(lowered) != len(text):
+        # the index in `text` of each character of `lowered`: str.lower never
+        # shortens a character, and its one context rule (final sigma) keeps
+        # the length
+        owners = [i for i, ch in enumerate(text) for _ in ch.lower()]
+        spans = [(owners[s], owners[e - 1] + 1) for s, e in spans]
     candidates: list[tuple[int, int, int, str]] = []  # (-length, start, end, node)
-    for i in range(len(tokens)):
-        for n in range(1, min(4, len(tokens) - i) + 1):
-            key = tuple(tok for tok, _, _ in tokens[i:i + n])
-            node = surface_index.get(key)
-            if node is not None:
-                start, end = tokens[i][1], tokens[i + n - 1][2]
-                candidates.append((-(end - start), start, end, node))
+    for i, n, node in found:
+        start, end = spans[i][0], spans[i + n - 1][1]
+        candidates.append((-(end - start), start, end, node))
     candidates.sort()
     mentions: list[EntityMention] = []
     taken: list[tuple[int, int]] = []

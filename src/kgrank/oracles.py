@@ -2,9 +2,10 @@
 
 Everything here is written directly from definitions and deliberately shares
 no code with the production implementations: metrics recount prefixes
-quadratically, BM25 rescans raw token lists, subgraph candidates come from a
-triple loop over node pairs, the KL term is estimated by Monte Carlo
-sampling, Adam updates one scalar at a time, and the ranker network is
+quadratically, BM25 rescans raw token lists, entity links try every surface
+name at every word, subgraph candidates come from a triple loop over node
+pairs, the KL term is estimated by Monte Carlo sampling, Adam updates one
+scalar at a time, and the ranker network is
 recomputed one pair, one head and one node at a time in plain numpy (only its
 inputs, the prompt ids and the fixed node features, come from the model and
 the KG code). The random-instance comparisons live in `kgrank.selftest`,
@@ -18,7 +19,8 @@ import math
 
 import numpy as np
 
-from .kg import SELF_RELATION, empty_subgraph, init_node_embeddings
+from .kg import (SELF_RELATION, EntityMention, KnowledgeGraph, empty_subgraph,
+                 init_node_embeddings)
 
 
 def ap_direct(ranking: list[str], relevant: set[str]) -> float:
@@ -110,6 +112,59 @@ def capped_nodes_direct(triples: list[tuple[str, str, str]], v_q: set[str],
 def subgraph_edges_direct(triples: list[tuple[str, str, str]],
                           retained: set[str]) -> set[tuple[str, str, str]]:
     return {(h, r, t) for h, r, t in triples if h in retained and t in retained}
+
+
+LINK_CHARS = "abcdefghijklmnopqrstuvwxyz0123456789"
+
+
+def words_direct(text: str) -> list[tuple[str, int, int]]:
+    """(word, start, end) of each maximal run of a-z/0-9 in the lowercased
+    text, one character lowercased at a time; start and end index `text`
+    itself, covering every character whose lowercase holds part of the word."""
+    words: list[tuple[str, int, int]] = []
+    word, start, end = "", 0, 0
+    for i, ch in enumerate(text):
+        for low in ch.lower():
+            if low in LINK_CHARS:
+                if not word:
+                    start = i
+                word, end = word + low, i + 1
+            elif word:
+                words.append((word, start, end))
+                word = ""
+    if word:
+        words.append((word, start, end))
+    return words
+
+
+def link_entities_direct(text: str, kg: KnowledgeGraph,
+                         source: str = "document") -> list[EntityMention]:
+    """Every lexicon surface (a node without names is its own surface) tried
+    at every word position of the text. A surface matches where its words
+    equal the text's words; surfaces of more than 4 words never match, and a
+    surface on several nodes links its smallest node id. Overlaps resolve
+    greedily: the longer span in characters of the given text first, then
+    the earlier start. Mentions come back in order of start."""
+    words = words_direct(text)
+    surfaces: dict[tuple[str, ...], str] = {}
+    for node in kg.nodes:
+        for surface in kg.names.get(node, [node]):
+            key = tuple(w for w, _, _ in words_direct(surface))
+            if 1 <= len(key) <= 4 and (key not in surfaces or node < surfaces[key]):
+                surfaces[key] = node
+    candidates = []
+    for i in range(len(words)):
+        for key, node in surfaces.items():
+            if tuple(w for w, _, _ in words[i:i + len(key)]) == key:
+                start, end = words[i][1], words[i + len(key) - 1][2]
+                candidates.append((end - start, start, end, node))
+    candidates.sort(key=lambda c: (-c[0], c[1]))
+    kept: list[tuple[int, int, str]] = []
+    for _, start, end, node in candidates:
+        if all(end <= s or e <= start for s, e, _ in kept):
+            kept.append((start, end, node))
+    return [EntityMention(node=node, start=start, end=end, source=source)
+            for start, end, node in sorted(kept)]
 
 
 def kl_mc_estimate(mu: np.ndarray, sigma: np.ndarray, n_samples: int,

@@ -20,7 +20,7 @@ from . import oracles
 from . import tensor as tz
 from .corpus import Document, Query
 from .kg import (INTERACTION_NODE, INTERACTION_RELATION, KnowledgeGraph,
-                 QuerySubgraph, extract_subgraph)
+                 QuerySubgraph, extract_subgraph, link_entities)
 from .model import RESERVED_TOKENS, ModelConfig, RankerModel, kl_gaussian_std_normal
 from .tensor import Tensor, finite_diff_check
 from .training import loss_from_trace
@@ -259,6 +259,67 @@ def check_subgraphs() -> CheckResult:
                       f"priority order ({binding} caps binding)")
 
 
+LINK_WORDS = ["bone", "marrow", "cell", "b", "x1", "42", "v1", "v2", "spleen"]
+# " İ " lengthens the text under str.lower: "İ".lower() is two characters
+LINK_SEPARATORS = [" ", " ", " ", "  ", "-", ", ", "/", ". ", " 7 ", " (", " İ "]
+# shared first words and prefixes, a 5-word surface (never linked) and a
+# surface with no word at all
+PLANTED_SURFACES = ["bone", "bone marrow", "Bone-Marrow cell", "marrow cell", "b 42",
+                    "bone marrow cell b x1", "cell", "(-)"]
+
+
+def check_linking() -> CheckResult:
+    """link_entities against oracles.link_entities_direct, which tries every
+    surface at every word, on 300 random lexicons and texts: the same nodes,
+    spans and order. Each lexicon mixes planted surfaces (shared first words
+    and prefixes, a 5-word surface, a surface on two nodes) with random ones
+    of 1-5 words in mixed case and punctuation, and leaves some nodes without
+    a name, so that their ids are their surfaces. Each text strings words and
+    whole surfaces together with spaces, punctuation, digits and a capital
+    whose lowercase is two characters, so spans overlap, nest and repeat."""
+    rng = np.random.default_rng(2718)
+
+    def phrase(words: list[str]) -> str:
+        """The words in random case, joined by random separators."""
+        out = ""
+        for i, word in enumerate(words):
+            out += str(rng.choice(LINK_SEPARATORS)) if i else ""
+            out += (word, word.title(), word.upper())[int(rng.integers(3))]
+        return out
+
+    failures, linked, multiword = [], 0, 0
+    for trial in range(300):
+        nodes = [f"v{i}" for i in range(int(rng.integers(1, 8)))]
+        lexicon = []
+        for node in nodes:
+            for _ in range(int(rng.integers(0, 3))):
+                if rng.random() < 0.5:
+                    lexicon.append((node, str(rng.choice(PLANTED_SURFACES))))
+                else:
+                    size = int(rng.integers(1, 6))
+                    lexicon.append((node, phrase(list(rng.choice(LINK_WORDS, size=size)))))
+        if lexicon and rng.random() < 0.3:  # one surface on a second node
+            lexicon.append((str(rng.choice(nodes)), lexicon[int(rng.integers(len(lexicon)))][1]))
+        kg = KnowledgeGraph.from_triples([], lexicon)
+        kg.nodes.update(nodes)
+        pieces = []
+        for _ in range(int(rng.integers(0, 12))):
+            if lexicon and rng.random() < 0.4:
+                pieces.append(lexicon[int(rng.integers(len(lexicon)))][1])
+            else:
+                pieces.append(phrase(list(rng.choice(LINK_WORDS, size=int(rng.integers(1, 4))))))
+        text = phrase(pieces)
+        source = ("query", "document")[trial % 2]
+        got = link_entities(text, kg, source)
+        want = oracles.link_entities_direct(text, kg, source)
+        if got != want:
+            failures.append(f"text {trial} {text!r}: mentions {got} differ from {want}")
+        linked += len(want)
+        multiword += sum(" " in text[m.start:m.end] for m in want)
+    return failures, (f"300 random lexicons and texts, identical mentions ({linked}, "
+                      f"{multiword} of them spanning a space)")
+
+
 def check_bm25() -> CheckResult:
     """retrieve_topk against the exhaustive table of oracles.bm25_direct over
     raw tokens, sorted by (-score, doc id): the same ids, order and scores,
@@ -301,5 +362,6 @@ CHECKS: list[tuple[str, Callable[[], CheckResult]]] = [
     ("bottleneck: KL and MI bound", check_bottleneck),
     ("metrics: brute-force agreement", check_metrics),
     ("subgraph: 2-hop enumeration", check_subgraphs),
+    ("linking: every surface at every word", check_linking),
     ("bm25: exhaustive direct-formula table", check_bm25),
 ]

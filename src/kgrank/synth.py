@@ -28,6 +28,10 @@ from .fileio import atomic_write
 from .kg import KnowledgeGraph
 
 RELATIONS = ("associated_with", "interacts_with", "part_of")
+# the smallest value of each count; TaskKnobs.validate also relates them
+KNOB_MINIMUMS = {"num_queries": 1, "corpus_size": 1, "kg_nodes": 1, "relevant_per_query": 1,
+                 "hard_distractors": 0, "medium_distractors": 0, "background_vocab": 1,
+                 "min_doc_tokens": 2, "max_doc_tokens": 2, "decoy_edges": 0}
 
 
 @dataclass
@@ -45,6 +49,9 @@ class TaskKnobs:
     train_fraction: float = 0.6
 
     def validate(self) -> None:
+        for name, low in KNOB_MINIMUMS.items():
+            if getattr(self, name) < low:
+                raise ValidationError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.corpus_size < 10 * self.num_queries:
             raise ValidationError("corpus_size must be at least 10x num_queries")
         per_query_docs = self.relevant_per_query + self.hard_distractors + self.medium_distractors
@@ -53,10 +60,15 @@ class TaskKnobs:
         dedicated = self.num_queries * (2 + self.relevant_per_query)
         if dedicated + 50 > self.kg_nodes:
             raise ValidationError("kg_nodes too small: each query needs fresh entities")
+        background = self.kg_nodes - dedicated
+        possible = background * (background - 1) * len(RELATIONS)
+        if self.decoy_edges > possible:
+            raise ValidationError(f"decoy_edges must be at most the {possible} distinct "
+                                  f"triples among {background} background nodes")
         if not (0.0 < self.train_fraction < 1.0):
             raise ValidationError("train_fraction must be in (0, 1)")
-        if self.min_doc_tokens < 2 or self.max_doc_tokens < self.min_doc_tokens:
-            raise ValidationError("bad document length range")
+        if self.max_doc_tokens < self.min_doc_tokens:
+            raise ValidationError("max_doc_tokens must be >= min_doc_tokens")
 
 
 @dataclass
@@ -76,7 +88,10 @@ def _entity_surface(index: int) -> str:
 
 
 def generate(seed: int, knobs: TaskKnobs | None = None) -> SyntheticTask:
-    """Build a task; identical bytes for identical (seed, knobs)."""
+    """Build a task; identical bytes for identical (seed, knobs). The seed
+    must be non-negative."""
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     knobs = knobs or TaskKnobs()
     knobs.validate()
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x7a5c]))

@@ -427,6 +427,22 @@ class TestErrorHandling:
         assert main(["gen", "--out", str(tmp_path / "t"), "--seed", "1",
                      "--num-queries", "10", "--corpus-size", "50"]) == 2
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--num-queries", "-3"], "num_queries must be >= 1, got -3"),
+        (["--num-queries", "0"], "num_queries must be >= 1, got 0"),
+        (["--decoy-edges", "-1"], "decoy_edges must be >= 0, got -1"),
+        (["--decoy-edges", "1000000"], "decoy_edges must be at most the 14490 distinct"),
+        (["--seed", "-1"], "seed must be >= 0, got -1"),
+    ], ids=["negative query count", "no queries", "negative decoy count",
+            "more decoys than triples", "negative seed"])
+    def test_out_of_range_gen_value_exits_2(self, tmp_path, capsys, flags, message):
+        """Before its bound, --num-queries -3 never ended."""
+        code = main(["gen", "--out", str(tmp_path / "t"), "--seed", "1", *GEN_ARGS, *flags])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert message in err
+        assert not (tmp_path / "t").exists()
+
 
 # Each input kind, its file and a command that reads it.
 FUZZ_KINDS = [("corpus", "task/corpus.jsonl", "index"),

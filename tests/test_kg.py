@@ -1,8 +1,9 @@
 """Knowledge graph loading, entity linking, and subgraph extraction tests.
 
 The 2-hop extraction's comparison with an exhaustive path enumeration runs
-in kgrank.selftest.check_subgraphs (criterion 4); these tests pin hand-built
-cases and the capping rules.
+in kgrank.selftest.check_subgraphs (criterion 4), and the linker's with an
+every-surface-at-every-word table in kgrank.selftest.check_linking; these
+tests pin hand-built cases, the capping rules and the linking rules.
 """
 
 import numpy as np
@@ -77,6 +78,15 @@ class TestLoadKg:
         with pytest.raises(ParseError, match="reserved"):
             load_kg(path)
 
+    def test_equality_ignores_derived_lookups(self):
+        triples = [("a", "rel", "b"), ("b", "rel", "c")]
+        used, fresh = (KnowledgeGraph.from_triples(triples, [("a", "alpha")]) for _ in range(2))
+        link_entities("alpha beta", used)
+        extract_subgraph(used, {"a"}, {"c"})
+        assert used._surfaces is not None and used._adjacency is not None
+        assert used == fresh
+        assert repr(used) == repr(fresh)
+
     def test_lexicon_merge(self, tmp_path):
         kg_path = tmp_path / "kg.tsv"
         kg_path.write_text("a\trel\tb\n")
@@ -126,6 +136,37 @@ class TestLinkEntities:
     def test_source_flag(self):
         (m,) = link_entities("spleen", self.KG, source="query")
         assert m.source == "query"
+
+    def test_matches_every_surface_at_every_word(self):
+        failures, _ = selftest.check_linking()
+        assert failures == []
+
+    def test_surfaces_sharing_a_first_word(self):
+        kg = KnowledgeGraph.from_triples([], [("b1", "bone"), ("b2", "bone marrow"),
+                                              ("b3", "Bone-Marrow cell")])
+        assert kg.first_word_lengths() == {"bone": 3}
+        text = "bone marrow cell, bone marrow and bone"
+        mentions = link_entities(text, kg)
+        assert [(m.node, text[m.start:m.end]) for m in mentions] == [
+            ("b3", "bone marrow cell"), ("b2", "bone marrow"), ("b1", "bone")]
+
+    def test_surface_on_two_nodes_links_the_smallest_id(self):
+        kg = KnowledgeGraph.from_triples([], [("z9", "spleen"), ("a1", "Spleen")])
+        assert [m.node for m in link_entities("the spleen", kg)] == ["a1"]
+
+    def test_surface_of_five_words_is_never_linked(self):
+        kg = KnowledgeGraph.from_triples([], [("long", "a b c d e"), ("four", "b c d e")])
+        assert kg.first_word_lengths() == {"b": 4}
+        assert [m.node for m in link_entities("a b c d e", kg)] == ["four"]
+
+    def test_spans_index_the_given_text_when_lower_lengthens_it(self):
+        """'İ'.lower() is two characters; spans still point at the mention."""
+        text = "İİ spleen"
+        (m,) = link_entities(text, self.KG)
+        assert (m.start, m.end, text[m.start:m.end]) == (3, 9, "spleen")
+        text = "BONE İ MARROW spleen"
+        assert [(m.node, text[m.start:m.end]) for m in link_entities(text, self.KG)] == [
+            ("bm", "MARROW"), ("sp", "spleen")]
 
 
 class TestExtractSubgraph:

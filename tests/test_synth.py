@@ -1,6 +1,8 @@
 """Synthetic task generator tests: determinism, structural guarantees, and
 the measured baseline properties recorded in the manifest."""
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from kgrank.errors import ValidationError
 from kgrank.evaluation import ndcg_at_k
 from kgrank.kg import load_kg
 from kgrank.oracles import two_hop_nodes_direct
-from kgrank.synth import TaskKnobs, generate, write_task
+from kgrank.synth import KNOB_MINIMUMS, TaskKnobs, generate, write_task
 
 SMALL = TaskKnobs(num_queries=10, corpus_size=200, kg_nodes=120, decoy_edges=60)
 
@@ -99,6 +101,16 @@ class TestStructuralGuarantees:
 
 
 class TestKnobValidation:
+    def test_every_count_has_a_minimum(self):
+        counts = {f.name for f in fields(TaskKnobs)} - {"train_fraction"}
+        assert set(KNOB_MINIMUMS) == counts
+
+    @pytest.mark.parametrize("name", sorted(KNOB_MINIMUMS))
+    def test_count_below_its_minimum(self, name):
+        knobs = replace(SMALL, **{name: KNOB_MINIMUMS[name] - 1})
+        with pytest.raises(ValidationError, match=f"{name} must be >= "):
+            knobs.validate()
+
     def test_corpus_too_small_for_queries(self):
         with pytest.raises(ValidationError):
             generate(seed=0, knobs=TaskKnobs(num_queries=10, corpus_size=50))
