@@ -155,18 +155,17 @@ def load_kg(path: str | Path, lexicon_path: str | Path | None = None) -> Knowled
 
 
 def _surface_index(kg: KnowledgeGraph) -> tuple[dict[tuple[str, ...], str], dict[str, int]]:
-    """Lowercased surface word tuple -> smallest matching node id, and the
-    first word of each tuple of at most MAX_SURFACE_WORDS words -> the length
-    of the longest such tuple."""
+    """The lowercased word tuple of each linkable surface (1 to
+    MAX_SURFACE_WORDS words) -> smallest matching node id, and the first word
+    of each such tuple -> the most words of a tuple starting with it."""
     index: dict[tuple[str, ...], str] = {}
     first_words: dict[str, int] = {}
     for node in sorted(kg.nodes):
         for surface in kg.surface_names(node):
             key = tuple(_WORD_RE.findall(surface.lower()))
-            if key:
+            if 1 <= len(key) <= MAX_SURFACE_WORDS:
                 index.setdefault(key, node)
-                if len(key) <= MAX_SURFACE_WORDS:
-                    first_words[key[0]] = max(first_words.get(key[0], 0), len(key))
+                first_words[key[0]] = max(first_words.get(key[0], 0), len(key))
     return index, first_words
 
 
