@@ -23,12 +23,12 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .fileio import atomic_write, load_arrays, read_jsonl, read_lines, save_arrays
+from .fileio import atomic_write, check_field, load_arrays, read_jsonl, read_lines, save_arrays
 
 BM25_K1 = 1.2
 BM25_B = 0.75
 
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
+WORD_RE = re.compile(r"[a-z0-9]+")  # a word of lowercased text, for tokenize and kg
 
 
 @dataclass(frozen=True)
@@ -95,18 +95,15 @@ class InvertedIndex:
 
 def tokenize(text: str) -> list[str]:
     """Lowercase and split on any non-alphanumeric character."""
-    return _TOKEN_RE.findall(text.lower())
+    return WORD_RE.findall(text.lower())
 
 
 def build_index(corpus: list[Document]) -> InvertedIndex:
     """Build an inverted index; rebuilding from the same corpus is bit-identical."""
-    seen: set[str] = set()
-    for doc in corpus:
-        if doc.id in seen:
-            raise ValidationError(f"duplicate document id: {doc.id!r}")
-        seen.add(doc.id)
-
     ordered = sorted(corpus, key=lambda doc: doc.id)
+    for doc, after in zip(ordered, ordered[1:]):
+        if doc.id == after.id:
+            raise ValidationError(f"duplicate document id: {doc.id!r}")
     n = len(ordered)
     term_ids: dict[str, int] = {}
     tokens = [np.fromiter([term_ids.setdefault(t, len(term_ids)) for t in tokenize(doc.text)],
@@ -148,7 +145,9 @@ def _impact_view(index: InvertedIndex) -> dict[str, tuple[np.ndarray, np.ndarray
 
 
 def retrieve_topk(index: InvertedIndex, query: Query, k: int = 100) -> list[tuple[str, float]]:
-    """Top-k documents with positive BM25 score, ties broken by doc id ascending.
+    """Top-k documents with positive BM25 score, in evaluation.ranked order
+    (descending score, ties by doc id ascending), which one np.lexsort gives
+    here over the arrays.
 
     Each query-term occurrence adds its term's impacts into one score array
     (index.impacts()); a document occurs once per term, so every score is
@@ -179,34 +178,33 @@ def retrieve_topk(index: InvertedIndex, query: Query, k: int = 100) -> list[tupl
 # ---------------------------------------------------------------------------
 # File formats: JSON-lines corpora/queries, TREC qrels.
 
-def load_documents(path: str | Path) -> list[Document]:
-    docs = []
+def _load_records(path: str | Path, kind: str, record: type) -> list:
+    """The records of a JSON-lines file of {"id", "text"} objects. Ids are JSON
+    strings or integers, unique, and each one field (fileio.check_field)."""
+    name = record.__name__.lower()
+    records = []
     seen: set[str] = set()
-    for lineno, obj in read_jsonl(path, "corpus"):
+    for lineno, obj in read_jsonl(path, kind):
         if "id" not in obj or "text" not in obj:
             raise ParseError(f"{path}:{lineno}: missing 'id' or 'text' field")
-        if not obj["id"]:
-            raise ParseError(f"{path}:{lineno}: empty document id")
-        did = str(obj["id"])
-        if did in seen:
-            raise ParseError(f"{path}:{lineno}: duplicate document id {did!r}")
-        seen.add(did)
-        docs.append(Document(id=did, text=str(obj["text"])))
-    return docs
+        rid = obj["id"]
+        if isinstance(rid, bool) or not isinstance(rid, (str, int)):
+            raise ParseError(f"{path}:{lineno}: {name} id must be a string or an integer, "
+                             f"not {rid!r}")
+        rid = check_field(str(rid), f"{path}:{lineno}: {name} id")
+        if rid in seen:
+            raise ParseError(f"{path}:{lineno}: duplicate {name} id {rid!r}")
+        seen.add(rid)
+        records.append(record(id=rid, text=str(obj["text"])))
+    return records
+
+
+def load_documents(path: str | Path) -> list[Document]:
+    return _load_records(path, "corpus", Document)
 
 
 def load_queries(path: str | Path) -> list[Query]:
-    queries = []
-    seen: set[str] = set()
-    for lineno, obj in read_jsonl(path, "queries"):
-        if "id" not in obj or "text" not in obj:
-            raise ParseError(f"{path}:{lineno}: missing 'id' or 'text' field")
-        qid = str(obj["id"])
-        if qid in seen:
-            raise ParseError(f"{path}:{lineno}: duplicate query id {qid!r}")
-        seen.add(qid)
-        queries.append(Query(id=qid, text=str(obj["text"])))
-    return queries
+    return _load_records(path, "queries", Query)
 
 
 def load_qrels(path: str | Path) -> dict[tuple[str, str], int]:

@@ -8,15 +8,22 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 from .errors import ParseError, ValidationError
-from .fileio import atomic_write, read_lines
+from .fileio import atomic_write, check_field, read_lines
 
 Ranking = list[tuple[str, float]]
 Qrels = dict[tuple[str, str], int]
 
 KNOWN_METRICS = ("map", "ndcg@10", "recall@100", "capped_recall@100")
+
+
+def ranked(pairs: Iterable[tuple[str, float]]) -> Ranking:
+    """(doc id, score) pairs by descending score, ties by doc id ascending: the
+    order of every ranking (corpus.retrieve_topk gets it from np.lexsort)."""
+    return sorted(pairs, key=lambda item: (-item[1], item[0]))
 
 
 def _check_no_duplicates(ranking: Ranking) -> None:
@@ -88,8 +95,8 @@ def compute_metric(metric: str, ranking: Ranking, grades: dict[str, int]) -> flo
 
 
 def evaluate_run(run: dict[str, Ranking], qrels: Qrels,
-                 metrics: tuple[str, ...] | list[str] = KNOWN_METRICS,
-                 warn_stream=None) -> dict[str, dict[str, float]]:
+                 metrics: tuple[str, ...] | list[str] = KNOWN_METRICS
+                 ) -> dict[str, dict[str, float]]:
     """Per-query metric table plus an 'all' row of unweighted macro averages.
 
     Every query present in the run is evaluated; queries absent from the qrels
@@ -101,8 +108,7 @@ def evaluate_run(run: dict[str, Ranking], qrels: Qrels,
     table: dict[str, dict[str, float]] = {}
     for qid in sorted(run):
         if qid not in qrels_queries:
-            print(f"warning: query {qid!r} not in qrels; scoring 0",
-                  file=warn_stream if warn_stream is not None else sys.stderr)
+            print(f"warning: query {qid!r} not in qrels; scoring 0", file=sys.stderr)
         grades = _query_grades(qrels, qid)
         table[qid] = {m: compute_metric(m, run[qid], grades) for m in metrics}
     table["all"] = {m: sum(row[m] for q, row in table.items() if q != "all") / len(run)
@@ -114,17 +120,19 @@ def evaluate_run(run: dict[str, Ranking], qrels: Qrels,
 # TREC run files and reports.
 
 def save_run(path: str | Path, run: dict[str, Ranking], tag: str = "kgrank") -> None:
-    """Write 'qid Q0 docid rank score tag' lines, ties broken by doc id ascending."""
+    """Write 'qid Q0 docid rank score tag' lines in ranked order. The tag must
+    be one record field (fileio.check_field)."""
+    check_field(tag, "run tag")
     lines = []
     for qid in sorted(run):
-        ordered = sorted(run[qid], key=lambda item: (-item[1], item[0]))
-        for rank, (doc_id, score) in enumerate(ordered, start=1):
+        for rank, (doc_id, score) in enumerate(ranked(run[qid]), start=1):
             lines.append(f"{qid} Q0 {doc_id} {rank} {score!r} {tag}")
     atomic_write(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
 def load_run(path: str | Path) -> dict[str, Ranking]:
     run: dict[str, Ranking] = {}
+    pairs: set[tuple[str, str]] = set()
     for lineno, line in read_lines(path, "run", comments=True):
         parts = line.split()
         if len(parts) != 6:
@@ -134,15 +142,11 @@ def load_run(path: str | Path) -> dict[str, Ranking]:
             score = float(score_s)
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: non-numeric score {score_s!r}") from exc
+        if (qid, did) in pairs:
+            raise ParseError(f"{path}:{lineno}: duplicate (query, doc) pair ({qid!r}, {did!r})")
+        pairs.add((qid, did))
         run.setdefault(qid, []).append((did, score))
-    for qid, ranking in run.items():
-        ranking.sort(key=lambda item: (-item[1], item[0]))
-        seen: set[str] = set()
-        for did, _ in ranking:
-            if did in seen:
-                raise ParseError(f"{path}: duplicate (query, doc) pair ({qid!r}, {did!r})")
-            seen.add(did)
-    return run
+    return {qid: ranked(ranking) for qid, ranking in run.items()}
 
 
 def save_report(path: str | Path, table: dict[str, dict[str, float]],

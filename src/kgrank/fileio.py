@@ -1,5 +1,5 @@
-"""Small file helpers: atomic writes, the one text-line reader, JSON and
-JSON-lines parsing, and array archives.
+"""Small file helpers: atomic writes, the one text-line reader and its field
+rule, JSON and JSON-lines parsing, and array archives.
 
 Every artifact the pipeline emits goes through atomic_write so that rerunning
 a stage either replaces the file completely or leaves the old one intact.
@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError, ParseError
+from .errors import InputError, ParseError, ValidationError
 
 # The format of every array archive (index and checkpoint files). Format 1
 # was a JSON document; it is not read any more.
@@ -66,6 +66,16 @@ def read_lines(path: str | Path, kind: str, comments: bool) -> Iterator[tuple[in
     comment; its ends keep their whitespace, as a TSV field there may be empty."""
     return ((lineno, line) for lineno, line in enumerate(_decoded_lines(path, kind), start=1)
             if line.strip() and not (comments and line.lstrip().startswith("#")))
+
+
+def check_field(value: str, what: str) -> str:
+    """value, if a run or qrels line can hold it as one field that reads back
+    as itself: non-empty, no character str.split() splits on, and no leading
+    '#' (read_lines' comment mark); else a ValidationError naming what."""
+    if value.split() != [value] or value.startswith("#"):
+        raise ValidationError(f"{what} {value!r} is not a record field: it must be non-empty, "
+                              "hold no whitespace and not start with '#'")
+    return value
 
 
 def load_json(path: str | Path, kind: str) -> object:

@@ -10,7 +10,6 @@ single exchange point.
 from __future__ import annotations
 
 import hashlib
-import re
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -18,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .corpus import WORD_RE, tokenize
 from .errors import ParseError, ValidationError
 from .fileio import atomic_write, dump_json, read_jsonl, read_lines
 
@@ -27,8 +27,6 @@ SELF_RELATION = "<self>"
 DEFAULT_MAX_NODES = 10
 MAX_SURFACE_WORDS = 4
 NODE_INIT_STD = 0.02
-
-_WORD_RE = re.compile(r"[a-z0-9]+")
 
 
 @dataclass
@@ -162,7 +160,7 @@ def _surface_index(kg: KnowledgeGraph) -> tuple[dict[tuple[str, ...], str], dict
     first_words: dict[str, int] = {}
     for node in sorted(kg.nodes):
         for surface in kg.surface_names(node):
-            key = tuple(_WORD_RE.findall(surface.lower()))
+            key = tuple(tokenize(surface))
             if 1 <= len(key) <= MAX_SURFACE_WORDS:
                 index.setdefault(key, node)
                 first_words[key[0]] = max(first_words.get(key[0], 0), len(key))
@@ -173,10 +171,10 @@ def link_entities(text: str, kg: KnowledgeGraph,
                   source: str = "document") -> list[EntityMention]:
     """Greedy longest match of node surface names against the text's words.
 
-    Words are the runs of a-z/0-9 in the lowercased text. A surface matches
-    where its words equal consecutive words of the text; surfaces of more
-    than MAX_SURFACE_WORDS (4) words are never linked, and a surface shared
-    by several nodes links the smallest node id. Overlaps resolve
+    Words are corpus.tokenize's (WORD_RE in the lowercased text). A surface
+    matches where its words equal consecutive words of the text; surfaces of
+    more than MAX_SURFACE_WORDS (4) words are never linked, and a surface
+    shared by several nodes links the smallest node id. Overlaps resolve
     longer-span-first, then earlier start, on spans that index `text`; the
     result is deterministic and mentions never overlap. The cost is one dict
     lookup per word, plus n-gram lookups only at words where a surface name
@@ -185,7 +183,7 @@ def link_entities(text: str, kg: KnowledgeGraph,
     surface_index = kg.surface_index()
     first_words = kg.first_word_lengths()
     lowered = text.lower()
-    words = _WORD_RE.findall(lowered)
+    words = WORD_RE.findall(lowered)
     found: list[tuple[int, int, str]] = []  # (first word, word count, node)
     for i, word in enumerate(words):
         longest = first_words.get(word)
@@ -196,7 +194,7 @@ def link_entities(text: str, kg: KnowledgeGraph,
                     found.append((i, n, node))
     if not found:
         return []
-    spans = [m.span() for m in _WORD_RE.finditer(lowered)]
+    spans = [m.span() for m in WORD_RE.finditer(lowered)]
     if len(lowered) != len(text):
         # the index in `text` of each character of `lowered`: str.lower never
         # shortens a character, and its one context rule (final sigma) keeps

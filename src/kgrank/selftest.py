@@ -156,21 +156,20 @@ def check_model_gradient() -> CheckResult:
 
 
 def check_bottleneck() -> CheckResult:
-    """Closed-form KL against Monte Carlo on 50 random Gaussians, and the
-    mutual information of a Gaussian mixture against its mean-KL bound."""
+    """Closed-form KL against Gauss-Hermite quadrature on 50 random
+    Gaussians, to 1e-12, and the Monte Carlo mutual information of a Gaussian
+    mixture against its mean-KL bound."""
     rng = np.random.default_rng(12345)
     failures, worst_gap = [], 0.0
     for i in range(50):
-        # ranges keep the estimator's standard error well under the tolerance
         mu = rng.uniform(-0.8, 0.8, size=4)
         sigma = rng.uniform(0.6, 1.4, size=4)
         closed = kl_gaussian_std_normal(Tensor(mu), Tensor(sigma)).item()
-        estimate, _ = oracles.kl_mc_estimate(mu, sigma, 1_000_000, seed=1000 + i)
-        gap = abs(closed - estimate)
+        exact = oracles.kl_quadrature(mu, sigma)
+        gap = abs(closed - exact)
         worst_gap = max(worst_gap, gap)
-        if gap >= 1e-2:
-            failures.append(f"draw {i}: closed-form KL {closed:.5f} vs Monte Carlo "
-                            f"{estimate:.5f}")
+        if gap >= 1e-12:
+            failures.append(f"draw {i}: closed-form KL {closed!r} vs quadrature {exact!r}")
 
     k, d = 6, 3
     weights = rng.dirichlet(np.ones(k))
@@ -181,7 +180,7 @@ def check_bottleneck() -> CheckResult:
     mi, se = oracles.mutual_information_mc(weights, mus, sigmas, 500_000, seed=99)
     if mi > mean_kl + 3 * se:
         failures.append(f"MC I(x;z) {mi:.4f} exceeds mean KL {mean_kl:.4f} + 3SE")
-    return failures, (f"max |closed-MC| {worst_gap:.2e} (<1e-2) over 50 draws; "
+    return failures, (f"max |closed-quadrature| {worst_gap:.2e} (<1e-12) over 50 draws; "
                       f"MC I(x;z)={mi:.4f} <= mean KL {mean_kl:.4f} + 3SE {3 * se:.4f}")
 
 

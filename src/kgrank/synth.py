@@ -23,7 +23,7 @@ import numpy as np
 
 from .corpus import Document, Query, build_index, retrieve_topk, save_qrels
 from .errors import ValidationError
-from .evaluation import ndcg_at_k
+from .evaluation import ndcg_at_k, ranked
 from .fileio import atomic_write
 from .kg import KnowledgeGraph
 
@@ -67,6 +67,11 @@ class TaskKnobs:
                                   f"triples among {background} background nodes")
         if not (0.0 < self.train_fraction < 1.0):
             raise ValidationError("train_fraction must be in (0, 1)")
+        n_train = round(self.num_queries * self.train_fraction)
+        if not 1 <= n_train <= self.num_queries - 1:
+            raise ValidationError(f"train_fraction {self.train_fraction} puts {n_train} of "
+                                  f"{self.num_queries} queries in training and "
+                                  f"{self.num_queries - n_train} in test; each split needs one")
         if self.max_doc_tokens < self.min_doc_tokens:
             raise ValidationError("max_doc_tokens must be >= min_doc_tokens")
 
@@ -168,7 +173,7 @@ def generate(seed: int, knobs: TaskKnobs | None = None) -> SyntheticTask:
         for j in relevant_texts[i]:
             qrels[(qid, doc_id_of[j])] = 1
 
-    n_train = max(1, int(round(nq * knobs.train_fraction)))
+    n_train = round(nq * knobs.train_fraction)
     train_ids = [q.id for q in queries[:n_train]]
     test_ids = [q.id for q in queries[n_train:]]
 
@@ -201,28 +206,18 @@ def _check_and_annotate(task: SyntheticTask, seed: int, knobs: TaskKnobs) -> Non
 
     docs_by_id = {d.id: d for d in task.corpus}
     for (qid, did), grade in task.qrels.items():
-        if grade <= 0:
-            continue
-        if did not in docs_by_id:
+        if grade > 0 and did not in docs_by_id:
             raise ValidationError(f"generated qrels reference unknown doc {did!r}")
-    queries_by_id = {q.id: q for q in task.queries}
 
     index = build_index(task.corpus)
-    bm25_run = {q.id: retrieve_topk(index, q, k=100) for q in task.queries}
-
-    def grades_for(qid: str) -> dict[str, int]:
-        return {did: g for (q, did), g in task.qrels.items() if q == qid}
-
     bm25_scores, oracle_scores = [], []
     for q in task.queries:
-        grades = grades_for(q.id)
-        candidates = bm25_run[q.id]
+        grades = {did: g for (qid, did), g in task.qrels.items() if qid == q.id}
+        candidates = retrieve_topk(index, q, k=100)
         bm25_scores.append(ndcg_at_k(candidates, grades, k=10))
         v_q = entities_of(q.text)
-        oracle = [(did, 1.0 if _two_hop_connected(adjacency, v_q,
-                                                  entities_of(docs_by_id[did].text)) else 0.0)
-                  for did, _ in candidates]
-        oracle.sort(key=lambda item: (-item[1], item[0]))
+        oracle = ranked((did, float(_two_hop_connected(
+            adjacency, v_q, entities_of(docs_by_id[did].text)))) for did, _ in candidates)
         oracle_scores.append(ndcg_at_k(oracle, grades, k=10))
         for did, grade in grades.items():
             if grade > 0 and not _two_hop_connected(adjacency, v_q,

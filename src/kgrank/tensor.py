@@ -86,20 +86,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, -other if isinstance(other, Tensor) else -float(other))
-
-    def __rsub__(self, other):
-        return add(-self, float(other))
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise UsageError("tensor/tensor division is not a primitive; use mul + reciprocal scalars")
-        return mul(self, 1.0 / float(other))
-
     def __matmul__(self, other):
         return matmul(self, other)
 

@@ -19,6 +19,7 @@ from . import kg as kgm
 from . import tensor as tz
 from .corpus import Document, Query
 from .errors import ComputationError, ConfigurationError, UsageError, ValidationError
+from .evaluation import ranked
 from .fileio import atomic_write
 from .kg import KnowledgeGraph, QuerySubgraph
 from .model import ForwardTrace, ModelConfig, RankerModel
@@ -182,7 +183,8 @@ def train_model(cfg: ModelConfig, corpus: list[Document], queries: list[Query],
                 cache: dict[tuple[str, str], QuerySubgraph] | None = None,
                 ) -> tuple[RankerModel, list[EpochStats]]:
     """Train from scratch; deterministic given the seed (wall time aside).
-    A setting out of range raises a ConfigurationError."""
+    A setting out of range, or a run that diverges (a step that saturates a
+    score or leaves a value non-finite), raises a ConfigurationError."""
     if epochs < 1 or batch_size < 1:
         raise ConfigurationError(
             f"need epochs >= 1 and batch_size >= 1, got {epochs} and {batch_size}")
@@ -206,23 +208,27 @@ def train_model(cfg: ModelConfig, corpus: list[Document], queries: list[Query],
         started = time.perf_counter()
         order = shuffle_rng.permutation(len(examples))
         nll_total, kl_total = 0.0, 0.0
-        for lo in range(0, len(order), batch_size):
+        for step, lo in enumerate(range(0, len(order), batch_size), start=1):
             batch = [examples[int(idx)] for idx in order[lo:lo + batch_size]]
             optimizer.zero_grad()
             noise = [[noise_rng.normal(size=(1, cfg.d_z)) for _ in range(cfg.S)]
                      for _ in batch]
-            trace = model.forward_batch(
-                [queries_by_id[ex.query_id] for ex in batch],
-                [docs_by_id[ex.doc_id] for ex in batch],
-                [None if cfg.text_only else provider.get(ex.query_id, ex.doc_id)
-                 for ex in batch], noise=noise)
-            labels = [ex.label for ex in batch]
-            backward(loss_from_trace(trace, labels, cfg.alpha, cfg.S))
-            for label, score, kl_terms in zip(labels, trace.scores, trace.kl_terms):
-                nll_total += -math.log(score if label else 1.0 - score)
-                kl_total += float(np.mean(kl_terms))
-            clip_gradients(model.params)
-            optimizer.step()
+            try:
+                trace = model.forward_batch(
+                    [queries_by_id[ex.query_id] for ex in batch],
+                    [docs_by_id[ex.doc_id] for ex in batch],
+                    [None if cfg.text_only else provider.get(ex.query_id, ex.doc_id)
+                     for ex in batch], noise=noise)
+                labels = [ex.label for ex in batch]
+                backward(loss_from_trace(trace, labels, cfg.alpha, cfg.S))
+                for label, score, kl_terms in zip(labels, trace.scores, trace.kl_terms):
+                    nll_total += -math.log(score if label else 1.0 - score)
+                    kl_total += float(np.mean(kl_terms))
+                clip_gradients(model.params)
+                optimizer.step()
+            except ComputationError as exc:  # a saturated or non-finite value
+                raise ConfigurationError(f"training diverged at lr {lr}, epoch {epoch}, "
+                                         f"step {step}: {exc}") from exc
         stats.append(EpochStats(epoch=epoch,
                                 mean_nll=nll_total / len(examples),
                                 mean_kl=kl_total / len(examples),
@@ -266,5 +272,4 @@ def rerank_run(model: RankerModel, run: dict[str, list[tuple[str, float]]],
             scores = list(pool.map(score, batches))
     else:
         scores = [score(batch) for batch in batches]
-    return {qid: sorted(zip(dids, s.tolist()), key=lambda item: (-item[1], item[0]))
-            for (qid, dids, _), s in zip(batches, scores)}
+    return {qid: ranked(zip(dids, s.tolist())) for (qid, dids, _), s in zip(batches, scores)}

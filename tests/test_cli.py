@@ -423,6 +423,39 @@ class TestErrorHandling:
         assert f"subgraph cache file is a directory: {tmp_path}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command,name,record,message", [
+        ("index", "task/corpus.jsonl", {"id": "d 1", "text": "x"}, "document id 'd 1'"),
+        ("retrieve", "task/queries.jsonl", {"id": "", "text": "x"}, "query id ''"),
+        ("retrieve", "task/queries.jsonl", {"id": "#q1", "text": "x"}, "query id '#q1'"),
+    ], ids=["document id with a space", "empty query id", "query id starting with #"])
+    def test_id_that_is_not_one_run_field_exits_2(self, pipeline_dir, tmp_path, capsys,
+                                                  command, name, record, message):
+        """Each id on line 2 would not read back from a run file as itself:
+        document "d 1" read back as query "Q0", document "1"; a run line of
+        query "" lost its first field; query "#q1" read back as a comment."""
+        first, *rest = (pipeline_dir / name).read_text().splitlines(keepends=True)
+        bad = tmp_path / Path(name).name
+        bad.write_text(first + json.dumps(record) + "\n" + "".join(rest))
+        files = {f: str(pipeline_dir / f) for f in INPUTS} | {name: str(bad)}
+        capsys.readouterr()
+        assert main(command_argv(command, files, tmp_path / "out.txt")) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}:2: {message} is not a record field" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out.txt").exists()
+
+    @pytest.mark.parametrize("command", ["retrieve", "rerank"])
+    def test_tag_that_is_not_one_run_field_exits_2(self, pipeline_dir, tmp_path, capsys,
+                                                   command):
+        """A tag "a b" made a run of 7-field lines, which eval refused."""
+        files = {f: str(pipeline_dir / f) for f in INPUTS}
+        capsys.readouterr()
+        assert main(command_argv(command, files, tmp_path / "out.txt") + ["--tag", "a b"]) == 2
+        err = capsys.readouterr().err
+        assert "run tag 'a b' is not a record field" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out.txt").exists()
+
     def test_infeasible_gen_knobs_exit_2(self, tmp_path):
         assert main(["gen", "--out", str(tmp_path / "t"), "--seed", "1",
                      "--num-queries", "10", "--corpus-size", "50"]) == 2
@@ -433,10 +466,13 @@ class TestErrorHandling:
         (["--decoy-edges", "-1"], "decoy_edges must be >= 0, got -1"),
         (["--decoy-edges", "1000000"], "decoy_edges must be at most the 14490 distinct"),
         (["--seed", "-1"], "seed must be >= 0, got -1"),
+        (["--num-queries", "1"], "train_fraction 0.6 puts 1 of 1 queries in training and 0 "
+                                 "in test; each split needs one"),
     ], ids=["negative query count", "no queries", "negative decoy count",
-            "more decoys than triples", "negative seed"])
+            "more decoys than triples", "negative seed", "empty test split"])
     def test_out_of_range_gen_value_exits_2(self, tmp_path, capsys, flags, message):
-        """Before its bound, --num-queries -3 never ended."""
+        """Before its bound, --num-queries -3 never ended, and --num-queries 1
+        wrote an empty test split."""
         code = main(["gen", "--out", str(tmp_path / "t"), "--seed", "1", *GEN_ARGS, *flags])
         err = capsys.readouterr().err
         assert code == 2

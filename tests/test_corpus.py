@@ -5,13 +5,14 @@ definition oracle in kgrank.oracles and then frozen as a literal.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from kgrank.corpus import (Document, Query, build_index, load_documents, load_qrels,
                            load_queries, retrieve_topk, save_index, load_index, tokenize)
-from kgrank.errors import ParseError, ValidationError
+from kgrank.errors import InputError, ParseError, ValidationError
 from kgrank.oracles import bm25_direct
 
 FIXTURE_DOCS = [
@@ -309,6 +310,33 @@ class TestFileFormats:
                         encoding="utf-8")
         with pytest.raises(ParseError, match="q1"):
             load_queries(path)
+
+    @pytest.mark.parametrize("load,name", [(load_documents, "document"), (load_queries, "query")],
+                             ids=["documents", "queries"])
+    def test_integer_ids_read_as_their_text(self, tmp_path, load, name):
+        path = tmp_path / "records.jsonl"
+        path.write_text('{"id": 7, "text": "x"}\n{"id": "07", "text": "y"}\n', encoding="utf-8")
+        assert [(r.id, r.text) for r in load(path)] == [("7", "x"), ("07", "y")]
+        path.write_text('{"id": 7, "text": "x"}\n{"id": "7", "text": "y"}\n', encoding="utf-8")
+        with pytest.raises(ParseError, match=f":2: duplicate {name} id '7'"):
+            load(path)
+
+    @pytest.mark.parametrize("load,name", [(load_documents, "document"), (load_queries, "query")],
+                             ids=["documents", "queries"])
+    @pytest.mark.parametrize("record,message", [
+        ('{"id": "a\\u00a0b", "text": "y"}', "{name} id 'a\\xa0b' is not a record field"),
+        ('{"id": true, "text": "y"}', "{name} id must be a string or an integer, not True"),
+        ('{"id": 1.5, "text": "y"}', "{name} id must be a string or an integer, not 1.5"),
+        ('{"id": null, "text": "y"}', "{name} id must be a string or an integer, not None"),
+    ], ids=["no-break space", "bool", "float", "null"])
+    def test_bad_id_names_its_line(self, tmp_path, load, name, record, message):
+        """Documents and queries share one reader and so one set of checks;
+        tests/test_cli.py sends the ids "d 1", "" and "#q1" through it."""
+        path = tmp_path / "records.jsonl"
+        path.write_text('{"id": "a", "text": "x"}\n' + record + "\n", encoding="utf-8")
+        where = re.escape(f"{path}:2: {message.format(name=name)}")
+        with pytest.raises(InputError, match=f"^{where}"):
+            load(path)
 
     def test_qrels_parsing_with_comments(self, tmp_path):
         path = tmp_path / "qrels.txt"

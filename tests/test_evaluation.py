@@ -9,7 +9,7 @@ import pytest
 
 from kgrank.errors import ParseError, ValidationError
 from kgrank.evaluation import (average_precision, evaluate_run, format_report,
-                               load_run, ndcg_at_k, recall_at_k, save_report,
+                               load_run, ndcg_at_k, ranked, recall_at_k, save_report,
                                save_run)
 from kgrank.oracles import ap_direct, ndcg_direct, recall_direct
 
@@ -129,12 +129,10 @@ class TestEvaluateRun:
         assert table["q2"]["map"] == 0.0
         assert table["all"]["map"] == 0.5
 
-    def test_unjudged_query_warns_and_scores_zero(self):
-        import io
-        stream = io.StringIO()
+    def test_unjudged_query_warns_and_scores_zero(self, capsys):
         run = {"q1": ranking_of(["a"]), "qX": ranking_of(["a"])}
-        table = evaluate_run(run, {("q1", "a"): 1}, ["map"], warn_stream=stream)
-        assert "qX" in stream.getvalue()
+        table = evaluate_run(run, {("q1", "a"): 1}, ["map"])
+        assert "qX" in capsys.readouterr().err
         assert table["qX"]["map"] == 0.0
 
     def test_empty_run_rejected(self):
@@ -185,9 +183,20 @@ class TestRunFiles:
         lines = (tmp_path / "run.txt").read_text().strip().splitlines()
         assert [line.split()[2] for line in lines] == ["a", "z"]
 
+    def test_ranked_is_descending_score_then_doc_id(self):
+        pairs = [("b", 1.0), ("c", 2.0), ("a", 1.0), ("d", -0.5)]
+        assert ranked(pairs) == [("c", 2.0), ("a", 1.0), ("b", 1.0), ("d", -0.5)]
+        assert ranked(iter(pairs)) == ranked(reversed(pairs))
+
+    @pytest.mark.parametrize("tag", ["", "#t", "t\n"])
+    def test_tag_that_is_not_one_field_rejected(self, tmp_path, tag):
+        with pytest.raises(ValidationError, match="run tag .* is not a record field"):
+            save_run(tmp_path / "run.txt", {"q": [("d", 1.0)]}, tag=tag)
+        assert not (tmp_path / "run.txt").exists()
+
     def test_duplicate_pair_rejected_on_load(self, tmp_path):
         (tmp_path / "run.txt").write_text("q Q0 d 1 2.0 t\nq Q0 d 2 1.0 t\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match=r":2: duplicate \(query, doc\) pair \('q', 'd'\)"):
             load_run(tmp_path / "run.txt")
 
     def test_malformed_line_number(self, tmp_path):

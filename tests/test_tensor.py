@@ -44,8 +44,6 @@ class TestForwardSemantics:
     def test_scalar_ops_allowed(self):
         t = Tensor([[1.0, 2.0]])
         np.testing.assert_array_equal((t * 2.0 + 1.0).data, [[3.0, 5.0]])
-        np.testing.assert_array_equal((1.0 - t).data, [[0.0, -1.0]])
-        np.testing.assert_array_equal((t / 2).data, [[0.5, 1.0]])
 
     def test_non_finite_raises_at_producing_op(self):
         with pytest.raises(ComputationError, match="log"):

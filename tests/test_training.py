@@ -10,7 +10,7 @@ import kgrank.tensor as tz
 from conftest import tiny_config
 from kgrank import selftest
 from kgrank.corpus import Document, Query
-from kgrank.errors import ComputationError, UsageError, ValidationError
+from kgrank.errors import ComputationError, ConfigurationError, UsageError, ValidationError
 from kgrank.kg import (INTERACTION_NODE, INTERACTION_RELATION, KnowledgeGraph,
                        QuerySubgraph, empty_subgraph)
 from kgrank.model import ForwardTrace, RankerModel
@@ -485,6 +485,15 @@ class TestTrainModel:
 
         assert batch_loss([0, 1, 2, 3]) == pytest.approx(batch_loss([2, 0, 3, 1]),
                                                          rel=1e-12)
+
+    def test_diverged_run_is_a_configuration_error(self):
+        """At lr 2 the second step saturates a score at exactly 0 or 1; the
+        error names the learning rate, the epoch and the step."""
+        docs, queries, qrels, kg = tiny_task()
+        with pytest.raises(ConfigurationError,
+                           match=r"diverged at lr 2.0, epoch 1, step 2: relevance score"):
+            train_model(self._cfg(docs, kg), docs, queries, qrels, kg, epochs=1,
+                        batch_size=4, seed=5, negatives_per_positive=1, lr=2.0)
 
     def test_missing_query_text_rejected(self):
         docs, queries, qrels, kg = tiny_task()
