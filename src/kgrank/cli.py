@@ -20,13 +20,14 @@ from pathlib import Path
 from . import corpus as cx
 from . import evaluation as ev
 from . import selftest
-from .errors import ConfigurationError, InputError, KgrankError, ParseError, ValidationError
-from .fileio import load_json
+from .errors import ConfigurationError, InputError, KgrankError, ValidationError
+from .fileio import check_json_type, load_json
 from .kg import load_kg, load_subgraph_cache, save_subgraph_cache
 from .model import ModelConfig, RankerModel, build_vocab
 from .synth import TaskKnobs, generate, write_task
 from .tensor import load_checkpoint, save_checkpoint
-from .training import SubgraphProvider, rerank_run, save_metrics, train_model
+from .training import (DEFAULT_BATCH_SIZE, DEFAULT_EPOCHS, DEFAULT_LR, DEFAULT_NEGATIVES,
+                       DEFAULT_SEED, SubgraphProvider, rerank_run, save_metrics, train_model)
 
 
 def _require(path: str, kind: str) -> Path:
@@ -90,33 +91,26 @@ def cmd_subgraphs(args) -> int:
 
 
 # Training-config keys besides "model": file paths, and train_model settings
-# with the JSON types each may hold (bool is not an int here). train_model
-# holds their defaults and checks their ranges.
+# with their defaults, whose JSON types they hold; train_model checks ranges.
 CONFIG_PATHS = ("corpus", "queries", "qrels", "kg", "lexicon", "subgraph_cache",
                 "checkpoint_out", "model_config_out", "metrics_out")
-CONFIG_SETTINGS = {"epochs": (int,), "batch_size": (int,), "seed": (int,), "lr": (int, float),
-                   "negatives_per_positive": (int,)}
+CONFIG_SETTINGS = {"epochs": DEFAULT_EPOCHS, "batch_size": DEFAULT_BATCH_SIZE, "seed": DEFAULT_SEED,
+                   "lr": DEFAULT_LR, "negatives_per_positive": DEFAULT_NEGATIVES}
 
 
 def _training_config(path: str | Path) -> dict:
-    cfg = load_json(path, "training config")
-    if not isinstance(cfg, dict):
-        raise ParseError(f"{path}: training config must be a JSON object")
+    cfg = check_json_type(load_json(path, "training config"), {}, f"{path}: training config")
     unknown = sorted(set(cfg) - set(CONFIG_PATHS) - set(CONFIG_SETTINGS) - {"model"})
     if unknown:
         raise ConfigurationError(f"{path}: unknown training config key {unknown[0]!r}")
-    if not isinstance(cfg.get("model", {}), dict):
-        raise ConfigurationError(f"{path}: training config key 'model' must hold an object")
-    for key, types in CONFIG_SETTINGS.items():
-        if key in cfg and type(cfg[key]) not in types:
-            raise ConfigurationError(f"{path}: training config key {key!r} must hold "
-                                     f"{' or '.join(t.__name__ for t in types)}, "
-                                     f"not {cfg[key]!r}")
+    check_json_type(cfg.get("model", {}), {}, f"{path}: training config key 'model'")
+    for key, default in CONFIG_SETTINGS.items():
+        if key in cfg:
+            check_json_type(cfg[key], default, f"{path}: training config key {key!r}")
     base = Path(path).resolve().parent
     for key in CONFIG_PATHS:
         if cfg.get(key):
-            if not isinstance(cfg[key], str):
-                raise ConfigurationError(f"{path}: training config key {key!r} must hold a path")
+            check_json_type(cfg[key], "", f"{path}: training config key {key!r}")
             cfg[key] = str((base / cfg[key]).resolve()) if not os.path.isabs(cfg[key]) else cfg[key]
     for key in ("corpus", "queries", "qrels", "kg", "checkpoint_out"):
         if not cfg.get(key):
@@ -127,8 +121,6 @@ def _training_config(path: str | Path) -> dict:
 def cmd_train(args) -> int:
     cfg = _training_config(_require(args.config, "config"))
     settings = {key: cfg[key] for key in CONFIG_SETTINGS if key in cfg}
-    if args.seed is not None:
-        settings["seed"] = args.seed
     docs = cx.load_documents(_require(cfg["corpus"], "corpus"))
     queries = cx.load_queries(_require(cfg["queries"], "queries"))
     qrels = cx.load_qrels(_require(cfg["qrels"], "qrels"))
@@ -136,14 +128,10 @@ def cmd_train(args) -> int:
     cache = (load_subgraph_cache(_require(cfg["subgraph_cache"], "subgraph cache"))
              if cfg.get("subgraph_cache") else None)
 
-    # vocab and relations are derived from the corpus and the KG
-    overrides = {k: v for k, v in cfg.get("model", {}).items() if k not in ("vocab", "relations")}
-    unknown = set(overrides) - {f.name for f in fields(ModelConfig)}
-    if unknown:
-        raise ConfigurationError(f"{args.config}: unknown model config keys: {sorted(unknown)}")
     try:
-        model_cfg = ModelConfig(vocab=build_vocab(docs), relations=sorted(kg.relations),
-                                **overrides)
+        # vocab and relations are derived from the corpus and the KG
+        model_cfg = ModelConfig.from_json({**cfg.get("model", {}), "vocab": build_vocab(docs),
+                                           "relations": sorted(kg.relations)})
         model, stats = train_model(model_cfg, docs, queries, qrels, kg, cache=cache, **settings)
     except ConfigurationError as exc:  # a model or training setting of the config
         raise ConfigurationError(f"{args.config}: {exc}") from exc
@@ -193,8 +181,6 @@ def cmd_eval(args) -> int:
     run = ev.load_run(_require(args.run, "run"))
     qrels = cx.load_qrels(_require(args.qrels, "qrels"))
     metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
-    for metric in metrics:
-        ev.compute_metric(metric, [], {})  # validate the metric name early
     table = ev.evaluate_run(run, qrels, metrics)
     if args.out:
         ev.save_report(args.out, table, metrics)
@@ -259,8 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train the ranker from a JSON config")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=None,
-                   help="overrides the training config's seed")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("rerank", help="re-score a run with a trained model")

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from pathlib import Path
 
 from .errors import ParseError, ValidationError
@@ -26,7 +26,10 @@ def ranked(pairs: Iterable[tuple[str, float]]) -> Ranking:
     return sorted(pairs, key=lambda item: (-item[1], item[0]))
 
 
-def _check_no_duplicates(ranking: Ranking) -> None:
+def _check_ranking(ranking: Ranking, k: int = 1) -> None:
+    """A ValidationError for a cutoff k below 1 or a document ranked twice."""
+    if k < 1:
+        raise ValidationError(f"k must be >= 1, got {k}")
     seen: set[str] = set()
     for doc_id, _ in ranking:
         if doc_id in seen:
@@ -36,7 +39,7 @@ def _check_no_duplicates(ranking: Ranking) -> None:
 
 def average_precision(ranking: Ranking, relevant: set[str]) -> float:
     """Mean of precision@k at each relevant document's rank; 0 if nothing is relevant."""
-    _check_no_duplicates(ranking)
+    _check_ranking(ranking)
     if not relevant:
         return 0.0
     hits = 0
@@ -50,9 +53,7 @@ def average_precision(ranking: Ranking, relevant: set[str]) -> float:
 
 def ndcg_at_k(ranking: Ranking, grades: dict[str, int], k: int = 10) -> float:
     """Linear-gain nDCG with a log2(rank+1) discount; 0 when no document is relevant."""
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
-    _check_no_duplicates(ranking)
+    _check_ranking(ranking, k)
     dcg = 0.0
     for rank, (doc_id, _) in enumerate(ranking[:k], start=1):
         dcg += grades.get(doc_id, 0) / math.log2(rank + 1)
@@ -67,9 +68,7 @@ def recall_at_k(ranking: Ranking, relevant: set[str], k: int = 100,
                 capped: bool = False) -> float:
     """Fraction of relevant documents in the top k; the capped variant divides
     by min(k, |relevant|) instead of |relevant|."""
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
-    _check_no_duplicates(ranking)
+    _check_ranking(ranking, k)
     if not relevant:
         return 0.0
     hits = sum(1 for doc_id, _ in ranking[:k] if doc_id in relevant)
@@ -77,21 +76,20 @@ def recall_at_k(ranking: Ranking, relevant: set[str], k: int = 100,
     return hits / denom
 
 
-def _query_grades(qrels: Qrels, qid: str) -> dict[str, int]:
-    return {did: grade for (q, did), grade in qrels.items() if q == qid}
-
-
-def compute_metric(metric: str, ranking: Ranking, grades: dict[str, int]) -> float:
-    relevant = {did for did, g in grades.items() if g > 0}
+def metric_function(metric: str) -> Callable[[Ranking, dict[str, int], set[str]], float]:
+    """The (ranking, grades, relevant set) -> value function of "map", "ndcg@k",
+    "recall@k" or "capped_recall@k" (k in decimal digits), which finds the metric
+    function on this module at each call; other names raise a ValidationError."""
+    family, _, k = metric.partition("@")
     if metric == "map":
-        return average_precision(ranking, relevant)
-    if metric.startswith("ndcg@"):
-        return ndcg_at_k(ranking, grades, k=int(metric.split("@")[1]))
-    if metric.startswith("capped_recall@"):
-        return recall_at_k(ranking, relevant, k=int(metric.split("@")[1]), capped=True)
-    if metric.startswith("recall@"):
-        return recall_at_k(ranking, relevant, k=int(metric.split("@")[1]), capped=False)
-    raise ValidationError(f"unknown metric: {metric!r}")
+        return lambda ranking, grades, relevant: average_precision(ranking, relevant)
+    if k.isascii() and k.isdigit():
+        if family == "ndcg":
+            return lambda ranking, grades, relevant: ndcg_at_k(ranking, grades, k=int(k))
+        if family in ("recall", "capped_recall"):
+            return lambda ranking, grades, relevant: recall_at_k(
+                ranking, relevant, k=int(k), capped=family == "capped_recall")
+    raise ValidationError(f"unknown metric: {metric!r} (map, ndcg@k, recall@k, capped_recall@k)")
 
 
 def evaluate_run(run: dict[str, Ranking], qrels: Qrels,
@@ -102,15 +100,19 @@ def evaluate_run(run: dict[str, Ranking], qrels: Qrels,
     Every query present in the run is evaluated; queries absent from the qrels
     universe score 0 on everything and trigger a warning.
     """
+    functions = {m: metric_function(m) for m in metrics}
     if not run:
         raise ValidationError("empty run")
-    qrels_queries = {qid for qid, _ in qrels}
+    grades_by_query: dict[str, dict[str, int]] = {}
+    for (qid, did), grade in qrels.items():
+        grades_by_query.setdefault(qid, {})[did] = grade
     table: dict[str, dict[str, float]] = {}
     for qid in sorted(run):
-        if qid not in qrels_queries:
+        if qid not in grades_by_query:
             print(f"warning: query {qid!r} not in qrels; scoring 0", file=sys.stderr)
-        grades = _query_grades(qrels, qid)
-        table[qid] = {m: compute_metric(m, run[qid], grades) for m in metrics}
+        grades = grades_by_query.get(qid, {})
+        relevant = {did for did, g in grades.items() if g > 0}
+        table[qid] = {m: functions[m](run[qid], grades, relevant) for m in metrics}
     table["all"] = {m: sum(row[m] for q, row in table.items() if q != "all") / len(run)
                     for m in metrics}
     return table

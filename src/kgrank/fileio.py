@@ -1,5 +1,5 @@
 """Small file helpers: atomic writes, the one text-line reader and its field
-rule, JSON and JSON-lines parsing, and array archives.
+rule, JSON and JSON-lines parsing and the JSON type rule, and array archives.
 
 Every artifact the pipeline emits goes through atomic_write so that rerunning
 a stage either replaces the file completely or leaves the old one intact.
@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError, ParseError, ValidationError
+from .errors import ConfigurationError, InputError, ParseError, ValidationError
 
 # The format of every array archive (index and checkpoint files). Format 1
 # was a JSON document; it is not read any more.
@@ -75,6 +75,16 @@ def check_field(value: str, what: str) -> str:
     if value.split() != [value] or value.startswith("#"):
         raise ValidationError(f"{what} {value!r} is not a record field: it must be non-empty, "
                               "hold no whitespace and not start with '#'")
+    return value
+
+
+def check_json_type(value: object, default: object, what: str) -> object:
+    """value, if it has the JSON type of default (a float default also takes an
+    int; a bool is no number); else a ConfigurationError naming what."""
+    kind = type(default)
+    if type(value) is not kind and not (kind is float and type(value) is int):
+        allowed = "int or float" if kind is float else kind.__name__
+        raise ConfigurationError(f"{what} must hold {allowed}, not {value!r}")
     return value
 
 

@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import WORD_RE, tokenize
-from .errors import ParseError, ValidationError
-from .fileio import atomic_write, dump_json, read_jsonl, read_lines
+from .errors import InputError, ParseError, ValidationError
+from .fileio import atomic_write, check_json_type, dump_json, read_jsonl, read_lines
 
 INTERACTION_RELATION = "<int>"
 INTERACTION_NODE = "<interaction>"
@@ -27,6 +27,7 @@ SELF_RELATION = "<self>"
 DEFAULT_MAX_NODES = 10
 MAX_SURFACE_WORDS = 4
 NODE_INIT_STD = 0.02
+NODE_INIT_SEED = 0  # with the node's key, the entropy of each node vector's draw
 
 
 @dataclass
@@ -128,8 +129,8 @@ class QuerySubgraph:
 
 def _tsv_rows(path: str | Path, kind: str, width: int,
               expected: str) -> Iterator[tuple[int, list[str]]]:
-    """(line number, stripped fields) of each line neither blank nor a # comment."""
-    for lineno, line in read_lines(path, kind, comments=True):
+    """(line number, stripped fields) of each line not blank; '#' marks no comment."""
+    for lineno, line in read_lines(path, kind, comments=False):
         parts = line.split("\t")
         if len(parts) != width or not all(p.strip() for p in parts):
             raise ParseError(f"{path}:{lineno}: expected {expected!r}")
@@ -286,16 +287,16 @@ def _node_key(node_id: str) -> int:
 
 
 @lru_cache(maxsize=1 << 16)
-def _node_vector(node_id: str, d_g: int, seed: int) -> np.ndarray:
-    """One node's vector, drawn once per (node id, d_g, seed) and read-only."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, _node_key(node_id)]))
+def _node_vector(node_id: str, d_g: int) -> np.ndarray:
+    """One node's vector, drawn once per (node id, d_g) and read-only."""
+    rng = np.random.default_rng(np.random.SeedSequence([NODE_INIT_SEED, _node_key(node_id)]))
     vec = rng.normal(0.0, NODE_INIT_STD, size=d_g)
     vec.flags.writeable = False
     return vec
 
 
-def init_node_embeddings(subgraph: QuerySubgraph, d_g: int, seed: int) -> np.ndarray:
-    """Per-node N(0, 0.02^2) vectors keyed by (global node id, seed).
+def init_node_embeddings(subgraph: QuerySubgraph, d_g: int) -> np.ndarray:
+    """Per-node N(0, 0.02^2) vectors keyed by the global node id.
 
     The same entity receives the same vector in every subgraph. Row 0 (the
     interaction node) is zeros here; the model substitutes its learned vector.
@@ -306,7 +307,7 @@ def init_node_embeddings(subgraph: QuerySubgraph, d_g: int, seed: int) -> np.nda
         raise ValidationError(f"d_g must be >= 1, got {d_g}")
     out = np.zeros((subgraph.num_nodes, d_g), dtype=np.float64)
     for i, node_id in enumerate(subgraph.node_ids[1:], start=1):
-        out[i] = _node_vector(node_id, d_g, seed)
+        out[i] = _node_vector(node_id, d_g)
     return out
 
 
@@ -328,16 +329,20 @@ def save_subgraph_cache(path: str | Path,
 
 
 def load_subgraph_cache(path: str | Path) -> dict[tuple[str, str], QuerySubgraph]:
+    """Records as save_subgraph_cache writes them; a malformed one is a ParseError."""
     cache: dict[tuple[str, str], QuerySubgraph] = {}
     for lineno, obj in read_jsonl(path, "subgraph cache"):
         try:
+            qid, did = (check_json_type(obj[key], "", key) for key in ("query_id", "doc_id"))
+            nodes, provenance, edges = (check_json_type(obj[key], [], key)
+                                        for key in ("nodes", "provenance", "edges"))
             sub = QuerySubgraph(
-                node_ids=list(obj["nodes"]),
-                provenance=list(obj["provenance"]),
-                edges=[(int(s), str(r), int(t)) for s, r, t in obj["edges"]],
+                node_ids=[check_json_type(node, "", "node id") for node in nodes],
+                provenance=[check_json_type(flag, "", "provenance") for flag in provenance],
+                edges=[(check_json_type(s, 0, "edge end"), check_json_type(r, "", "relation"),
+                        check_json_type(t, 0, "edge end")) for s, r, t in edges],
             )
-            key = (str(obj["query_id"]), str(obj["doc_id"]))
-        except (KeyError, TypeError, ValueError, ValidationError) as exc:
+        except (KeyError, TypeError, ValueError, InputError) as exc:
             raise ParseError(f"{path}:{lineno}: malformed subgraph record ({exc})") from exc
-        cache[key] = sub
+        cache[qid, did] = sub
     return cache

@@ -29,7 +29,7 @@ from . import tensor as tz
 from .corpus import Document, Query, tokenize
 from .errors import (ComputationError, ConfigurationError, ParseError, UsageError,
                      ValidationError)
-from .fileio import atomic_write, load_json
+from .fileio import atomic_write, check_json_type, load_json
 from .kg import (INTERACTION_RELATION, SELF_RELATION, QuerySubgraph,
                  empty_subgraph, init_node_embeddings)
 from .tensor import Tensor
@@ -66,19 +66,17 @@ class ModelConfig:
     max_len: int = 512
     alpha: float = 0.01
     text_only: bool = False
-    node_init_seed: int = 0
     vocab: list[str] = field(default_factory=lambda: list(RESERVED_TOKENS))
     relations: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.default is MISSING:  # the vocabularies
-                ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
+            if f.default is MISSING:  # the vocabularies: lists of strings
+                for item in check_json_type(value, [], f.name):
+                    check_json_type(item, "", f.name)
             else:
-                ok = type(value) in ((int, float) if f.name == "alpha" else (type(f.default),))
-            if not ok:
-                raise ConfigurationError(f"{f.name}={value!r} has the wrong type")
+                check_json_type(value, f.default, f.name)
         if min(self.d_l, self.d_g, self.heads, self.d_z, self.d_proj) < 1:
             raise ConfigurationError("d_l, d_g, heads, d_z and d_proj must be positive")
         if self.d_l % self.heads != 0:
@@ -101,14 +99,20 @@ class ModelConfig:
         atomic_write(path, json.dumps(asdict(self), sort_keys=True))
 
     @classmethod
+    def from_json(cls, values: dict) -> "ModelConfig":
+        """A config from a JSON object; a key that is no field is an error."""
+        unknown = sorted(set(values) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigurationError(f"unknown model config key {unknown[0]!r}")
+        return cls(**values)
+
+    @classmethod
     def load(cls, path: str | Path) -> "ModelConfig":
         """Read a saved config; a malformed file raises a ParseError naming it."""
-        payload = load_json(path, "model config")
-        if not isinstance(payload, dict):
-            raise ParseError(f"{path}: model config must be a JSON object")
         try:
-            return cls(**payload)
-        except (TypeError, ConfigurationError) as exc:  # TypeError: an unknown key
+            return cls.from_json(check_json_type(load_json(path, "model config"), {},
+                                                 "model config"))
+        except ConfigurationError as exc:
             raise ParseError(f"{path}: {exc}") from exc
 
 
@@ -166,9 +170,7 @@ class ForwardTrace:
     kl_tensors: list[Tensor]  # one (B,) tensor per fused layer
 
     def __post_init__(self):
-        bad = ~((self.scores > 0.0) & (self.scores < 1.0))  # NaN fails both
-        if bad.any():
-            raise ComputationError(f"relevance score {self.scores[bad][0]} outside (0, 1)")
+        check_relevance(self.scores)
         if (self.kl_terms < -1e-9).any():
             raise ComputationError(f"negative KL term {self.kl_terms.min()}")
 
@@ -184,6 +186,14 @@ class ForwardTrace:
     @property
     def score(self) -> float:  # of a batch of one pair
         return self.score_tensor.item()
+
+
+def check_relevance(scores: np.ndarray, docs: list[Document] | None = None) -> None:
+    """A ComputationError naming the first score not inside (0, 1), and its doc."""
+    bad = np.flatnonzero(~((scores > 0.0) & (scores < 1.0)))  # NaN fails both
+    if bad.size:
+        where = "" if docs is None else f" for document {docs[bad[0]].id!r}"
+        raise ComputationError(f"relevance score {scores[bad[0]]} outside (0, 1){where}")
 
 
 def kl_gaussian_std_normal(mu, sigma):
@@ -255,8 +265,6 @@ class RankerModel:
         q_tokens = tokenize(query_text)
         d_tokens = tokenize(doc_text)
         overhead = 4  # t_int + three markers
-        if self.cfg.max_len < overhead + min(len(q_tokens), 1):
-            raise ConfigurationError(f"max_len={self.cfg.max_len} cannot hold the prompt markers")
         if overhead + len(q_tokens) > self.cfg.max_len:
             raise ConfigurationError(
                 f"query of {len(q_tokens)} tokens does not fit in max_len={self.cfg.max_len}")
@@ -275,8 +283,7 @@ class RankerModel:
         self-loops sorted by target, so that the in-edges of node i form
         segment i."""
         offsets = np.cumsum([0] + [g.num_nodes for g in graphs[:-1]])
-        feats = np.concatenate([init_node_embeddings(g, self.cfg.d_g, self.cfg.node_init_seed)
-                                for g in graphs])
+        feats = np.concatenate([init_node_embeddings(g, self.cfg.d_g) for g in graphs])
         src, dst, rel_ids = [], [], []
         for g, offset in zip(graphs, offsets):
             loops = list(range(offset, offset + g.num_nodes))
@@ -459,9 +466,5 @@ class RankerModel:
             scores = np.concatenate([
                 self._run(p, prompts[lo:lo + chunk], subgraphs[lo:lo + chunk], None)[0]
                 for lo in range(0, len(prompts), chunk)])
-        bad = ~((scores > 0.0) & (scores < 1.0))  # NaN fails both comparisons
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ComputationError(
-                f"relevance score {scores[i]} outside (0, 1) for document {docs[i].id!r}")
+        check_relevance(scores, docs)
         return scores

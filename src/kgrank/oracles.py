@@ -4,7 +4,7 @@ Everything here is written directly from definitions and deliberately shares
 no code with the production implementations: metrics recount prefixes
 quadratically, BM25 rescans raw token lists, entity links try every surface
 name at every word, subgraph candidates come from a triple loop over node
-pairs, the KL term is estimated by Monte Carlo sampling, Adam updates one
+pairs, the KL term is integrated by Gauss-Hermite quadrature, Adam updates one
 scalar at a time, and the ranker network is
 recomputed one pair, one head and one node at a time in plain numpy (only its
 inputs, the prompt ids and the fixed node features, come from the model and
@@ -209,11 +209,10 @@ def kl_closed_form_direct(mu: np.ndarray, sigma: np.ndarray) -> float:
     return float(0.5 * np.sum(mu ** 2 + sigma ** 2 - 1.0 - np.log(sigma ** 2)))
 
 
-def adam_direct(theta: list[float], grads: list[list[float]], lr: float,
-                beta1: float = 0.9, beta2: float = 0.999,
-                eps: float = 1e-8) -> list[list[float]]:
-    """Adam as in Kingma & Ba (2015), Algorithm 1, one scalar at a time:
-    the parameters after each step, for the gradient of each step."""
+def adam_direct(theta: list[float], grads: list[list[float]], lr: float) -> list[list[float]]:
+    """Adam as in Kingma & Ba (2015), Algorithm 1, with its default decays and
+    eps, one scalar at a time: the parameters after each step's gradient."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
     theta = list(theta)
     m, v = [0.0] * len(theta), [0.0] * len(theta)
     after = []
@@ -329,7 +328,7 @@ def relevance_direct(model, query, doc, subgraph) -> float:
         subgraph = empty_subgraph()
     ids = model.build_prompt(query.text, doc.text)
     h = p["tok_emb"][ids] + p["pos_emb"][:len(ids)]
-    u = init_node_embeddings(subgraph, cfg.d_g, cfg.node_init_seed)
+    u = init_node_embeddings(subgraph, cfg.d_g)
     u[0] = p["graph_int_emb"][0]
     edges = list(subgraph.edges) + [(i, SELF_RELATION, i) for i in range(subgraph.num_nodes)]
     for layer in range(cfg.R):

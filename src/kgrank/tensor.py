@@ -438,13 +438,9 @@ def backward(loss: Tensor) -> None:
         raise UsageError("backward needs a Tensor loss, not a plain array")
     if loss.data.size != 1:
         raise UsageError(f"backward requires a scalar loss, got shape {loss.shape}")
-    if not loss._parents:
-        if not loss.requires_grad:
-            raise UsageError("backward through a tensor that was not produced "
-                             "by recorded primitives")
-        loss.grad = (loss.grad if loss.grad is not None else np.zeros_like(loss.data)) \
-            + np.ones_like(loss.data)
-        return
+    if not loss._parents and not loss.requires_grad:
+        raise UsageError("backward through a tensor that was not produced "
+                         "by recorded primitives")
     order = _topo_order(loss)
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     for node in reversed(order):

@@ -29,7 +29,9 @@ DEFAULT_LR = 3e-4
 DEFAULT_EPOCHS = 3
 DEFAULT_BATCH_SIZE = 8
 DEFAULT_NEGATIVES = 2
+DEFAULT_SEED = 42
 GRAD_CLIP_NORM = 1.0
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
@@ -41,7 +43,7 @@ class TrainingExample:
 
 def sample_training_set(qrels: dict[tuple[str, str], int], corpus_ids: list[str],
                         negatives_per_positive: int = DEFAULT_NEGATIVES,
-                        seed: int = 42) -> list[TrainingExample]:
+                        seed: int = DEFAULT_SEED) -> list[TrainingExample]:
     """One true example per positive pair plus uniform negatives outside the
     query's relevant set."""
     if negatives_per_positive < 0:
@@ -91,12 +93,10 @@ def loss_from_trace(trace: ForwardTrace, labels, alpha: float, s_layers: int) ->
 
 
 class Adam:
-    """Bias-corrected Adam over a named parameter dict."""
+    """Bias-corrected Adam (ADAM_BETA1, ADAM_BETA2, ADAM_EPS) over a named parameter dict."""
 
-    def __init__(self, params: dict[str, Tensor], lr: float = DEFAULT_LR,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.params = params
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+    def __init__(self, params: dict[str, Tensor], lr: float = DEFAULT_LR):
+        self.params, self.lr = params, lr
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.t = 0
@@ -107,28 +107,28 @@ class Adam:
 
     def step(self) -> None:
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - ADAM_BETA1 ** self.t
+        bc2 = 1.0 - ADAM_BETA2 ** self.t
         for name, p in self.params.items():
             g = p.grad
             if g is None:
                 continue
             if not np.all(np.isfinite(g)):
                 raise ComputationError(f"non-finite gradient for parameter {name!r}")
-            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
-            p.data -= self.lr * (self.m[name] / bc1) / (np.sqrt(self.v[name] / bc2) + self.eps)
+            self.m[name] = ADAM_BETA1 * self.m[name] + (1.0 - ADAM_BETA1) * g
+            self.v[name] = ADAM_BETA2 * self.v[name] + (1.0 - ADAM_BETA2) * g * g
+            p.data -= self.lr * (self.m[name] / bc1) / (np.sqrt(self.v[name] / bc2) + ADAM_EPS)
 
 
-def clip_gradients(params: dict[str, Tensor], max_norm: float = GRAD_CLIP_NORM) -> float:
-    """Scale all gradients so their global L2 norm is at most max_norm."""
+def clip_gradients(params: dict[str, Tensor]) -> float:
+    """Scale all gradients so their global L2 norm is at most GRAD_CLIP_NORM."""
     total = 0.0
     for p in params.values():
         if p.grad is not None:
             total += float((p.grad ** 2).sum())
     norm = total ** 0.5
-    if norm > max_norm:
-        scale = max_norm / norm
+    if norm > GRAD_CLIP_NORM:
+        scale = GRAD_CLIP_NORM / norm
         for p in params.values():
             if p.grad is not None:
                 p.grad *= scale
@@ -178,7 +178,7 @@ class SubgraphProvider:
 def train_model(cfg: ModelConfig, corpus: list[Document], queries: list[Query],
                 qrels: dict[tuple[str, str], int], kg: KnowledgeGraph | None,
                 *, epochs: int = DEFAULT_EPOCHS, batch_size: int = DEFAULT_BATCH_SIZE,
-                seed: int = 42, lr: float = DEFAULT_LR,
+                seed: int = DEFAULT_SEED, lr: float = DEFAULT_LR,
                 negatives_per_positive: int = DEFAULT_NEGATIVES,
                 cache: dict[tuple[str, str], QuerySubgraph] | None = None,
                 ) -> tuple[RankerModel, list[EpochStats]]:

@@ -7,6 +7,7 @@ runs `kgrank selftest` over stand-in checks and with a planted fault; and
 resolves the public names.
 """
 
+import importlib
 import io
 import json
 import os
@@ -30,12 +31,14 @@ GEN_ARGS = ["--num-queries", "10", "--corpus-size", "200", "--kg-nodes", "120",
 
 
 def with_first_cache_record(change):
-    """A subgraph-cache corruption: change(record) edits the first record."""
-    def corrupt(text: str) -> str:
-        first, *rest = text.splitlines(keepends=True)
+    """A subgraph-cache corruption: change(record) edits the record on line
+    1, and the error must name that line."""
+    def corrupt(data: bytes) -> bytes:
+        first, *rest = data.splitlines(keepends=True)
         record = json.loads(first)
         change(record)
-        return json.dumps(record) + "\n" + "".join(rest)
+        return json.dumps(record).encode() + b"\n" + b"".join(rest)
+    corrupt.lineno = 1
     return corrupt
 
 
@@ -273,6 +276,19 @@ class TestErrorHandling:
                      "--qrels", str(pipeline_dir / "task/qrels_test.txt"),
                      "--metrics", "made_up_metric"]) == 2
 
+    @pytest.mark.parametrize("metric", ["ndcg@x", "ndcg@", "recall@1.5"])
+    def test_metric_without_integer_cutoff_exits_2(self, pipeline_dir, tmp_path, capsys,
+                                                   metric):
+        """Each of these names used to end in a ValueError traceback."""
+        capsys.readouterr()
+        assert main(["eval", "--run", str(pipeline_dir / "run_bm25.txt"),
+                     "--qrels", str(pipeline_dir / "task/qrels_test.txt"),
+                     "--metrics", f"map,{metric}", "--out", str(tmp_path / "report.csv")]) == 2
+        err = capsys.readouterr().err
+        assert f"unknown metric: {metric!r}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "report.csv").exists()
+
     def test_rerank_without_graph_source_exits_2(self, pipeline_dir, tmp_path):
         assert main(["rerank", "--checkpoint", str(pipeline_dir / "ckpt.json"),
                      "--model-config", str(pipeline_dir / "model.json"),
@@ -355,6 +371,17 @@ class TestErrorHandling:
         ("train", "train.json", with_setting('"batch_size": 0')),
         ("train", "train.json", with_setting('"d_l": "16"', "model")),
         ("index", "task/corpus.jsonl", first_line_repeated),
+        ("rerank", "cache.jsonl", with_first_cache_record(
+            lambda r: r.update(nodes=r["nodes"] + [5], provenance=r["provenance"] + ["bridge"]))),
+        ("rerank", "cache.jsonl", with_first_cache_record(
+            lambda r: r["edges"].append([0, INTERACTION_RELATION, 0.5]))),
+        ("rerank", "cache.jsonl", with_first_cache_record(
+            lambda r: r["edges"].append([True, INTERACTION_RELATION, 0]))),
+        ("rerank", "cache.jsonl", with_first_cache_record(
+            lambda r: r["edges"].append([0, 7, 0]))),
+        ("rerank", "cache.jsonl", with_first_cache_record(lambda r: r.update(query_id=True))),
+        ("rerank", "model.json", lambda text: json.dumps({**json.loads(text),
+                                                          "node_init_seed": 0})),
     ], ids=["unknown config key", "truncated checkpoint", "checkpoint of another d_z",
             "checkpoint of another d_proj", "truncated index", "index without postings",
             "truncated training config", "misspelt training config key",
@@ -370,14 +397,18 @@ class TestErrorHandling:
             "KG line not UTF-8", "lexicon line not UTF-8", "lr a string",
             "lr infinite", "lr negative", "alpha NaN", "alpha infinite", "epochs a float",
             "epochs a bool", "seed a string", "seed negative", "negatives_per_positive a float",
-            "batch_size zero", "model d_l a string", "repeated document id"])
+            "batch_size zero", "model d_l a string", "repeated document id",
+            "cache node id an integer", "cache edge end a float", "cache edge end a bool",
+            "cache relation an integer", "cache query id a bool",
+            "model config of the removed node_init_seed"])
     def test_bad_json_artifact_exits_2(self, pipeline_dir, tmp_path, capsys,
                                        command, name, corrupt):
         """A malformed model config, checkpoint, index, training config,
         subgraph cache, run, qrels, KG or lexicon file, a checkpoint that does
         not fit its config, or a subgraph cache that lacks a run pair when no
-        KG is given, exits 2 naming the file, and a line that is not UTF-8
-        or repeats a document id exits 2 naming the file and the line.
+        KG is given, exits 2 naming the file, and a line that is not UTF-8,
+        repeats a document id or holds a malformed subgraph-cache record
+        exits 2 naming the file and the line.
         Index and checkpoint archives and the line corruptions are made on
         bytes, the rest on text. The training config names its inputs by
         absolute path, so that the copy finds them."""
@@ -574,3 +605,21 @@ class TestSelftest:
 
 def test_public_names_resolve():
     assert [name for name in kgrank.__all__ if not hasattr(kgrank, name)] == []
+
+
+def test_benchmark_wrapped_names_resolve(monkeypatch):
+    """kgbench/tracing.py wraps kgrank functions by name at run time, so a
+    rename fails here instead of in the first traced benchmark run; uninstall
+    puts every original back."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "kgbench"))
+    tracer = importlib.import_module("tracing").Tracer()
+    try:
+        tracer.install()
+        installed = list(tracer._installed)
+    finally:
+        tracer.uninstall()
+    assert installed
+    originals = {}  # a name wrapped twice keeps its first original
+    for owner, attr, original in installed:
+        originals.setdefault((owner, attr), original)
+    assert all(getattr(owner, attr) is original for (owner, attr), original in originals.items())

@@ -65,12 +65,19 @@ class TestLoadKg:
         with pytest.raises(ParseError, match=":2:"):
             load_kg(path)
 
-    def test_indented_comment_line_is_skipped(self, tmp_path):
-        """A line whose first non-blank character is '#' is a comment, in a
-        TSV file as in qrels and run files."""
-        path = tmp_path / "kg.tsv"
-        path.write_text("  # note\n\t# note\t\t\na\trel\tb\n")
-        assert load_kg(path).triples == [("a", "rel", "b")]
+    def test_hash_lines_are_data(self, tmp_path):
+        """KG and lexicon files have no comments: a line starting with '#'
+        is a row like any other, and a '# note' line is a malformed one.
+        "#a<TAB>rel<TAB>b" used to vanish as a comment."""
+        path, lexicon = tmp_path / "kg.tsv", tmp_path / "lex.tsv"
+        path.write_text("#a\trel\tb\nb\trel\t#y\n")
+        lexicon.write_text("#z\tzeta\n")
+        kg = load_kg(path, lexicon)
+        assert kg.triples == [("#a", "rel", "b"), ("b", "rel", "#y")]
+        assert kg.nodes == {"#a", "b", "#y", "#z"}
+        path.write_text("a\trel\tb\n  # note\n")
+        with pytest.raises(ParseError, match=":2: expected"):
+            load_kg(path)
 
     def test_reserved_relation_rejected(self, tmp_path):
         path = tmp_path / "kg.tsv"
@@ -270,23 +277,16 @@ class TestNodeEmbeddings:
         kg = KnowledgeGraph.from_triples([("a", "r", "b"), ("a", "r", "c")])
         sub1 = extract_subgraph(kg, {"a"}, {"b"})
         sub2 = extract_subgraph(kg, {"c"}, {"a"})
-        e1 = init_node_embeddings(sub1, d_g=16, seed=7)
-        e2 = init_node_embeddings(sub2, d_g=16, seed=7)
+        e1 = init_node_embeddings(sub1, d_g=16)
+        e2 = init_node_embeddings(sub2, d_g=16)
         i1 = sub1.node_ids.index("a")
         i2 = sub2.node_ids.index("a")
         np.testing.assert_array_equal(e1[i1], e2[i2])
 
-    def test_different_seeds_differ(self):
-        kg = KnowledgeGraph.from_triples([("a", "r", "b")])
-        sub = extract_subgraph(kg, {"a"}, {"b"})
-        e1 = init_node_embeddings(sub, d_g=16, seed=1)
-        e2 = init_node_embeddings(sub, d_g=16, seed=2)
-        assert not np.array_equal(e1[1:], e2[1:])
-
     def test_interaction_row_left_for_model(self):
         kg = KnowledgeGraph.from_triples([("a", "r", "b")])
         sub = extract_subgraph(kg, {"a"}, {"b"})
-        emb = init_node_embeddings(sub, d_g=8, seed=0)
+        emb = init_node_embeddings(sub, d_g=8)
         np.testing.assert_array_equal(emb[0], np.zeros(8))
 
     def test_memoised_vector_equals_a_fresh_draw(self):
@@ -294,24 +294,24 @@ class TestNodeEmbeddings:
                             provenance=["interaction", "query-seed", "doc-seed", "bridge"],
                             edges=[])
         for _ in range(2):  # the second call reads the memo
-            emb = init_node_embeddings(sub, d_g=16, seed=11)
+            emb = init_node_embeddings(sub, d_g=16)
             for i, node in enumerate(sub.node_ids[1:], start=1):
-                rng = np.random.default_rng(np.random.SeedSequence([11, _node_key(node)]))
+                rng = np.random.default_rng(np.random.SeedSequence([0, _node_key(node)]))
                 np.testing.assert_array_equal(emb[i], rng.normal(0.0, 0.02, 16))
 
     def test_writing_into_result_changes_no_later_result(self):
         kg = KnowledgeGraph.from_triples([("a", "r", "b")])
         sub = extract_subgraph(kg, {"a"}, {"b"})
-        first = init_node_embeddings(sub, d_g=8, seed=5)
+        first = init_node_embeddings(sub, d_g=8)
         kept = first.copy()
         first[:] = 1.0
-        np.testing.assert_array_equal(init_node_embeddings(sub, d_g=8, seed=5), kept)
+        np.testing.assert_array_equal(init_node_embeddings(sub, d_g=8), kept)
 
     def test_norms_concentrate(self):
         """Monte Carlo over 1000 nodes: |v| stays within 20% of 0.02*sqrt(d_g)."""
         sub = QuerySubgraph(node_ids=[INTERACTION_NODE] + [f"x{i}" for i in range(1000)],
                             provenance=["interaction"] + ["bridge"] * 1000, edges=[])
-        emb = init_node_embeddings(sub, d_g=200, seed=3)
+        emb = init_node_embeddings(sub, d_g=200)
         norms = np.linalg.norm(emb[1:], axis=1)
         target = 0.02 * np.sqrt(200)
         assert np.all(norms > 0.8 * target)

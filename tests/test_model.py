@@ -5,7 +5,9 @@ references in kgrank.oracles (independent of the autodiff engine), and every
 differentiable piece is finite-difference checked.
 """
 
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -15,7 +17,8 @@ from conftest import frozen_noise, tiny_config, tiny_subgraph
 from kgrank import model as model_module
 from kgrank import oracles
 from kgrank.corpus import Document, Query
-from kgrank.errors import ComputationError, ConfigurationError, UsageError, ValidationError
+from kgrank.errors import (ComputationError, ConfigurationError, ParseError, UsageError,
+                           ValidationError)
 from kgrank.kg import (INTERACTION_NODE, INTERACTION_RELATION, SELF_RELATION,
                        QuerySubgraph, empty_subgraph)
 from kgrank.model import (RESERVED_TOKENS, ModelConfig, RankerModel,
@@ -53,6 +56,15 @@ class TestModelConfig:
         cfg = tiny_config(text_only=True, alpha=0.5)
         cfg.save(tmp_path / "model.json")
         assert ModelConfig.load(tmp_path / "model.json") == cfg
+
+    def test_removed_node_init_seed_rejected_by_name(self, tmp_path):
+        """node_init_seed is no longer a field; a saved config that holds it
+        is refused like any unknown key."""
+        payload = {**asdict(tiny_config()), "node_init_seed": 0}
+        (tmp_path / "model.json").write_text(json.dumps(payload))
+        with pytest.raises(ParseError, match="model.json: unknown model config key "
+                                             "'node_init_seed'"):
+            ModelConfig.load(tmp_path / "model.json")
 
 
 class TestBuildPrompt:

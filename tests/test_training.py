@@ -189,7 +189,7 @@ class TestAdam:
         b = Tensor(np.zeros(4), requires_grad=True)
         a.grad = np.full(3, 10.0)
         b.grad = np.full(4, -10.0)
-        norm = clip_gradients({"a": a, "b": b}, max_norm=1.0)
+        norm = clip_gradients({"a": a, "b": b})
         assert norm == pytest.approx(10 * math.sqrt(7))
         total = float((a.grad ** 2).sum() + (b.grad ** 2).sum())
         assert math.sqrt(total) == pytest.approx(1.0, rel=1e-12)
@@ -197,7 +197,7 @@ class TestAdam:
     def test_clip_leaves_small_gradients_alone(self):
         a = Tensor(np.zeros(2), requires_grad=True)
         a.grad = np.array([0.1, 0.2])
-        clip_gradients({"a": a}, max_norm=1.0)
+        clip_gradients({"a": a})
         np.testing.assert_array_equal(a.grad, [0.1, 0.2])
 
 
