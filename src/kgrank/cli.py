@@ -271,8 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=42)
     for f in fields(TaskKnobs):
-        p.add_argument(f"--{f.name.replace('_', '-')}",
-                       type=type(f.default), default=None, dest=f.name)
+        p.add_argument(f"--{f.name.replace('_', '-')}", type=int, default=None, dest=f.name)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("selftest", help="run the gradient, KL, metric, subgraph, linking "

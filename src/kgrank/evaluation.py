@@ -98,8 +98,12 @@ def evaluate_run(run: dict[str, Ranking], qrels: Qrels,
     """Per-query metric table plus an 'all' row of unweighted macro averages.
 
     Every query present in the run is evaluated; queries absent from the qrels
-    universe score 0 on everything and trigger a warning.
+    universe score 0 on everything and trigger a warning. A qrels query with a
+    relevant document but no run line scores 0 on everything too, with one
+    warning for all of them.
     """
+    if not metrics:
+        raise ValidationError("no metric given (map, ndcg@k, recall@k, capped_recall@k)")
     functions = {m: metric_function(m) for m in metrics}
     if not run:
         raise ValidationError("empty run")
@@ -113,8 +117,14 @@ def evaluate_run(run: dict[str, Ranking], qrels: Qrels,
         grades = grades_by_query.get(qid, {})
         relevant = {did for did, g in grades.items() if g > 0}
         table[qid] = {m: functions[m](run[qid], grades, relevant) for m in metrics}
-    table["all"] = {m: sum(row[m] for q, row in table.items() if q != "all") / len(run)
-                    for m in metrics}
+    missing = sorted(qid for qid, grades in grades_by_query.items()
+                     if qid not in run and any(g > 0 for g in grades.values()))
+    if missing:
+        print(f"warning: {len(missing)} judged queries without a run line score 0 "
+              f"(first {missing[0]!r})", file=sys.stderr)
+    for qid in missing:
+        table[qid] = dict.fromkeys(metrics, 0.0)
+    table["all"] = {m: sum(row[m] for row in table.values()) / len(table) for m in metrics}
     return table
 
 

@@ -1,13 +1,16 @@
 """Seeded generator for KG-dependent retrieval tasks.
 
-Construction, per query: a query entity `a`, a bridge node `w`, and target
-entities `b` connected a-w-b in the graph. Each relevant document mentions a
-target entity plus the query's weak topic word but never the query entity
-itself, so lexical overlap alone cannot find it. Hard distractors mention the
-query entity (top lexical matches, irrelevant), medium distractors share only
-the topic word, and the rest of the corpus is background noise. Distinguishing
-relevant documents from medium distractors therefore requires the two-hop
-graph path, which is checked for every relevant pair at generation time.
+Construction, per query: a query entity `a`, a bridge node `w`, and
+RELEVANT_PER_QUERY target entities `b` connected a-w-b in the graph. Each
+relevant document mentions a target entity plus the query's weak topic word
+but never the query entity itself, so lexical overlap alone cannot find it.
+HARD_DISTRACTORS documents mention the query entity (top lexical matches,
+irrelevant), MEDIUM_DISTRACTORS share only the topic word, and the rest of the
+corpus is background noise. Documents are DOC_TOKENS[0] to DOC_TOKENS[1]
+tokens long, and the first TRAIN_FRACTION of the queries are for training.
+Distinguishing relevant documents from medium distractors therefore requires
+the two-hop graph path, which is checked for every relevant pair at
+generation time. This design is fixed; TaskKnobs holds only the counts.
 
 Entities, bridges, and topics are fresh per query, so associations memorized
 on training queries do not transfer to test queries; only graph structure does.
@@ -28,10 +31,15 @@ from .fileio import atomic_write
 from .kg import KnowledgeGraph
 
 RELATIONS = ("associated_with", "interacts_with", "part_of")
-# the smallest value of each count; TaskKnobs.validate also relates them
-KNOB_MINIMUMS = {"num_queries": 1, "corpus_size": 1, "kg_nodes": 1, "relevant_per_query": 1,
-                 "hard_distractors": 0, "medium_distractors": 0, "background_vocab": 1,
-                 "min_doc_tokens": 2, "max_doc_tokens": 2, "decoy_edges": 0}
+RELEVANT_PER_QUERY = 3
+HARD_DISTRACTORS = 3
+MEDIUM_DISTRACTORS = 12
+DOC_TOKENS = (10, 18)
+TRAIN_FRACTION = 0.6
+# the smallest value of each count; TaskKnobs.validate also relates them.
+# round(TRAIN_FRACTION * n) leaves a query in each split exactly when n >= 2.
+KNOB_MINIMUMS = {"num_queries": 2, "corpus_size": 1, "kg_nodes": 1, "background_vocab": 1,
+                 "decoy_edges": 0}
 
 
 @dataclass
@@ -39,25 +47,18 @@ class TaskKnobs:
     num_queries: int = 200
     corpus_size: int = 4000
     kg_nodes: int = 1500
-    relevant_per_query: int = 3
-    hard_distractors: int = 3
-    medium_distractors: int = 12
     background_vocab: int = 1200
-    min_doc_tokens: int = 10
-    max_doc_tokens: int = 18
     decoy_edges: int = 800
-    train_fraction: float = 0.6
 
     def validate(self) -> None:
         for name, low in KNOB_MINIMUMS.items():
             if getattr(self, name) < low:
                 raise ValidationError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        if self.corpus_size < 10 * self.num_queries:
-            raise ValidationError("corpus_size must be at least 10x num_queries")
-        per_query_docs = self.relevant_per_query + self.hard_distractors + self.medium_distractors
+        per_query_docs = RELEVANT_PER_QUERY + HARD_DISTRACTORS + MEDIUM_DISTRACTORS
         if self.num_queries * per_query_docs > self.corpus_size:
-            raise ValidationError("corpus_size too small for the requested distractor counts")
-        dedicated = self.num_queries * (2 + self.relevant_per_query)
+            raise ValidationError(f"corpus_size must be at least {per_query_docs} × num_queries, "
+                                  f"got {self.corpus_size} for {self.num_queries} queries")
+        dedicated = self.num_queries * (2 + RELEVANT_PER_QUERY)
         if dedicated + 50 > self.kg_nodes:
             raise ValidationError("kg_nodes too small: each query needs fresh entities")
         background = self.kg_nodes - dedicated
@@ -65,15 +66,6 @@ class TaskKnobs:
         if self.decoy_edges > possible:
             raise ValidationError(f"decoy_edges must be at most the {possible} distinct "
                                   f"triples among {background} background nodes")
-        if not (0.0 < self.train_fraction < 1.0):
-            raise ValidationError("train_fraction must be in (0, 1)")
-        n_train = round(self.num_queries * self.train_fraction)
-        if not 1 <= n_train <= self.num_queries - 1:
-            raise ValidationError(f"train_fraction {self.train_fraction} puts {n_train} of "
-                                  f"{self.num_queries} queries in training and "
-                                  f"{self.num_queries - n_train} in test; each split needs one")
-        if self.max_doc_tokens < self.min_doc_tokens:
-            raise ValidationError("max_doc_tokens must be >= min_doc_tokens")
 
 
 @dataclass
@@ -108,7 +100,7 @@ def generate(seed: int, knobs: TaskKnobs | None = None) -> SyntheticTask:
     topics = [f"topic{i:03d}" for i in range(nq)]
 
     # Per-query dedicated entities: a (query), w (bridge), b_1..b_k (targets).
-    per_query = 2 + knobs.relevant_per_query
+    per_query = 2 + RELEVANT_PER_QUERY
     background_entities = node_ids[nq * per_query:]
 
     triples: set[tuple[str, str, str]] = set()
@@ -122,13 +114,13 @@ def generate(seed: int, knobs: TaskKnobs | None = None) -> SyntheticTask:
     for i in range(nq):
         base = i * per_query
         a, w = node_ids[base], node_ids[base + 1]
-        targets = [node_ids[base + 2 + j] for j in range(knobs.relevant_per_query)]
+        targets = [node_ids[base + 2 + j] for j in range(RELEVANT_PER_QUERY)]
         query_entity.append(a)
         target_entities.append(targets)
         triples.add(bridge_edge(a, w))
         for b in targets:
             triples.add(bridge_edge(w, b))
-    while len(triples) < nq * (1 + knobs.relevant_per_query) + knobs.decoy_edges:
+    while len(triples) < nq * (1 + RELEVANT_PER_QUERY) + knobs.decoy_edges:
         h, t = rng.choice(len(background_entities), size=2, replace=False)
         triples.add(bridge_edge(background_entities[int(h)], background_entities[int(t)]))
 
@@ -136,7 +128,7 @@ def generate(seed: int, knobs: TaskKnobs | None = None) -> SyntheticTask:
         return [background_words[int(j)] for j in rng.integers(len(background_words), size=k)]
 
     def doc_tokens(core: list[str]) -> str:
-        count = int(rng.integers(knobs.min_doc_tokens, knobs.max_doc_tokens + 1))
+        count = int(rng.integers(DOC_TOKENS[0], DOC_TOKENS[1] + 1))
         tokens = core + background_sample(max(count - len(core), 1))
         rng.shuffle(tokens)
         return " ".join(tokens)
@@ -151,9 +143,9 @@ def generate(seed: int, knobs: TaskKnobs | None = None) -> SyntheticTask:
             rel_idx.append(len(docs))
             docs.append(("rel", doc_tokens([_entity_surface(entity_index[b]), topic])))
         relevant_texts.append(rel_idx)
-        for _ in range(knobs.hard_distractors):
+        for _ in range(HARD_DISTRACTORS):
             docs.append(("hard", doc_tokens([_entity_surface(entity_index[query_entity[i]])])))
-        for _ in range(knobs.medium_distractors):
+        for _ in range(MEDIUM_DISTRACTORS):
             c = background_entities[int(rng.integers(len(background_entities)))]
             docs.append(("med", doc_tokens([_entity_surface(entity_index[c]), topic])))
     while len(docs) < knobs.corpus_size:
@@ -173,7 +165,7 @@ def generate(seed: int, knobs: TaskKnobs | None = None) -> SyntheticTask:
         for j in relevant_texts[i]:
             qrels[(qid, doc_id_of[j])] = 1
 
-    n_train = round(nq * knobs.train_fraction)
+    n_train = round(nq * TRAIN_FRACTION)
     train_ids = [q.id for q in queries[:n_train]]
     test_ids = [q.id for q in queries[n_train:]]
 

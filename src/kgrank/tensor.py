@@ -353,17 +353,16 @@ def log(a: Operand) -> Operand:
     return _result("log", np.log(x), (a,), (lambda g: g / x,))
 
 
-def tsum(a: Operand, axis: int | None = None, keepdims: bool = False) -> Operand:
+def tsum(a: Operand, axis: int | None = None) -> Operand:
     ad = _data(a)
     shape = ad.shape
 
     def fn(g: np.ndarray) -> np.ndarray:
         if axis is None:
             return np.full(shape, g)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return np.broadcast_to(gg, shape).copy()
+        return np.broadcast_to(np.expand_dims(g, axis), shape).copy()
 
-    return _result("sum", ad.sum(axis=axis, keepdims=keepdims), (a,), (fn,))
+    return _result("sum", ad.sum(axis=axis), (a,), (fn,))
 
 
 def _segment_ids(op: str, starts: np.ndarray, n: int) -> np.ndarray:

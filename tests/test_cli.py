@@ -259,6 +259,26 @@ class TestPipeline:
         out = capsys.readouterr().out
         assert "macro averages" in out
 
+    def test_judged_query_without_candidates_scores_zero(self, tmp_path, monkeypatch, capsys):
+        """q2 has no word, so retrieve writes no line for it; eval used to
+        report MAP 1.0 over 1 query."""
+        monkeypatch.chdir(tmp_path)
+        Path("corpus.jsonl").write_text('{"id": "d1", "text": "glucose"}\n'
+                                        '{"id": "d2", "text": "insulin"}\n')
+        Path("queries.jsonl").write_text('{"id": "q1", "text": "glucose"}\n'
+                                         '{"id": "q2", "text": "???"}\n')
+        Path("qrels.txt").write_text("q1 0 d1 1\nq2 0 d2 1\n")
+        assert main(["index", "--corpus", "corpus.jsonl", "--out", "index.json"]) == 0
+        assert main(["retrieve", "--index", "index.json", "--queries", "queries.jsonl",
+                     "--out", "run.txt"]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--run", "run.txt", "--qrels", "qrels.txt", "--metrics", "map"]) == 0
+        captured = capsys.readouterr()
+        assert "map  0.5000" in captured.out
+        assert "== 2 queries ==" in captured.out
+        assert captured.err == "warning: 1 judged queries without a run line score 0 " \
+                               "(first 'q2')\n"
+
 
 class TestErrorHandling:
     def test_missing_file_exits_2(self, tmp_path, capsys):
@@ -276,16 +296,22 @@ class TestErrorHandling:
                      "--qrels", str(pipeline_dir / "task/qrels_test.txt"),
                      "--metrics", "made_up_metric"]) == 2
 
-    @pytest.mark.parametrize("metric", ["ndcg@x", "ndcg@", "recall@1.5"])
+    @pytest.mark.parametrize("metrics,message", [
+        ("map,ndcg@x", "unknown metric: 'ndcg@x'"),
+        ("map,ndcg@", "unknown metric: 'ndcg@'"),
+        ("map,recall@1.5", "unknown metric: 'recall@1.5'"),
+        ("", "no metric given"),
+        (" , ", "no metric given"),
+    ], ids=["ndcg@x", "ndcg@", "recall@1.5", "empty list", "only separators"])
     def test_metric_without_integer_cutoff_exits_2(self, pipeline_dir, tmp_path, capsys,
-                                                   metric):
-        """Each of these names used to end in a ValueError traceback."""
+                                                   metrics, message):
+        """Each of these metric lists used to end in a ValueError traceback."""
         capsys.readouterr()
         assert main(["eval", "--run", str(pipeline_dir / "run_bm25.txt"),
                      "--qrels", str(pipeline_dir / "task/qrels_test.txt"),
-                     "--metrics", f"map,{metric}", "--out", str(tmp_path / "report.csv")]) == 2
+                     "--metrics", metrics, "--out", str(tmp_path / "report.csv")]) == 2
         err = capsys.readouterr().err
-        assert f"unknown metric: {metric!r}" in err
+        assert message in err
         assert "Traceback" not in err
         assert not (tmp_path / "report.csv").exists()
 
@@ -492,19 +518,24 @@ class TestErrorHandling:
                      "--num-queries", "10", "--corpus-size", "50"]) == 2
 
     @pytest.mark.parametrize("flags,message", [
-        (["--num-queries", "-3"], "num_queries must be >= 1, got -3"),
-        (["--num-queries", "0"], "num_queries must be >= 1, got 0"),
+        (["--num-queries", "-3"], "num_queries must be >= 2, got -3"),
+        (["--num-queries", "0"], "num_queries must be >= 2, got 0"),
         (["--decoy-edges", "-1"], "decoy_edges must be >= 0, got -1"),
         (["--decoy-edges", "1000000"], "decoy_edges must be at most the 14490 distinct"),
         (["--seed", "-1"], "seed must be >= 0, got -1"),
-        (["--num-queries", "1"], "train_fraction 0.6 puts 1 of 1 queries in training and 0 "
-                                 "in test; each split needs one"),
+        (["--num-queries", "1"], "num_queries must be >= 2, got 1"),
+        (["--train-fraction", "0.5"], "unrecognized arguments: --train-fraction 0.5"),
     ], ids=["negative query count", "no queries", "negative decoy count",
-            "more decoys than triples", "negative seed", "empty test split"])
+            "more decoys than triples", "negative seed", "empty test split",
+            "removed design flag"])
     def test_out_of_range_gen_value_exits_2(self, tmp_path, capsys, flags, message):
         """Before its bound, --num-queries -3 never ended, and --num-queries 1
-        wrote an empty test split."""
-        code = main(["gen", "--out", str(tmp_path / "t"), "--seed", "1", *GEN_ARGS, *flags])
+        wrote an empty test split. The task's design is fixed, so argparse
+        refuses its old flags."""
+        try:
+            code = main(["gen", "--out", str(tmp_path / "t"), "--seed", "1", *GEN_ARGS, *flags])
+        except SystemExit as exc:
+            code = exc.code
         err = capsys.readouterr().err
         assert code == 2
         assert message in err

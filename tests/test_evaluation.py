@@ -135,6 +135,16 @@ class TestEvaluateRun:
         assert "qX" in capsys.readouterr().err
         assert table["qX"]["map"] == 0.0
 
+    def test_judged_query_missing_from_run_scores_zero(self, capsys):
+        run = {"q1": ranking_of(["a"])}
+        qrels = {("q1", "a"): 1, ("q2", "b"): 1, ("q3", "c"): 1, ("q4", "d"): 0}
+        table = evaluate_run(run, qrels, ["map", "ndcg@10"])
+        assert sorted(table) == ["all", "q1", "q2", "q3"]
+        assert table["q2"] == table["q3"] == {"map": 0.0, "ndcg@10": 0.0}
+        assert table["all"]["map"] == pytest.approx(1 / 3)
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["warning: 2 judged queries without a run line score 0 (first 'q2')"]
+
     def test_empty_run_rejected(self):
         with pytest.raises(ValidationError):
             evaluate_run({}, {("q", "d"): 1}, ["map"])

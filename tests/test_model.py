@@ -25,6 +25,7 @@ from kgrank.model import (RESERVED_TOKENS, ModelConfig, RankerModel,
                           build_vocab, kl_gaussian_std_normal)
 from kgrank.oracles import kl_closed_form_direct
 from kgrank.tensor import Tensor, finite_diff_check
+from kgrank.training import loss_from_trace
 
 
 class TestModelConfig:
@@ -391,6 +392,26 @@ class TestForward:
         query, doc = tiny_pair
         assert model.forward(query, doc, tiny_subgraph()).score == \
             model.forward(query, doc, None).score
+
+    @pytest.mark.parametrize("S", [1, 2])
+    def test_gradient_reaches_every_parameter_read(self, tiny_pair, S):
+        """One backward leaves without a gradient only the decoder's
+        self-attention query and key (its lone start token attends to itself
+        with weight 1) and the last fused layer's node update (the decoder
+        reads only token states). A decoder that ignores the graph, or a GNN
+        without its relation term, leaves more. Attention key biases get
+        round-off only: softmax ignores a shift that every key shares."""
+        model = RankerModel.build(tiny_config(S=S), seed=7)
+        query, doc = tiny_pair
+        trace = model.forward(query, doc, tiny_subgraph(), noise=frozen_noise(model.cfg))
+        tz.backward(loss_from_trace(trace, [True], model.cfg.alpha, S))
+        unreached = {name for name, param in model.params.items() if param.grad is None}
+        assert unreached == {"dec.self.wq", "dec.self.wk", "dec.self.bq", "dec.self.bk",
+                             f"fuse{S - 1}.wu"}
+        for name, param in model.params.items():
+            if name not in unreached:
+                peak = np.abs(param.grad).max()
+                assert peak < 1e-12 if name.endswith(".bk") else peak > 0.0, name
 
     def test_random_instances_stay_in_range(self):
         """Scores in (0,1) and KL terms nonnegative across 100 seeded builds."""

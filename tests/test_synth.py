@@ -1,7 +1,7 @@
 """Synthetic task generator tests: determinism, structural guarantees, and
 the measured baseline properties recorded in the manifest."""
 
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -89,6 +89,7 @@ class TestStructuralGuarantees:
         assert m["oracle_ndcg10"] >= 0.95
         assert m["num_docs"] == SMALL.corpus_size
         assert m["train_queries"] + m["test_queries"] == SMALL.num_queries
+        assert m["knobs"] == asdict(SMALL)
 
     def test_bm25_weakness_reproducible(self, small_task):
         """Recompute the pinned BM25 score from the emitted artifacts."""
@@ -102,8 +103,7 @@ class TestStructuralGuarantees:
 
 class TestKnobValidation:
     def test_every_count_has_a_minimum(self):
-        counts = {f.name for f in fields(TaskKnobs)} - {"train_fraction"}
-        assert set(KNOB_MINIMUMS) == counts
+        assert set(KNOB_MINIMUMS) == {f.name for f in fields(TaskKnobs)}
 
     @pytest.mark.parametrize("name", sorted(KNOB_MINIMUMS))
     def test_count_below_its_minimum(self, name):
@@ -116,9 +116,8 @@ class TestKnobValidation:
             generate(seed=0, knobs=TaskKnobs(num_queries=10, corpus_size=50))
 
     def test_distractors_exceed_corpus(self):
-        with pytest.raises(ValidationError):
-            generate(seed=0, knobs=TaskKnobs(num_queries=10, corpus_size=100,
-                                             medium_distractors=50))
+        with pytest.raises(ValidationError, match="corpus_size must be at least 18 × num_queries"):
+            generate(seed=0, knobs=TaskKnobs(num_queries=10, corpus_size=150))
 
     def test_kg_too_small(self):
         with pytest.raises(ValidationError):
