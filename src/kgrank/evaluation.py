@@ -154,6 +154,8 @@ def load_run(path: str | Path) -> dict[str, Ranking]:
             score = float(score_s)
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: non-numeric score {score_s!r}") from exc
+        if not math.isfinite(score):  # NaN compares false, so metrics would follow line order
+            raise ParseError(f"{path}:{lineno}: non-finite score {score_s!r}")
         if (qid, did) in pairs:
             raise ParseError(f"{path}:{lineno}: duplicate (query, doc) pair ({qid!r}, {did!r})")
         pairs.add((qid, did))

@@ -46,6 +46,10 @@ SIGMA_BIAS_INIT = -2.0
 # Elements in one head's (candidates x L x L) attention-score array of the
 # batched scorer; a query's candidates are scored in chunks that fit in it.
 ATTENTION_BUDGET = 1 << 18
+# Parameter values a model may hold: 2^27 float64 values are 1 GiB per copy,
+# and training keeps four copies (parameters, gradients, Adam's m and v). The
+# CLI defaults with a 20k-word vocabulary hold 3.05M.
+MAX_PARAM_VALUES = 1 << 27
 
 
 @dataclass
@@ -94,6 +98,10 @@ class ModelConfig:
         for rel in self.relations:
             if rel in (INTERACTION_RELATION, SELF_RELATION):
                 raise ConfigurationError(f"relation {rel!r} is reserved")
+        size = sum(math.prod(shape) for shape in param_shapes(self).values())
+        if size > MAX_PARAM_VALUES:
+            raise ConfigurationError(f"the model would hold {size} parameter values, "
+                                     f"over the {MAX_PARAM_VALUES} that fit")
 
     def save(self, path: str | Path) -> None:
         atomic_write(path, json.dumps(asdict(self), sort_keys=True))
@@ -246,7 +254,7 @@ class RankerModel:
                 # pretrained stacks starves gradients at these widths
                 std = math.sqrt(2.0 / (shape[0] + shape[1]))
                 data = rng.normal(0.0, std, size=shape)
-            params[name] = Tensor(data, requires_grad=True)
+            params[name] = Tensor(data)
         for l in range(cfg.S):
             # start the bottleneck with small variance (softplus(-2) ~ 0.13)
             # so the mean path carries signal before the KL term pulls sigma up
@@ -364,12 +372,12 @@ class RankerModel:
     # Full encoder and decoder.
 
     def encode_fused(self, p, prompts: list[list[int]],
-                     subgraphs: list[QuerySubgraph | None], noise: list[np.ndarray] | None):
+                     subgraphs: list[QuerySubgraph | None], noise: np.ndarray | None):
         """R text-only layers, then S fused text+graph layers with interaction,
-        over the prompts padded to (B, L). noise holds one (B, d_z) draw per
-        fused layer; None means the Gaussian mean (eps = 0). Returns the final
-        token states, the (B, 1, L) key bias (-inf on padding) and the KL
-        terms."""
+        over the prompts padded to (B, L). noise is the (B, S, d_z) bottleneck
+        draw, one (B, d_z) slice per fused layer; None means the Gaussian mean
+        (eps = 0). Returns the final token states, the (B, 1, L) key bias
+        (-inf on padding) and the KL terms."""
         cfg = self.cfg
         lengths = np.array([len(ids) for ids in prompts])
         n_batch, length = len(prompts), lengths.max()
@@ -377,12 +385,12 @@ class RankerModel:
         key_bias = np.where(np.arange(length) < lengths[:, None], 0.0, -np.inf)[:, None, :]
         graphs = [empty_subgraph() if cfg.text_only or sub is None else sub for sub in subgraphs]
         if noise is None:
-            noise = [np.zeros((n_batch, cfg.d_z))] * cfg.S
+            noise = np.zeros((n_batch, cfg.S, cfg.d_z))
         h = tz.gather_rows(p["tok_emb"], ids.reshape(-1)) \
             + tz.gather_rows(p["pos_emb"], np.tile(np.arange(length), n_batch))
         h = tz.reshape(h, (n_batch, length, cfg.d_l))
         offsets, feats, edges = self._join_graphs(graphs)
-        u = tz.scatter_rows(feats, offsets, tz.repeat_rows(p["graph_int_emb"], n_batch))
+        u = tz.scatter_rows(feats, offsets, tz.gather_rows(p["graph_int_emb"], [0] * n_batch))
         token_rows = np.arange(n_batch) * length
         kl_terms = []
         for layer in range(cfg.R):
@@ -392,7 +400,8 @@ class RankerModel:
             u = self.gnn_layer(p, u, edges, s_i)
             rows = tz.reshape(h, (n_batch * length, cfg.d_l))
             h_new, u_new, kl = self.fuse_interaction(
-                p, tz.gather_rows(rows, token_rows), tz.gather_rows(u, offsets), noise[s_i], s_i)
+                p, tz.gather_rows(rows, token_rows), tz.gather_rows(u, offsets), noise[:, s_i],
+                s_i)
             h = tz.reshape(tz.scatter_rows(rows, token_rows, h_new), (n_batch, length, cfg.d_l))
             u = tz.scatter_rows(u, offsets, u_new)
             kl_terms.append(kl)
@@ -409,7 +418,7 @@ class RankerModel:
         v = tz.linear(tz.layer_norm(s, p["dec.ln1.g"], p["dec.ln1.b"]),
                       p["dec.self.wv"], p["dec.self.bv"])
         s = s + tz.linear(v, p["dec.self.wo"], p["dec.self.bo"])
-        s = tz.reshape(tz.repeat_rows(s, n_batch), (n_batch, 1, d_l))
+        s = tz.reshape(tz.gather_rows(s, [0] * n_batch), (n_batch, 1, d_l))
         x = tz.layer_norm(s, p["dec.ln2.g"], p["dec.ln2.b"])
         s = s + self._attention(p, x, h_final, "dec.cross", key_bias)
         y = tz.layer_norm(s, p["dec.ln3.g"], p["dec.ln3.b"])
@@ -419,33 +428,31 @@ class RankerModel:
         return tz.reshape(tz.split(probs, [1, 1], axis=2)[0], (n_batch,))
 
     def _run(self, p, prompts: list[list[int]], subgraphs: list[QuerySubgraph | None],
-             noise: list[np.ndarray] | None):
+             noise: np.ndarray | None):
         """Scores and per-layer KL terms of a batch of prompts."""
         h, key_bias, kl_terms = self.encode_fused(p, prompts, subgraphs, noise)
         return self.decode_relevance(p, h, key_bias), kl_terms
 
     def forward_batch(self, queries: list[Query], docs: list[Document],
                       subgraphs: list[QuerySubgraph | None],
-                      noise: list[list[np.ndarray]] | None = None) -> ForwardTrace:
+                      noise: np.ndarray | None = None) -> ForwardTrace:
         """Score pairs (queries[b], docs[b]) on the tape. noise[b] holds pair
-        b's S draws of shape (1, d_z); noise=None means inference (eps = 0)."""
+        b's (S, d_z) bottleneck draws; noise=None means inference (eps = 0)."""
         if not len(queries) == len(docs) == len(subgraphs) >= 1:
             raise UsageError("need one query and one subgraph per document, and a document")
-        if noise is not None and (len(noise) != len(docs) or
-                                  any(len(draws) != self.cfg.S for draws in noise)):
-            raise UsageError(f"need {self.cfg.S} noise draws per document")
-        eps = None if noise is None else [np.concatenate([draws[s_i] for draws in noise])
-                                          for s_i in range(self.cfg.S)]
+        want = (len(docs), self.cfg.S, self.cfg.d_z)
+        if noise is not None and getattr(noise, "shape", None) != want:
+            raise UsageError(f"noise must be an array of shape {want}")
         prompts = [self.build_prompt(q.text, d.text) for q, d in zip(queries, docs)]
-        score, kl_terms = self._run(self.params, prompts, subgraphs, eps)
+        score, kl_terms = self._run(self.params, prompts, subgraphs, noise)
         return ForwardTrace(score_tensor=score, kl_tensors=kl_terms)
 
     def forward(self, query: Query, doc: Document, subgraph: QuerySubgraph | None,
-                noise: list[np.ndarray] | None = None) -> ForwardTrace:
-        """Score one pair on the tape, as a batch of one; noise=None means
-        inference (eps = 0)."""
+                noise: np.ndarray | None = None) -> ForwardTrace:
+        """Score one pair on the tape, as a batch of one, with its (S, d_z)
+        noise; noise=None means inference (eps = 0)."""
         return self.forward_batch([query], [doc], [subgraph],
-                                  None if noise is None else [noise])
+                                  None if noise is None else noise[None])
 
     def score_batch(self, query: Query, docs: list[Document],
                     subgraphs: list[QuerySubgraph | None]) -> np.ndarray:

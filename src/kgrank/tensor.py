@@ -2,14 +2,15 @@
 
 Forward primitives record their inputs and an analytic backward rule; calling
 backward() on a scalar loss walks the recorded graph once in reverse
-topological order and accumulates gradients on requires_grad leaves. Repeated
-backward calls keep accumulating until grads are zeroed.
+topological order and accumulates gradients on the leaves it reaches.
+Repeated backward calls keep accumulating until grads are zeroed.
 
-Every primitive also accepts plain numpy arrays. Given no Tensor input, it
-returns the plain result of the same kernel, records nothing and skips the
-per-op finite check; given a mix, the plain arrays are constants of the
-recorded op. The type of the arguments is the only switch between the two, so
-one model body serves both training on the tape and tape-free inference.
+Every primitive also accepts plain numpy arrays. A Tensor is always
+differentiable and a plain array is always a constant: given no Tensor input,
+a primitive returns the plain result of the same kernel, records nothing and
+skips the per-op finite check; given a mix, the plain arrays are constants of
+the recorded op. The type of the arguments is the only switch between the two,
+so one model body serves both training on the tape and tape-free inference.
 
 Randomness is never drawn inside a primitive: noise enters as an explicit
 constant input, so any forward pass can be replayed exactly for the
@@ -17,8 +18,8 @@ finite-difference checker at the bottom of this module.
 
 Design constraints: float64 everywhere; no broadcasting beyond Python scalars,
 except the (1, d) row weights of linear and layer_norm and the constant key
-bias of softmax (use repeat_rows for any other expansion); non-finite values
-raise at the producing operation of a recorded op.
+bias of softmax (gather_rows repeats rows for any other expansion); non-finite
+values raise at the producing operation of a recorded op.
 """
 
 from __future__ import annotations
@@ -39,18 +40,18 @@ GradFn = Callable[[np.ndarray], np.ndarray]
 
 
 class Tensor:
-    """An n-dimensional float64 array with an optional gradient tape entry."""
+    """A differentiable n-dimensional float64 array: a leaf, or a node of the
+    tape."""
 
-    __slots__ = ("data", "requires_grad", "grad", "op", "_parents", "_grad_fns")
+    __slots__ = ("data", "grad", "op", "_parents", "_grad_fns")
     # numpy defers to the reflected operators below, so array + Tensor records
     __array_ufunc__ = None
 
-    def __init__(self, data, requires_grad: bool = False):
+    def __init__(self, data):
         arr = np.asarray(data, dtype=np.float64)
         if not np.all(np.isfinite(arr)):
             raise ComputationError("leaf tensor contains non-finite values")
         self.data = arr
-        self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
         self.op = "leaf"
         self._parents: tuple[Tensor, ...] = ()
@@ -73,7 +74,7 @@ class Tensor:
         self.grad = None
 
     def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, op={self.op!r}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.shape}, op={self.op!r})"
 
     # operator sugar; Tensor op Tensor/array needs matching shapes, numbers are scalars
     def __add__(self, other):
@@ -99,8 +100,8 @@ def _data(x: Operand) -> np.ndarray:
 
 def _result(op: str, data: np.ndarray, inputs: Sequence, grad_fns: Sequence[GradFn]):
     """The output of a primitive. With no Tensor among inputs it is data
-    itself; otherwise a tape node whose parents are the inputs that need
-    gradients (plain-array inputs are constants)."""
+    itself; otherwise a tape node whose parents are its Tensor inputs
+    (plain-array inputs are constants)."""
     for x in inputs:
         if isinstance(x, Tensor):
             break
@@ -112,9 +113,7 @@ def _result(op: str, data: np.ndarray, inputs: Sequence, grad_fns: Sequence[Grad
     out.data = data
     out.grad = None
     out.op = op
-    live = [(x, fn) for x, fn in zip(inputs, grad_fns)
-            if isinstance(x, Tensor) and x.requires_grad]
-    out.requires_grad = bool(live)
+    live = [(x, fn) for x, fn in zip(inputs, grad_fns) if isinstance(x, Tensor)]
     out._parents = tuple(x for x, _ in live)
     out._grad_fns = tuple(fn for _, fn in live)
     return out
@@ -232,7 +231,8 @@ def split(a: Operand, sizes: Sequence[int], axis: int = 0) -> list:
 
 
 def gather_rows(a: Operand, indices) -> Operand:
-    """Select rows along axis 0 (embedding lookup); backward scatter-adds."""
+    """Select rows along axis 0, repeats allowed (an embedding lookup, or a
+    row repeated n times by n zeros); backward scatter-adds."""
     ad = _data(a)
     idx = np.asarray(indices, dtype=np.intp)
     if idx.ndim != 1:
@@ -268,15 +268,6 @@ def scatter_rows(a: Operand, indices, rows: Operand) -> Operand:
         return g
 
     return _result("scatter_rows", out, (a, rows), (to_a, lambda g: g[idx]))
-
-
-def repeat_rows(a: Operand, n: int) -> Operand:
-    """Explicitly expand a (1, d) tensor to (n, d); backward sums the rows."""
-    ad = _data(a)
-    if ad.ndim != 2 or ad.shape[0] != 1:
-        raise ShapeError("repeat_rows", ad.shape)
-    return _result("repeat_rows", np.repeat(ad, n, axis=0),
-                   (a,), (lambda g: g.sum(axis=0, keepdims=True),))
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -432,28 +423,22 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate .grad on every requires_grad leaf reachable from loss."""
+    """Populate .grad on every leaf reachable from loss."""
     if not isinstance(loss, Tensor):
         raise UsageError("backward needs a Tensor loss, not a plain array")
     if loss.data.size != 1:
         raise UsageError(f"backward requires a scalar loss, got shape {loss.shape}")
-    if not loss._parents and not loss.requires_grad:
-        raise UsageError("backward through a tensor that was not produced "
-                         "by recorded primitives")
-    order = _topo_order(loss)
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(order):
-        g = grads.pop(id(node), None)
-        if g is None:
-            continue
+    # every node reached is an ancestor of loss, so its consumers come
+    # first in reverse topological order and leave it a gradient
+    for node in reversed(_topo_order(loss)):
+        g = grads.pop(id(node))
         if node._parents:
             for parent, fn in zip(node._parents, node._grad_fns):
-                if not parent.requires_grad:
-                    continue
                 contrib = fn(g)
                 prev = grads.get(id(parent))
                 grads[id(parent)] = contrib if prev is None else prev + contrib
-        elif node.requires_grad:
+        else:
             node.grad = g.copy() if node.grad is None else node.grad + g
 
 
@@ -522,5 +507,5 @@ def load_checkpoint(path: str | Path) -> dict[str, Tensor]:
             raise ParseError(f"{path}: parameter {name!r} is not a float64 array")
         if not np.all(np.isfinite(arr)):
             raise ParseError(f"{path}: parameter {name!r} has non-finite values")
-        params[name] = Tensor(arr, requires_grad=True)
+        params[name] = Tensor(arr)
     return params

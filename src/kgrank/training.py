@@ -211,8 +211,7 @@ def train_model(cfg: ModelConfig, corpus: list[Document], queries: list[Query],
         for step, lo in enumerate(range(0, len(order), batch_size), start=1):
             batch = [examples[int(idx)] for idx in order[lo:lo + batch_size]]
             optimizer.zero_grad()
-            noise = [[noise_rng.normal(size=(1, cfg.d_z)) for _ in range(cfg.S)]
-                     for _ in batch]
+            noise = noise_rng.normal(size=(len(batch), cfg.S, cfg.d_z))
             try:
                 trace = model.forward_batch(
                     [queries_by_id[ex.query_id] for ex in batch],

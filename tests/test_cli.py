@@ -85,6 +85,19 @@ def with_setting(fragment: str, section: str | None = None):
     return corrupt
 
 
+def nan_score_on_line(lineno):
+    """A run corruption: the score of line lineno reads nan, and the error
+    must name that line."""
+    def corrupt(data: bytes) -> bytes:
+        lines = data.splitlines(keepends=True)
+        fields = lines[lineno - 1].split(b" ")
+        fields[4] = b"nan"
+        lines[lineno - 1] = b" ".join(fields)
+        return b"".join(lines)
+    corrupt.lineno = lineno
+    return corrupt
+
+
 def first_line_repeated(data: bytes) -> bytes:
     """A corpus corruption: line 2 repeats line 1, so a document id recurs there."""
     lines = data.splitlines(keepends=True)
@@ -408,6 +421,10 @@ class TestErrorHandling:
         ("rerank", "cache.jsonl", with_first_cache_record(lambda r: r.update(query_id=True))),
         ("rerank", "model.json", lambda text: json.dumps({**json.loads(text),
                                                           "node_init_seed": 0})),
+        ("eval", "run_bm25.txt", nan_score_on_line(3)),
+        ("train", "train.json", with_setting('"max_len": 1000000000000', "model")),
+        ("rerank", "model.json", lambda text: json.dumps({**json.loads(text),
+                                                          "max_len": 10**12})),
     ], ids=["unknown config key", "truncated checkpoint", "checkpoint of another d_z",
             "checkpoint of another d_proj", "truncated index", "index without postings",
             "truncated training config", "misspelt training config key",
@@ -426,7 +443,9 @@ class TestErrorHandling:
             "batch_size zero", "model d_l a string", "repeated document id",
             "cache node id an integer", "cache edge end a float", "cache edge end a bool",
             "cache relation an integer", "cache query id a bool",
-            "model config of the removed node_init_seed"])
+            "model config of the removed node_init_seed", "run score NaN",
+            "training config model too large to allocate",
+            "model config too large to allocate"])
     def test_bad_json_artifact_exits_2(self, pipeline_dir, tmp_path, capsys,
                                        command, name, corrupt):
         """A malformed model config, checkpoint, index, training config,

@@ -209,6 +209,14 @@ class TestRunFiles:
         with pytest.raises(ParseError, match=r":2: duplicate \(query, doc\) pair \('q', 'd'\)"):
             load_run(tmp_path / "run.txt")
 
+    @pytest.mark.parametrize("score", ["nan", "inf", "-Infinity"])
+    def test_non_finite_score_rejected_on_load(self, tmp_path, score):
+        """A NaN score compares false both ways, so the metrics of a run with
+        one followed its line order."""
+        (tmp_path / "run.txt").write_text(f"q Q0 a 1 0.5 t\nq Q0 b 2 {score} t\n")
+        with pytest.raises(ParseError, match=f":2: non-finite score '{score}'"):
+            load_run(tmp_path / "run.txt")
+
     def test_malformed_line_number(self, tmp_path):
         (tmp_path / "run.txt").write_text("q Q0 d 1 2.0 t\nbroken line\n")
         with pytest.raises(ParseError, match=":2:"):

@@ -53,6 +53,18 @@ class TestModelConfig:
         with pytest.raises(ConfigurationError):
             tiny_config(relations=["<int>"])
 
+    def test_parameter_count_bounded(self, monkeypatch):
+        """A config too large to allocate is refused before anything is built;
+        one at the bound constructs."""
+        with pytest.raises(ConfigurationError, match="64000001742222 parameter values"):
+            ModelConfig(max_len=10**12)
+        size = sum(math.prod(shape) for shape in model_module.param_shapes(tiny_config()).values())
+        monkeypatch.setattr(model_module, "MAX_PARAM_VALUES", size)
+        tiny_config()
+        monkeypatch.setattr(model_module, "MAX_PARAM_VALUES", size - 1)
+        with pytest.raises(ConfigurationError, match=f"{size} parameter values"):
+            tiny_config()
+
     def test_roundtrip(self, tmp_path):
         cfg = tiny_config(text_only=True, alpha=0.5)
         cfg.save(tmp_path / "model.json")
@@ -232,8 +244,8 @@ class TestKlGaussianStdNormal:
 
     def test_gradient(self):
         rng = np.random.default_rng(24)
-        mu = Tensor(rng.uniform(-1, 1, size=(1, 6)), requires_grad=True)
-        s = Tensor(rng.uniform(-1, 1, size=(1, 6)), requires_grad=True)
+        mu = Tensor(rng.uniform(-1, 1, size=(1, 6)))
+        s = Tensor(rng.uniform(-1, 1, size=(1, 6)))
         err = finite_diff_check(
             lambda: kl_gaussian_std_normal(mu, tz.softplus(s) + 1e-6),
             {"mu": mu, "s": s}, step=1e-5)
@@ -296,7 +308,7 @@ class TestEncodeFused:
         model = RankerModel.build(cfg, seed=14)
         p = model.params
         ids = np.array([[model.tok2id["<int>"]]])
-        noise = frozen_noise(cfg, seed=15)
+        noise = frozen_noise(cfg, seed=15)[None]
 
         h, _, kls = model.encode_fused(p, [list(ids[0])], [empty_subgraph()], noise)
 
@@ -305,7 +317,7 @@ class TestEncodeFused:
         h1 = model.encode_text_layer(p, h0, no_padding(1, 1), 0)
         edges = model._join_graphs([empty_subgraph()])[2]
         u1 = model.gnn_layer(p, p["graph_int_emb"], edges, 0)
-        h_new, _, kl = model.fuse_interaction(p, tz.reshape(h1, (1, cfg.d_l)), u1, noise[0], 0)
+        h_new, _, kl = model.fuse_interaction(p, tz.reshape(h1, (1, cfg.d_l)), u1, noise[:, 0], 0)
         h_exp = tz.layer_norm(h_new, p["enc_ln.g"], p["enc_ln.b"])
 
         np.testing.assert_allclose(h.data[0], h_exp.data, atol=1e-12)
@@ -329,7 +341,7 @@ class TestEncodeFused:
         p = model.params
         ids = np.array([model.build_prompt("alpha", "beta gamma")])
         length = ids.shape[1]
-        noise = frozen_noise(cfg, seed=18)
+        noise = frozen_noise(cfg, seed=18)[None]
         h_full, _, _ = model.encode_fused(p, [list(ids[0])], [tiny_subgraph()], noise)
         # recompute without the fusion step: positions 1.. must agree pre-norm
         h0 = tz.reshape(tz.gather_rows(p["tok_emb"], ids[0])
@@ -382,9 +394,37 @@ class TestForward:
 
     def test_inference_equals_zero_noise(self, tiny_model, tiny_pair):
         query, doc = tiny_pair
-        zeros = [np.zeros((1, tiny_model.cfg.d_z))] * tiny_model.cfg.S
+        zeros = np.zeros((tiny_model.cfg.S, tiny_model.cfg.d_z))
         assert tiny_model.forward(query, doc, tiny_subgraph()).score == \
             tiny_model.forward(query, doc, tiny_subgraph(), noise=zeros).score
+
+    def test_noise_array_scores_like_per_pair_forward(self):
+        """Row b of a (B, S, d_z) noise array is pair b's noise: each pair
+        gets the score and KL terms that forward gives it alone."""
+        model = RankerModel.build(tiny_config(S=2), seed=23)
+        query = Query("q", "alpha beta")
+        docs = [Document(f"d{i}", text) for i, text in enumerate(MIXED_DOCS[:3])]
+        subs = [tiny_subgraph(), empty_subgraph(), bridged_parallel_subgraph()]
+        noise = np.random.default_rng(24).normal(size=(3, 2, model.cfg.d_z))
+        trace = model.forward_batch([query] * 3, docs, subs, noise=noise)
+        for b in range(3):
+            alone = model.forward(query, docs[b], subs[b], noise=noise[b])
+            assert trace.scores[b] == pytest.approx(alone.score, abs=1e-12)
+            np.testing.assert_allclose(trace.kl_terms[b], alone.kl_terms[0], rtol=1e-12)
+        assert (trace.scores != model.forward_batch([query] * 3, docs, subs).scores).all()
+
+    def test_wrongly_shaped_noise_rejected(self, tiny_pair):
+        """Only the (B, S, d_z) array is noise; the nested per-pair lists of
+        (1, d_z) draws are not."""
+        model = RankerModel.build(tiny_config(S=2), seed=23)
+        query, doc = tiny_pair
+        d_z = model.cfg.d_z
+        for bad in (np.zeros((2, 2, d_z)), np.zeros((3, 1, d_z)), np.zeros((3, 2, d_z + 2)),
+                    np.zeros((3, 2 * d_z)), [[np.zeros((1, d_z))] * 2] * 3):
+            with pytest.raises(UsageError, match="noise"):
+                model.forward_batch([query] * 3, [doc] * 3, [tiny_subgraph()] * 3, noise=bad)
+        with pytest.raises(UsageError, match="noise"):
+            model.forward(query, doc, tiny_subgraph(), noise=np.zeros((1, d_z)))
 
     def test_text_only_flag_ignores_subgraph(self, tiny_pair):
         cfg = tiny_config(text_only=True)

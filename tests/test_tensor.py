@@ -12,7 +12,7 @@ from kgrank.tensor import (Tensor, backward, finite_diff_check,
 
 
 def leaf(rng, shape, shift=0.0):
-    return Tensor(rng.normal(size=shape) + shift, requires_grad=True)
+    return Tensor(rng.normal(size=shape) + shift)
 
 
 class TestForwardSemantics:
@@ -58,13 +58,11 @@ class TestForwardSemantics:
             tz.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
         with pytest.raises(ShapeError, match="split"):
             tz.split(Tensor(np.zeros((4, 2))), [1, 2], axis=0)
-        with pytest.raises(ShapeError, match="repeat_rows"):
-            tz.repeat_rows(Tensor(np.zeros((2, 3))), 4)
 
 
 class TestBackward:
     def test_sum_gives_ones(self):
-        w = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        w = Tensor(np.arange(6.0).reshape(2, 3))
         backward(tz.tsum(w))
         np.testing.assert_array_equal(w.grad, np.ones((2, 3)))
 
@@ -75,7 +73,7 @@ class TestBackward:
         np.testing.assert_allclose(w.grad, 2 * w.data, atol=1e-14)
 
     def test_repeated_backward_accumulates(self):
-        w = Tensor([2.0], requires_grad=True)
+        w = Tensor([2.0])
         backward(tz.tsum(w))
         backward(tz.tsum(w))
         np.testing.assert_array_equal(w.grad, [2.0])
@@ -83,12 +81,23 @@ class TestBackward:
         backward(tz.tsum(w))
         np.testing.assert_array_equal(w.grad, [1.0])
 
-    def test_unrecorded_tensor_rejected(self):
-        with pytest.raises(UsageError, match="recorded"):
-            backward(Tensor([1.0]))
+    def test_plain_array_loss_rejected(self):
+        """A primitive over plain arrays records nothing, so its result has
+        no gradient to give."""
+        with pytest.raises(UsageError, match="plain array"):
+            backward(tz.tsum(np.ones(3)))
+
+    def test_every_tensor_is_differentiable(self):
+        """The argument type is the only switch: any Tensor gets a gradient,
+        a plain array is a constant of the op and gets none."""
+        x, c = Tensor([1.0, 2.0]), np.array([3.0, 4.0])
+        y = x * c
+        assert y._parents == (x,)
+        backward(tz.tsum(y))
+        np.testing.assert_array_equal(x.grad, c)
 
     def test_non_scalar_loss_rejected(self):
-        w = Tensor([1.0, 2.0], requires_grad=True)
+        w = Tensor([1.0, 2.0])
         with pytest.raises(UsageError, match="scalar"):
             backward(w * 2.0)
 
@@ -103,13 +112,23 @@ class TestBackward:
         np.testing.assert_array_equal(b.grad, np.full((2, 2), 5.0))
 
     def test_gather_rows_scatter_adds(self):
-        w = Tensor(np.zeros((4, 2)), requires_grad=True)
+        w = Tensor(np.zeros((4, 2)))
         out = tz.gather_rows(w, [1, 1, 3])
         backward(tz.tsum(out))
         np.testing.assert_array_equal(w.grad, [[0, 0], [2, 2], [0, 0], [1, 1]])
 
+    def test_gather_rows_repeat_sums_like_the_row_sum(self):
+        """Repeating a (1, d) row through a zero index: backward adds the
+        rows in order, bit for bit what g.sum(axis=0) gives."""
+        rng = np.random.default_rng(16)
+        for n in (1, 2, 3, 8, 65):
+            w = Tensor(rng.normal(size=(1, 5)))
+            g = rng.normal(size=(n, 5))
+            backward(tz.tsum(tz.gather_rows(w, [0] * n) * g))
+            np.testing.assert_array_equal(w.grad, g.sum(axis=0, keepdims=True))
+
     def test_diamond_reuse_accumulates(self):
-        w = Tensor([3.0], requires_grad=True)
+        w = Tensor([3.0])
         y = w * 2.0
         backward(tz.tsum(y * y))  # d/dw (2w)^2 = 8w
         np.testing.assert_allclose(w.grad, [24.0])
@@ -134,7 +153,7 @@ class TestBackward:
         data = rng.normal(size=(6, 6))
         results = []
         for _ in range(2):
-            w = Tensor(data.copy(), requires_grad=True)
+            w = Tensor(data.copy())
             loss = tz.tsum(tz.softmax(tz.gelu(w @ Tensor(data.T.copy()))))
             backward(loss)
             results.append((loss.item(), w.grad.copy()))
@@ -170,17 +189,17 @@ class TestPerPrimitiveGradients:
 class TestFiniteDiffChecker:
     def test_quadratic_exact(self):
         """f(w) = sum(w^2) at w = 1: analytic and numeric both give 2."""
-        w = Tensor(np.ones(5), requires_grad=True)
+        w = Tensor(np.ones(5))
         err = finite_diff_check(lambda: tz.tsum(w * w), {"w": w}, step=1e-4)
         assert err <= 1e-10
 
     def test_rejects_bad_step(self):
-        w = Tensor([1.0], requires_grad=True)
+        w = Tensor([1.0])
         with pytest.raises(UsageError):
             finite_diff_check(lambda: tz.tsum(w), {"w": w}, step=0.0)
 
     def test_restores_parameters(self):
-        w = Tensor(np.arange(4.0), requires_grad=True)
+        w = Tensor(np.arange(4.0))
         before = w.data.copy()
         finite_diff_check(lambda: tz.tsum(w * w), {"w": w}, step=1e-4)
         np.testing.assert_array_equal(w.data, before)
@@ -195,7 +214,6 @@ class TestCheckpoints:
         assert set(loaded) == set(params)
         for name in params:
             np.testing.assert_array_equal(loaded[name].data, params[name].data)
-            assert loaded[name].requires_grad
 
     def test_byte_stable(self, tmp_path, set_clock):
         """Saves an hour apart give equal bytes: no member carries the clock."""

@@ -65,14 +65,14 @@ def make_trace(w: Tensor, kl_leaves: list[Tensor]) -> ForwardTrace:
 
 class TestLoss:
     def test_alpha_zero_is_pure_cross_entropy(self):
-        w = Tensor(np.array(0.4), requires_grad=True)
+        w = Tensor(np.array(0.4))
         trace = make_trace(w, [Tensor(np.array(3.0))])
         loss = loss_from_trace(trace, [True], alpha=0.0, s_layers=1)
         assert loss.item() == pytest.approx(-math.log(trace.score), rel=1e-12)
 
     def test_half_score_false_label(self):
         """score 0.5, y=false, kl=[0] gives ln 2."""
-        w = Tensor(np.array(0.0), requires_grad=True)
+        w = Tensor(np.array(0.0))
         trace = make_trace(w, [Tensor(np.array(0.0))])
         loss = loss_from_trace(trace, [False], alpha=0.01, s_layers=1)
         assert loss.item() == pytest.approx(math.log(2), rel=1e-12)
@@ -82,7 +82,7 @@ class TestLoss:
         -ln p(y) + (alpha/S) * sum(kl)."""
         rng = np.random.default_rng(31)
         for _ in range(50):
-            w = Tensor(np.array(rng.normal()), requires_grad=True)
+            w = Tensor(np.array(rng.normal()))
             kls = [Tensor(np.array(rng.uniform(0, 4))) for _ in range(3)]
             label = bool(rng.integers(2))
             alpha = float(rng.uniform(0, 0.2))
@@ -95,7 +95,7 @@ class TestLoss:
     def test_loss_nonnegative(self):
         rng = np.random.default_rng(32)
         for _ in range(100):
-            w = Tensor(np.array(rng.normal()), requires_grad=True)
+            w = Tensor(np.array(rng.normal()))
             trace = make_trace(w, [Tensor(np.array(rng.uniform(0, 2)))])
             label = bool(rng.integers(2))
             assert loss_from_trace(trace, [label], 0.05, 1).item() >= 0.0
@@ -105,7 +105,7 @@ class TestLoss:
         score up) and matching signs for y=false."""
         rng = np.random.default_rng(33)
         for _ in range(20):
-            w = Tensor(np.array(rng.normal()), requires_grad=True)
+            w = Tensor(np.array(rng.normal()))
             trace = make_trace(w, [Tensor(np.array(0.5))])
             backward(loss_from_trace(trace, [True], 0.01, 1))
             grad_true = float(w.grad)
@@ -117,7 +117,7 @@ class TestLoss:
             assert grad_true < 0 < grad_false
 
     def test_kl_count_checked(self):
-        w = Tensor(np.array(0.0), requires_grad=True)
+        w = Tensor(np.array(0.0))
         trace = make_trace(w, [Tensor(np.array(0.0))])
         with pytest.raises(UsageError):
             loss_from_trace(trace, [True], 0.01, s_layers=2)
@@ -125,14 +125,14 @@ class TestLoss:
 
 class TestAdam:
     def test_zero_gradient_keeps_parameters(self):
-        p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        p = Tensor(np.array([1.0, -2.0]))
         p.grad = np.zeros(2)
         before = p.data.copy()
         Adam({"p": p}, lr=0.1).step()
         np.testing.assert_array_equal(p.data, before)
 
     def test_constant_gradient_update_approaches_lr_sign(self):
-        p = Tensor(np.array([0.0]), requires_grad=True)
+        p = Tensor(np.array([0.0]))
         opt = Adam({"p": p}, lr=1e-3)
         g = np.array([0.37])
         last = p.data.copy()
@@ -147,7 +147,7 @@ class TestAdam:
         """Minimize (p - t)^T diag(1, 10) (p - t); optimum known analytically."""
         target = np.array([0.3, -0.7])
         scales = np.array([1.0, 10.0])
-        p = Tensor(np.zeros(2), requires_grad=True)
+        p = Tensor(np.zeros(2))
         opt = Adam({"p": p}, lr=3e-2)
         for _ in range(500):
             p.grad = 2 * scales * (p.data - target)
@@ -160,7 +160,7 @@ class TestAdam:
         (2015) run one scalar at a time."""
         rng = np.random.default_rng(17)
         shapes = {"a": (2, 3), "b": (4,)}
-        params = {name: Tensor(rng.normal(size=shape), requires_grad=True)
+        params = {name: Tensor(rng.normal(size=shape))
                   for name, shape in shapes.items()}
         start = {name: p.data.ravel().tolist() for name, p in params.items()}
         grads = {name: [rng.normal(size=shape) * 10.0 ** rng.uniform(-4, 1, size=shape)
@@ -178,15 +178,15 @@ class TestAdam:
             np.testing.assert_allclose(got[name], want, rtol=0, atol=1e-12)
 
     def test_nan_gradient_aborts_with_name(self):
-        p = Tensor(np.array([1.0]), requires_grad=True)
+        p = Tensor(np.array([1.0]))
         opt = Adam({"weight.q": p})
         p.grad = np.array([float("nan")])
         with pytest.raises(ComputationError, match="weight.q"):
             opt.step()
 
     def test_clip_gradients_caps_global_norm(self):
-        a = Tensor(np.zeros(3), requires_grad=True)
-        b = Tensor(np.zeros(4), requires_grad=True)
+        a = Tensor(np.zeros(3))
+        b = Tensor(np.zeros(4))
         a.grad = np.full(3, 10.0)
         b.grad = np.full(4, -10.0)
         norm = clip_gradients({"a": a, "b": b})
@@ -195,7 +195,7 @@ class TestAdam:
         assert math.sqrt(total) == pytest.approx(1.0, rel=1e-12)
 
     def test_clip_leaves_small_gradients_alone(self):
-        a = Tensor(np.zeros(2), requires_grad=True)
+        a = Tensor(np.zeros(2))
         a.grad = np.array([0.1, 0.2])
         clip_gradients({"a": a})
         np.testing.assert_array_equal(a.grad, [0.1, 0.2])
@@ -229,7 +229,7 @@ def frozen_step():
             Document("d3", "epsilon gamma gamma delta beta alpha zeta")]
     subgraphs = [selftest.tiny_subgraph(), empty_subgraph(), two_nodes]
     rng = np.random.default_rng(5)
-    noise = [[rng.normal(size=(1, model.cfg.d_z)) for _ in range(model.cfg.S)] for _ in docs]
+    noise = rng.normal(size=(len(docs), model.cfg.S, model.cfg.d_z))
     return model, queries, docs, subgraphs, [True, False, True], noise
 
 
@@ -313,8 +313,9 @@ class TestBatchedStep:
     def test_padded_step_gradient_is_mean_of_single_pair_steps(self):
         model, queries, docs, subgraphs, labels, noise = frozen_step()
         _, batched = self.step(model, queries, docs, subgraphs, labels, noise)
-        singles = [self.step(model, *([item] for item in pair))[1]
-                   for pair in zip(queries, docs, subgraphs, labels, noise)]
+        singles = [self.step(model, [query], [doc], [sub], [label], noise[b:b + 1])[1]
+                   for b, (query, doc, sub, label)
+                   in enumerate(zip(queries, docs, subgraphs, labels))]
         for name, grad in batched.items():
             mean = sum(single[name] for single in singles) / len(singles)
             np.testing.assert_allclose(grad, mean, rtol=1e-10, atol=1e-15, err_msg=name)
@@ -472,15 +473,14 @@ class TestTrainModel:
         examples = sample_training_set(qrels, [d.id for d in docs], 1, seed=0)[:4]
         queries_by_id, docs_by_id = {q.id: q for q in queries}, {d.id: d for d in docs}
         rng = np.random.default_rng(7)
-        noises = [[rng.normal(size=(1, cfg.d_z)) for _ in range(cfg.S)]
-                  for _ in examples]
+        noises = rng.normal(size=(len(examples), cfg.S, cfg.d_z))
 
         def batch_loss(order):
             batch = [examples[idx] for idx in order]
             trace = model.forward_batch([queries_by_id[ex.query_id] for ex in batch],
                                         [docs_by_id[ex.doc_id] for ex in batch],
                                         [provider.get(ex.query_id, ex.doc_id) for ex in batch],
-                                        noise=[noises[idx] for idx in order])
+                                        noise=noises[order])
             return loss_from_trace(trace, [ex.label for ex in batch], cfg.alpha, cfg.S).item()
 
         assert batch_loss([0, 1, 2, 3]) == pytest.approx(batch_loss([2, 0, 3, 1]),
