@@ -400,8 +400,8 @@ class RankerModel:
             u = self.gnn_layer(p, u, edges, s_i)
             rows = tz.reshape(h, (n_batch * length, cfg.d_l))
             h_new, u_new, kl = self.fuse_interaction(
-                p, tz.gather_rows(rows, token_rows), tz.gather_rows(u, offsets), noise[:, s_i],
-                s_i)
+                p, tz.gather_rows(rows, token_rows), tz.gather_rows(u, offsets),
+                noise[:, s_i], s_i)
             h = tz.reshape(tz.scatter_rows(rows, token_rows, h_new), (n_batch, length, cfg.d_l))
             u = tz.scatter_rows(u, offsets, u_new)
             kl_terms.append(kl)
