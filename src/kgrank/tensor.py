@@ -2,8 +2,8 @@
 
 Forward primitives record their inputs and an analytic backward rule; calling
 backward() on a scalar loss walks the recorded graph once in reverse
-topological order and accumulates gradients on the leaves it reaches.
-Repeated backward calls keep accumulating until grads are zeroed.
+topological order and adds into the gradient array that every leaf holds.
+Repeated backward calls keep adding until zero_grad().
 
 Every primitive also accepts plain numpy arrays. A Tensor is always
 differentiable and a plain array is always a constant: given no Tensor input,
@@ -41,7 +41,8 @@ GradFn = Callable[[np.ndarray], np.ndarray]
 
 class Tensor:
     """A differentiable n-dimensional float64 array: a leaf, or a node of the
-    tape."""
+    tape. A leaf always holds a gradient array of its shape (np.zeros: no page
+    is committed until written); a tape node keeps none."""
 
     __slots__ = ("data", "grad", "op", "_parents", "_grad_fns")
     # numpy defers to the reflected operators below, so array + Tensor records
@@ -52,7 +53,7 @@ class Tensor:
         if not np.all(np.isfinite(arr)):
             raise ComputationError("leaf tensor contains non-finite values")
         self.data = arr
-        self.grad: np.ndarray | None = None
+        self.grad = np.zeros(arr.shape)
         self.op = "leaf"
         self._parents: tuple[Tensor, ...] = ()
         self._grad_fns: tuple[GradFn, ...] = ()
@@ -71,7 +72,7 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def zero_grad(self) -> None:
-        self.grad = None
+        self.grad.fill(0.0)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, op={self.op!r})"
@@ -111,7 +112,6 @@ def _result(op: str, data: np.ndarray, inputs: Sequence, grad_fns: Sequence[Grad
         raise ComputationError(f"{op}: produced non-finite values")
     out = Tensor.__new__(Tensor)
     out.data = data
-    out.grad = None
     out.op = op
     live = [(x, fn) for x, fn in zip(inputs, grad_fns) if isinstance(x, Tensor)]
     out._parents = tuple(x for x, _ in live)
@@ -423,7 +423,7 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate .grad on every leaf reachable from loss."""
+    """Add d loss / d leaf into .grad of every leaf reachable from loss."""
     if not isinstance(loss, Tensor):
         raise UsageError("backward needs a Tensor loss, not a plain array")
     if loss.data.size != 1:
@@ -439,7 +439,7 @@ def backward(loss: Tensor) -> None:
                 prev = grads.get(id(parent))
                 grads[id(parent)] = contrib if prev is None else prev + contrib
         else:
-            node.grad = g.copy() if node.grad is None else node.grad + g
+            node.grad += g
 
 
 # ---------------------------------------------------------------------------
@@ -462,8 +462,7 @@ def finite_diff_check(f: Callable[[], Tensor], params: dict[str, Tensor],
     if loss.data.size != 1:
         raise UsageError("finite_diff_check needs a scalar-valued f")
     backward(loss)
-    analytic = {name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
-                for name, p in params.items()}
+    analytic = {name: p.grad.copy() for name, p in params.items()}
 
     coords = [(name, i) for name, p in sorted(params.items()) for i in range(p.size)]
     rng = np.random.default_rng(seed)

@@ -93,45 +93,45 @@ def loss_from_trace(trace: ForwardTrace, labels, alpha: float, s_layers: int) ->
 
 
 class Adam:
-    """Bias-corrected Adam (ADAM_BETA1, ADAM_BETA2, ADAM_EPS) over a named parameter dict."""
+    """Bias-corrected Adam (ADAM_BETA1, ADAM_BETA2, ADAM_EPS) over a named
+    parameter dict, packed in dict order into one flat theta and one flat
+    grad: each Tensor's data and grad become views of them, so every update
+    is one vector operation, and m and v are flat too."""
 
     def __init__(self, params: dict[str, Tensor], lr: float = DEFAULT_LR):
         self.params, self.lr = params, lr
-        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        self.theta = np.concatenate([p.data.ravel() for p in params.values()])
+        self.grad, self.m, self.v = (np.zeros_like(self.theta) for _ in range(3))
+        ends = np.cumsum([p.size for p in params.values()])[:-1]
+        for p, data, grad in zip(params.values(), np.split(self.theta, ends),
+                                 np.split(self.grad, ends)):
+            p.data, p.grad = data.reshape(p.shape), grad.reshape(p.shape)
         self.t = 0
 
     def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.zero_grad()
+        self.grad.fill(0.0)
 
     def step(self) -> None:
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1 ** self.t
         bc2 = 1.0 - ADAM_BETA2 ** self.t
-        for name, p in self.params.items():
-            g = p.grad
-            if g is None:
-                continue
-            if not np.all(np.isfinite(g)):
-                raise ComputationError(f"non-finite gradient for parameter {name!r}")
-            self.m[name] = ADAM_BETA1 * self.m[name] + (1.0 - ADAM_BETA1) * g
-            self.v[name] = ADAM_BETA2 * self.v[name] + (1.0 - ADAM_BETA2) * g * g
-            p.data -= self.lr * (self.m[name] / bc1) / (np.sqrt(self.v[name] / bc2) + ADAM_EPS)
+        g = self.grad
+        if not np.all(np.isfinite(g)):
+            name = next(name for name, p in self.params.items() if not np.all(np.isfinite(p.grad)))
+            raise ComputationError(f"non-finite gradient for parameter {name!r}")
+        self.m *= ADAM_BETA1
+        self.m += (1.0 - ADAM_BETA1) * g
+        self.v *= ADAM_BETA2
+        self.v += (1.0 - ADAM_BETA2) * g * g
+        self.theta -= self.lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + ADAM_EPS)
 
 
-def clip_gradients(params: dict[str, Tensor]) -> float:
-    """Scale all gradients so their global L2 norm is at most GRAD_CLIP_NORM."""
-    total = 0.0
-    for p in params.values():
-        if p.grad is not None:
-            total += float((p.grad ** 2).sum())
-    norm = total ** 0.5
+def clip_gradients(grad: np.ndarray) -> float:
+    """Scale the flat gradient in place so its L2 norm is at most
+    GRAD_CLIP_NORM; returns the norm before clipping."""
+    norm = float(grad @ grad) ** 0.5
     if norm > GRAD_CLIP_NORM:
-        scale = GRAD_CLIP_NORM / norm
-        for p in params.values():
-            if p.grad is not None:
-                p.grad *= scale
+        grad *= GRAD_CLIP_NORM / norm
     return norm
 
 
@@ -223,7 +223,7 @@ def train_model(cfg: ModelConfig, corpus: list[Document], queries: list[Query],
                 for label, score, kl_terms in zip(labels, trace.scores, trace.kl_terms):
                     nll_total += -math.log(score if label else 1.0 - score)
                     kl_total += float(np.mean(kl_terms))
-                clip_gradients(model.params)
+                clip_gradients(optimizer.grad)
                 optimizer.step()
             except ComputationError as exc:  # a saturated or non-finite value
                 raise ConfigurationError(f"training diverged at lr {lr}, epoch {epoch}, "

@@ -435,7 +435,7 @@ class TestForward:
 
     @pytest.mark.parametrize("S", [1, 2])
     def test_gradient_reaches_every_parameter_read(self, tiny_pair, S):
-        """One backward leaves without a gradient only the decoder's
+        """One backward leaves an all-zero gradient only on the decoder's
         self-attention query and key (its lone start token attends to itself
         with weight 1) and the last fused layer's node update (the decoder
         reads only token states). A decoder that ignores the graph, or a GNN
@@ -445,7 +445,7 @@ class TestForward:
         query, doc = tiny_pair
         trace = model.forward(query, doc, tiny_subgraph(), noise=frozen_noise(model.cfg))
         tz.backward(loss_from_trace(trace, [True], model.cfg.alpha, S))
-        unreached = {name for name, param in model.params.items() if param.grad is None}
+        unreached = {name for name, param in model.params.items() if not param.grad.any()}
         assert unreached == {"dec.self.wq", "dec.self.wk", "dec.self.bq", "dec.self.bk",
                              f"fuse{S - 1}.wu"}
         for name, param in model.params.items():

@@ -126,9 +126,10 @@ class TestLoss:
 class TestAdam:
     def test_zero_gradient_keeps_parameters(self):
         p = Tensor(np.array([1.0, -2.0]))
-        p.grad = np.zeros(2)
         before = p.data.copy()
-        Adam({"p": p}, lr=0.1).step()
+        opt = Adam({"p": p}, lr=0.1)
+        p.grad[...] = np.zeros(2)
+        opt.step()
         np.testing.assert_array_equal(p.data, before)
 
     def test_constant_gradient_update_approaches_lr_sign(self):
@@ -137,7 +138,7 @@ class TestAdam:
         g = np.array([0.37])
         last = p.data.copy()
         for _ in range(300):
-            p.grad = g.copy()
+            p.grad[...] = g
             opt.step()
             step = last - p.data
             last = p.data.copy()
@@ -150,7 +151,7 @@ class TestAdam:
         p = Tensor(np.zeros(2))
         opt = Adam({"p": p}, lr=3e-2)
         for _ in range(500):
-            p.grad = 2 * scales * (p.data - target)
+            p.grad[...] = 2 * scales * (p.data - target)
             opt.step()
         assert np.abs(p.data - target).max() < 1e-3
 
@@ -169,7 +170,7 @@ class TestAdam:
         got = {name: [] for name in params}
         for step in range(5):
             for name, p in params.items():
-                p.grad = grads[name][step].copy()
+                p.grad[...] = grads[name][step]
             opt.step()
             for name, p in params.items():
                 got[name].append(p.data.ravel().tolist())
@@ -179,25 +180,27 @@ class TestAdam:
 
     def test_nan_gradient_aborts_with_name(self):
         p = Tensor(np.array([1.0]))
-        opt = Adam({"weight.q": p})
-        p.grad = np.array([float("nan")])
+        opt = Adam({"weight.a": Tensor(np.zeros(2)), "weight.q": p})
+        p.grad[...] = float("nan")
         with pytest.raises(ComputationError, match="weight.q"):
             opt.step()
 
     def test_clip_gradients_caps_global_norm(self):
         a = Tensor(np.zeros(3))
         b = Tensor(np.zeros(4))
-        a.grad = np.full(3, 10.0)
-        b.grad = np.full(4, -10.0)
-        norm = clip_gradients({"a": a, "b": b})
+        opt = Adam({"a": a, "b": b})
+        a.grad[...] = 10.0
+        b.grad[...] = -10.0
+        norm = clip_gradients(opt.grad)
         assert norm == pytest.approx(10 * math.sqrt(7))
         total = float((a.grad ** 2).sum() + (b.grad ** 2).sum())
         assert math.sqrt(total) == pytest.approx(1.0, rel=1e-12)
 
     def test_clip_leaves_small_gradients_alone(self):
         a = Tensor(np.zeros(2))
-        a.grad = np.array([0.1, 0.2])
-        clip_gradients({"a": a})
+        opt = Adam({"a": a})
+        a.grad[...] = [0.1, 0.2]
+        clip_gradients(opt.grad)
         np.testing.assert_array_equal(a.grad, [0.1, 0.2])
 
 
@@ -296,8 +299,7 @@ class TestBatchedStep:
         trace = model.forward_batch(queries, docs, subgraphs, noise=noise)
         loss = loss_from_trace(trace, labels, model.cfg.alpha, model.cfg.S)
         backward(loss)
-        return loss.item(), {name: np.zeros_like(p.data) if p.grad is None else p.grad.copy()
-                             for name, p in model.params.items()}
+        return loss.item(), {name: p.grad.copy() for name, p in model.params.items()}
 
     def test_matches_frozen_values(self):
         model, *step = frozen_step()
@@ -319,6 +321,40 @@ class TestBatchedStep:
         for name, grad in batched.items():
             mean = sum(single[name] for single in singles) / len(singles)
             np.testing.assert_allclose(grad, mean, rtol=1e-10, atol=1e-15, err_msg=name)
+
+
+    def test_unreached_parameter_stays_bit_identical_through_adam(self):
+        """A parameter no gradient reaches keeps a zero gradient and zero
+        moments, so Adam leaves it bit for bit; and zero_grad, backward,
+        clip_gradients and step all keep every parameter's data and grad
+        views of the optimizer's flat vectors."""
+        model, queries, docs, subgraphs, labels, noise = frozen_step()
+        opt = Adam(model.params, lr=1e-2)
+        start = {name: p.data.copy() for name, p in model.params.items()}
+
+        def assert_views():
+            for name, p in model.params.items():
+                assert np.shares_memory(p.data, opt.theta), name
+                assert np.shares_memory(p.grad, opt.grad), name
+
+        for _ in range(3):
+            opt.zero_grad()
+            assert_views()
+            trace = model.forward_batch(queries, docs, subgraphs, noise=noise)
+            backward(loss_from_trace(trace, labels, model.cfg.alpha, model.cfg.S))
+            assert_views()
+            clip_gradients(opt.grad)
+            assert_views()
+            opt.step()
+            assert_views()
+        unreached = {name for name, p in model.params.items() if not p.grad.any()}
+        assert unreached == {"dec.self.wq", "dec.self.wk", "dec.self.bq", "dec.self.bk",
+                             f"fuse{model.cfg.S - 1}.wu"}
+        for name, p in model.params.items():
+            if name in unreached:
+                np.testing.assert_array_equal(p.data, start[name], err_msg=name)
+            else:
+                assert (p.data != start[name]).any(), name
 
 
 class TestSubgraphProvider:
