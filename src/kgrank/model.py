@@ -47,8 +47,10 @@ SIGMA_BIAS_INIT = -2.0
 # batched scorer; a query's candidates are scored in chunks that fit in it.
 ATTENTION_BUDGET = 1 << 18
 # Parameter values a model may hold: 2^27 float64 values are 1 GiB per copy,
-# and training keeps four copies (parameters, gradients, Adam's m and v). The
-# CLI defaults with a 20k-word vocabulary hold 3.05M.
+# and training keeps four flat copies (parameters, gradients, Adam's m and v).
+# While Adam packs them, the built per-parameter arrays and the flat vector
+# are both alive: two committed copies, below the four of a step. The CLI
+# defaults with a 20k-word vocabulary hold 3.05M.
 MAX_PARAM_VALUES = 1 << 27
 
 

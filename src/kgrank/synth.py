@@ -36,10 +36,14 @@ HARD_DISTRACTORS = 3
 MEDIUM_DISTRACTORS = 12
 DOC_TOKENS = (10, 18)
 TRAIN_FRACTION = 0.6
-# the smallest value of each count; TaskKnobs.validate also relates them.
-# round(TRAIN_FRACTION * n) leaves a query in each split exactly when n >= 2.
-KNOB_MINIMUMS = {"num_queries": 2, "corpus_size": 1, "kg_nodes": 1, "background_vocab": 1,
-                 "decoy_edges": 0}
+# the (smallest, largest) value of each count; TaskKnobs.validate also relates
+# them. round(TRAIN_FRACTION * n) leaves a query in each split exactly when
+# n >= 2. With all five at their largest, gen takes 24 s and 0.75 GB (2-vCPU
+# host); num_queries is held lowest because the generation-time check pairs
+# every query with every qrel.
+KNOB_RANGES = {"num_queries": (2, 2_000), "corpus_size": (1, 200_000),
+               "kg_nodes": (1, 200_000), "background_vocab": (1, 200_000),
+               "decoy_edges": (0, 1_000_000)}
 
 
 @dataclass
@@ -51,9 +55,12 @@ class TaskKnobs:
     decoy_edges: int = 800
 
     def validate(self) -> None:
-        for name, low in KNOB_MINIMUMS.items():
-            if getattr(self, name) < low:
-                raise ValidationError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        for name, (low, high) in KNOB_RANGES.items():
+            value = getattr(self, name)
+            if value < low:
+                raise ValidationError(f"{name} must be >= {low}, got {value}")
+            if value > high:
+                raise ValidationError(f"{name} must be <= {high}, got {value}")
         per_query_docs = RELEVANT_PER_QUERY + HARD_DISTRACTORS + MEDIUM_DISTRACTORS
         if self.num_queries * per_query_docs > self.corpus_size:
             raise ValidationError(f"corpus_size must be at least {per_query_docs} × num_queries, "

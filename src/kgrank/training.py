@@ -27,6 +27,7 @@ from .tensor import Tensor, backward
 
 DEFAULT_LR = 3e-4
 DEFAULT_EPOCHS = 3
+MAX_EPOCHS = 1_000
 DEFAULT_BATCH_SIZE = 8
 DEFAULT_NEGATIVES = 2
 DEFAULT_SEED = 42
@@ -185,9 +186,9 @@ def train_model(cfg: ModelConfig, corpus: list[Document], queries: list[Query],
     """Train from scratch; deterministic given the seed (wall time aside).
     A setting out of range, or a run that diverges (a step that saturates a
     score or leaves a value non-finite), raises a ConfigurationError."""
-    if epochs < 1 or batch_size < 1:
-        raise ConfigurationError(
-            f"need epochs >= 1 and batch_size >= 1, got {epochs} and {batch_size}")
+    if not 1 <= epochs <= MAX_EPOCHS or batch_size < 1:
+        raise ConfigurationError(f"need 1 <= epochs <= {MAX_EPOCHS} and batch_size >= 1, "
+                                 f"got {epochs} and {batch_size}")
     if not (math.isfinite(lr) and lr > 0):
         raise ConfigurationError(f"lr must be finite and > 0, got {lr}")
     if seed < 0:

@@ -25,6 +25,8 @@ from kgrank.cli import main
 from kgrank.evaluation import load_run
 from kgrank.fileio import save_arrays
 from kgrank.kg import INTERACTION_RELATION
+from kgrank.synth import KNOB_RANGES
+from kgrank.training import MAX_EPOCHS
 
 GEN_ARGS = ["--num-queries", "10", "--corpus-size", "200", "--kg-nodes", "120",
             "--decoy-edges", "60"]
@@ -425,6 +427,7 @@ class TestErrorHandling:
         ("train", "train.json", with_setting('"max_len": 1000000000000', "model")),
         ("rerank", "model.json", lambda text: json.dumps({**json.loads(text),
                                                           "max_len": 10**12})),
+        ("train", "train.json", with_setting(f'"epochs": {MAX_EPOCHS + 1}')),
     ], ids=["unknown config key", "truncated checkpoint", "checkpoint of another d_z",
             "checkpoint of another d_proj", "truncated index", "index without postings",
             "truncated training config", "misspelt training config key",
@@ -445,7 +448,7 @@ class TestErrorHandling:
             "cache relation an integer", "cache query id a bool",
             "model config of the removed node_init_seed", "run score NaN",
             "training config model too large to allocate",
-            "model config too large to allocate"])
+            "model config too large to allocate", "epochs above its maximum"])
     def test_bad_json_artifact_exits_2(self, pipeline_dir, tmp_path, capsys,
                                        command, name, corrupt):
         """A malformed model config, checkpoint, index, training config,
@@ -544,13 +547,18 @@ class TestErrorHandling:
         (["--seed", "-1"], "seed must be >= 0, got -1"),
         (["--num-queries", "1"], "num_queries must be >= 2, got 1"),
         (["--train-fraction", "0.5"], "unrecognized arguments: --train-fraction 0.5"),
+        (["--corpus-size", "10000000000"], "corpus_size must be <= 200000, got 10000000000"),
+        *[(["--" + name.replace("_", "-"), str(high + 1)],
+           f"{name} must be <= {high}, got {high + 1}") for name, (_, high) in KNOB_RANGES.items()],
     ], ids=["negative query count", "no queries", "negative decoy count",
             "more decoys than triples", "negative seed", "empty test split",
-            "removed design flag"])
+            "removed design flag", "ten billion documents",
+            *[f"{name} above its maximum" for name in KNOB_RANGES]])
     def test_out_of_range_gen_value_exits_2(self, tmp_path, capsys, flags, message):
-        """Before its bound, --num-queries -3 never ended, and --num-queries 1
-        wrote an empty test split. The task's design is fixed, so argparse
-        refuses its old flags."""
+        """Before its bound, --num-queries -3 never ended, --num-queries 1
+        wrote an empty test split, and --corpus-size 10000000000 grew lists
+        until memory ran out. The task's design is fixed, so argparse refuses
+        its old flags."""
         try:
             code = main(["gen", "--out", str(tmp_path / "t"), "--seed", "1", *GEN_ARGS, *flags])
         except SystemExit as exc:

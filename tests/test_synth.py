@@ -1,7 +1,7 @@
 """Synthetic task generator tests: determinism, structural guarantees, and
 the measured baseline properties recorded in the manifest."""
 
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -11,7 +11,7 @@ from kgrank.errors import ValidationError
 from kgrank.evaluation import ndcg_at_k
 from kgrank.kg import load_kg
 from kgrank.oracles import two_hop_nodes_direct
-from kgrank.synth import KNOB_MINIMUMS, TaskKnobs, generate, write_task
+from kgrank.synth import KNOB_RANGES, TaskKnobs, generate, write_task
 
 SMALL = TaskKnobs(num_queries=10, corpus_size=200, kg_nodes=120, decoy_edges=60)
 
@@ -103,12 +103,23 @@ class TestStructuralGuarantees:
 
 class TestKnobValidation:
     def test_every_count_has_a_minimum(self):
-        assert set(KNOB_MINIMUMS) == {f.name for f in fields(TaskKnobs)}
+        """And a maximum, with the default in between."""
+        defaults = asdict(TaskKnobs())
+        assert set(KNOB_RANGES) == set(defaults)
+        for name, (low, high) in KNOB_RANGES.items():
+            assert low <= defaults[name] <= high, name
 
-    @pytest.mark.parametrize("name", sorted(KNOB_MINIMUMS))
+    @pytest.mark.parametrize("name", sorted(KNOB_RANGES))
     def test_count_below_its_minimum(self, name):
-        knobs = replace(SMALL, **{name: KNOB_MINIMUMS[name] - 1})
+        knobs = replace(SMALL, **{name: KNOB_RANGES[name][0] - 1})
         with pytest.raises(ValidationError, match=f"{name} must be >= "):
+            knobs.validate()
+
+    @pytest.mark.parametrize("name", sorted(KNOB_RANGES))
+    def test_count_above_its_maximum(self, name):
+        high = KNOB_RANGES[name][1]
+        knobs = replace(SMALL, **{name: high + 1})
+        with pytest.raises(ValidationError, match=f"{name} must be <= {high}, got {high + 1}"):
             knobs.validate()
 
     def test_corpus_too_small_for_queries(self):

@@ -322,7 +322,6 @@ class TestBatchedStep:
             mean = sum(single[name] for single in singles) / len(singles)
             np.testing.assert_allclose(grad, mean, rtol=1e-10, atol=1e-15, err_msg=name)
 
-
     def test_unreached_parameter_stays_bit_identical_through_adam(self):
         """A parameter no gradient reaches keeps a zero gradient and zero
         moments, so Adam leaves it bit for bit; and zero_grad, backward,
