@@ -92,8 +92,8 @@ def cmd_subgraphs(args) -> int:
 
 # Training-config keys besides "model": file paths, and train_model settings
 # with their defaults, whose JSON types they hold; train_model checks ranges.
-CONFIG_PATHS = ("corpus", "queries", "qrels", "kg", "lexicon", "subgraph_cache",
-                "checkpoint_out", "model_config_out", "metrics_out")
+CONFIG_PATHS = ("corpus", "queries", "qrels", "kg", "lexicon", "checkpoint_out",
+                "model_config_out", "metrics_out")
 CONFIG_SETTINGS = {"epochs": DEFAULT_EPOCHS, "batch_size": DEFAULT_BATCH_SIZE, "seed": DEFAULT_SEED,
                    "lr": DEFAULT_LR, "negatives_per_positive": DEFAULT_NEGATIVES}
 
@@ -125,14 +125,12 @@ def cmd_train(args) -> int:
     queries = cx.load_queries(_require(cfg["queries"], "queries"))
     qrels = cx.load_qrels(_require(cfg["qrels"], "qrels"))
     kg = _load_kg(cfg["kg"], cfg.get("lexicon"))
-    cache = (load_subgraph_cache(_require(cfg["subgraph_cache"], "subgraph cache"))
-             if cfg.get("subgraph_cache") else None)
 
     try:
         # vocab and relations are derived from the corpus and the KG
         model_cfg = ModelConfig.from_json({**cfg.get("model", {}), "vocab": build_vocab(docs),
                                            "relations": sorted(kg.relations)})
-        model, stats = train_model(model_cfg, docs, queries, qrels, kg, cache=cache, **settings)
+        model, stats = train_model(model_cfg, docs, queries, qrels, kg, **settings)
     except ConfigurationError as exc:  # a model or training setting of the config
         raise ConfigurationError(f"{args.config}: {exc}") from exc
     save_checkpoint(cfg["checkpoint_out"], model.params)
@@ -158,16 +156,16 @@ def cmd_rerank(args) -> int:
     queries = {q.id: q for q in cx.load_queries(_require(args.queries, "queries"))}
     _check_run(run, queries, docs)
     cache = load_subgraph_cache(_require(args.cache, "subgraph cache")) if args.cache else None
-    kg = _load_kg(args.kg, args.lexicon) if args.kg else None
-    if cache is None and kg is None and not model_cfg.text_only:
-        raise ConfigurationError("rerank needs --cache or --kg to obtain subgraphs")
-    if kg is None and not model_cfg.text_only:
+    if not model_cfg.text_only:
+        if cache is None:
+            raise ConfigurationError("rerank of a graph model needs --cache, the subgraphs "
+                                     "`kgrank subgraphs` wrote for this run")
         missing = next(((qid, did) for qid in sorted(run) for did, _ in run[qid]
                         if (qid, did) not in cache), None)
         if missing is not None:
             raise ValidationError(f"{args.cache}: no subgraph for query {missing[0]!r}, "
-                                  f"document {missing[1]!r}, and no --kg to extract it from")
-    provider = SubgraphProvider(kg, queries, docs, cache)
+                                  f"document {missing[1]!r}")
+    provider = SubgraphProvider(None, queries, docs, cache)
     reranked = rerank_run(model, run, queries, docs, provider)
     for qid in run:
         if {d for d, _ in run[qid]} != {d for d, _ in reranked[qid]}:
@@ -253,9 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--run", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--queries", required=True)
-    p.add_argument("--cache")
-    p.add_argument("--kg")
-    p.add_argument("--lexicon")
+    p.add_argument("--cache", help="subgraph cache that `kgrank subgraphs` wrote for this run; "
+                                   "required unless the model is text-only")
     p.add_argument("--tag", default="kgrank")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_rerank)

@@ -23,7 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .fileio import atomic_write, check_field, load_arrays, read_jsonl, read_lines, save_arrays
+from .fileio import (atomic_write, check_field, check_json_type, load_arrays, read_jsonl,
+                     read_lines, save_arrays)
 
 BM25_K1 = 1.2
 BM25_B = 0.75
@@ -180,7 +181,8 @@ def retrieve_topk(index: InvertedIndex, query: Query, k: int = 100) -> list[tupl
 
 def _load_records(path: str | Path, kind: str, record: type) -> list:
     """The records of a JSON-lines file of {"id", "text"} objects. Ids are JSON
-    strings or integers, unique, and each one field (fileio.check_field)."""
+    strings or integers, unique, and each one field (fileio.check_field); a
+    text is a JSON string."""
     name = record.__name__.lower()
     records = []
     seen: set[str] = set()
@@ -195,7 +197,8 @@ def _load_records(path: str | Path, kind: str, record: type) -> list:
         if rid in seen:
             raise ParseError(f"{path}:{lineno}: duplicate {name} id {rid!r}")
         seen.add(rid)
-        records.append(record(id=rid, text=str(obj["text"])))
+        text = check_json_type(obj["text"], "", f"{path}:{lineno}: {name} text")
+        records.append(record(id=rid, text=text))
     return records
 
 
@@ -208,7 +211,8 @@ def load_queries(path: str | Path) -> list[Query]:
 
 
 def load_qrels(path: str | Path) -> dict[tuple[str, str], int]:
-    """TREC qrels: 'qid 0 docid grade' per line, '#' comments ignored."""
+    """TREC qrels: 'qid 0 docid grade' per line, '#' comments ignored; a
+    (query, doc) pair is judged once."""
     qrels: dict[tuple[str, str], int] = {}
     for lineno, line in read_lines(path, "qrels", comments=True):
         parts = line.split()
@@ -221,6 +225,8 @@ def load_qrels(path: str | Path) -> dict[tuple[str, str], int]:
             raise ParseError(f"{path}:{lineno}: non-integer grade {grade_s!r}") from exc
         if grade < 0:
             raise ParseError(f"{path}:{lineno}: negative grade {grade}")
+        if (qid, did) in qrels:
+            raise ParseError(f"{path}:{lineno}: duplicate (query, doc) pair ({qid!r}, {did!r})")
         qrels[(qid, did)] = grade
     return qrels
 

@@ -38,9 +38,8 @@ DOC_TOKENS = (10, 18)
 TRAIN_FRACTION = 0.6
 # the (smallest, largest) value of each count; TaskKnobs.validate also relates
 # them. round(TRAIN_FRACTION * n) leaves a query in each split exactly when
-# n >= 2. With all five at their largest, gen takes 24 s and 0.75 GB (2-vCPU
-# host); num_queries is held lowest because the generation-time check pairs
-# every query with every qrel.
+# n >= 2. With all five at their largest, gen takes at most 24 s and 0.75 GB
+# (2-vCPU host).
 KNOB_RANGES = {"num_queries": (2, 2_000), "corpus_size": (1, 200_000),
                "kg_nodes": (1, 200_000), "background_vocab": (1, 200_000),
                "decoy_edges": (0, 1_000_000)}
@@ -204,14 +203,16 @@ def _check_and_annotate(task: SyntheticTask, seed: int, knobs: TaskKnobs) -> Non
         return {surface_to_node[tok] for tok in text.split() if tok in surface_to_node}
 
     docs_by_id = {d.id: d for d in task.corpus}
+    grades_by_query: dict[str, dict[str, int]] = {}
     for (qid, did), grade in task.qrels.items():
         if grade > 0 and did not in docs_by_id:
             raise ValidationError(f"generated qrels reference unknown doc {did!r}")
+        grades_by_query.setdefault(qid, {})[did] = grade
 
     index = build_index(task.corpus)
     bm25_scores, oracle_scores = [], []
     for q in task.queries:
-        grades = {did: g for (qid, did), g in task.qrels.items() if qid == q.id}
+        grades = grades_by_query.get(q.id, {})
         candidates = retrieve_topk(index, q, k=100)
         bm25_scores.append(ndcg_at_k(candidates, grades, k=10))
         v_q = entities_of(q.text)

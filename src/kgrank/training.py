@@ -147,7 +147,8 @@ class EpochStats:
 class SubgraphProvider:
     """The one source of per-(query, doc) subgraphs. A miss links the document
     and extracts at the fixed cap kg.DEFAULT_MAX_NODES; a query is linked on
-    its first miss only. link_entities and extract_subgraph are looked up on
+    its first miss only; with no kg (as `kgrank rerank` builds it, over its
+    cache) a miss raises. link_entities and extract_subgraph are looked up on
     the kg module at each call, so wrappers installed there see them."""
 
     def __init__(self, kg: KnowledgeGraph | None,
@@ -181,11 +182,12 @@ def train_model(cfg: ModelConfig, corpus: list[Document], queries: list[Query],
                 *, epochs: int = DEFAULT_EPOCHS, batch_size: int = DEFAULT_BATCH_SIZE,
                 seed: int = DEFAULT_SEED, lr: float = DEFAULT_LR,
                 negatives_per_positive: int = DEFAULT_NEGATIVES,
-                cache: dict[tuple[str, str], QuerySubgraph] | None = None,
                 ) -> tuple[RankerModel, list[EpochStats]]:
     """Train from scratch; deterministic given the seed (wall time aside).
-    A setting out of range, or a run that diverges (a step that saturates a
-    score or leaves a value non-finite), raises a ConfigurationError."""
+    Each example's subgraph is extracted from kg when first needed; a
+    text-only model reads none, so kg may then be None. A setting out of
+    range, or a run that diverges (a step that saturates a score or leaves a
+    value non-finite), raises a ConfigurationError."""
     if not 1 <= epochs <= MAX_EPOCHS or batch_size < 1:
         raise ConfigurationError(f"need 1 <= epochs <= {MAX_EPOCHS} and batch_size >= 1, "
                                  f"got {epochs} and {batch_size}")
@@ -200,7 +202,7 @@ def train_model(cfg: ModelConfig, corpus: list[Document], queries: list[Query],
     for ex in examples:
         if ex.query_id not in queries_by_id:
             raise ValidationError(f"qrels query {ex.query_id!r} missing from queries file")
-    provider = SubgraphProvider(kg, queries_by_id, docs_by_id, cache)
+    provider = SubgraphProvider(kg, queries_by_id, docs_by_id)
     optimizer = Adam(model.params, lr=lr)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5f1e]))
     noise_rng = np.random.default_rng(np.random.SeedSequence([seed, 0xe95]))

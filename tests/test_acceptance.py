@@ -9,14 +9,11 @@ shared through a module-scoped fixture.
 """
 
 import hashlib
-import json
-import os
 import time
 
 import numpy as np
 import pytest
 
-from kgrank.cli import main
 from kgrank.corpus import Query, build_index, retrieve_topk
 from kgrank.evaluation import load_run, ndcg_at_k
 from kgrank.kg import KnowledgeGraph
@@ -27,6 +24,7 @@ from kgrank.selftest import (check_bm25, check_bottleneck, check_metrics,
 from kgrank.synth import generate
 from kgrank.tensor import load_checkpoint
 from kgrank.training import SubgraphProvider, rerank_run, train_model
+from test_cli import run_pipeline
 from test_corpus import FIXTURE_DOCS, FIXTURE_QUERIES, FIXTURE_SCORES
 
 
@@ -162,50 +160,7 @@ def test_criterion_7_mi_fusion_ablation(central_claim_runs):
 
 # ---------------------------------------------------------------------------
 # Criteria 8 and 9: pipeline determinism and candidate preservation, end to
-# end through the CLI.
-
-GEN_ARGS = ["--num-queries", "10", "--corpus-size", "200", "--kg-nodes", "120",
-            "--decoy-edges", "60"]
-
-
-def run_pipeline(root) -> None:
-    config = {
-        "corpus": "task/corpus.jsonl",
-        "queries": "task/queries_train.jsonl",
-        "qrels": "task/qrels_train.txt",
-        "kg": "task/kg.tsv",
-        "lexicon": "task/lexicon.tsv",
-        "checkpoint_out": "ckpt.json",
-        "model_config_out": "model.json",
-        "metrics_out": "metrics.csv",
-        "epochs": 1,
-        "batch_size": 4,
-        "seed": 5,
-        "model": {"d_l": 16, "d_g": 8, "heads": 2, "R": 0, "S": 1, "d_z": 4,
-                  "d_proj": 8, "max_len": 32},
-    }
-    cwd = os.getcwd()
-    os.chdir(root)
-    try:
-        assert main(["gen", "--out", "task", "--seed", "7", *GEN_ARGS]) == 0
-        assert main(["index", "--corpus", "task/corpus.jsonl", "--out", "index.json"]) == 0
-        assert main(["retrieve", "--index", "index.json",
-                     "--queries", "task/queries_test.jsonl", "--k", "100",
-                     "--out", "run_bm25.txt"]) == 0
-        assert main(["subgraphs", "--kg", "task/kg.tsv", "--lexicon", "task/lexicon.tsv",
-                     "--queries", "task/queries.jsonl", "--corpus", "task/corpus.jsonl",
-                     "--run", "run_bm25.txt", "--out", "cache.jsonl"]) == 0
-        (root / "train.json").write_text(json.dumps(config))
-        assert main(["train", "--config", "train.json"]) == 0
-        assert main(["rerank", "--checkpoint", "ckpt.json", "--model-config",
-                     "model.json", "--run", "run_bm25.txt",
-                     "--corpus", "task/corpus.jsonl", "--queries", "task/queries.jsonl",
-                     "--cache", "cache.jsonl", "--out", "run_rr.txt"]) == 0
-        assert main(["eval", "--run", "run_rr.txt", "--qrels", "task/qrels_test.txt",
-                     "--out", "report.csv"]) == 0
-    finally:
-        os.chdir(cwd)
-
+# end through the CLI (test_cli.run_pipeline).
 
 def test_criterion_8_pipeline_determinism(tmp_path):
     for sub in ("a", "b"):

@@ -3,14 +3,16 @@
 Runs every subcommand in pipeline order inside a temp directory, then checks
 exit codes, idempotence, and the candidate-set contract; sends corrupted and
 seeded random mutations of every input through the commands that read them;
-runs `kgrank selftest` over stand-in checks and with a planted fault; and
-resolves the public names.
+runs `kgrank selftest` over stand-in checks and with a planted fault;
+resolves the public names; and parses the README walkthrough.
 """
 
 import importlib
 import io
 import json
 import os
+import re
+import shlex
 import tempfile
 import zlib
 from pathlib import Path
@@ -21,7 +23,7 @@ import pytest
 import kgrank
 from kgrank import evaluation as ev
 from kgrank import selftest
-from kgrank.cli import main
+from kgrank.cli import build_parser, main
 from kgrank.evaluation import load_run
 from kgrank.fileio import save_arrays
 from kgrank.kg import INTERACTION_RELATION
@@ -101,7 +103,8 @@ def nan_score_on_line(lineno):
 
 
 def first_line_repeated(data: bytes) -> bytes:
-    """A corpus corruption: line 2 repeats line 1, so a document id recurs there."""
+    """A corpus or qrels corruption: line 2 repeats line 1, so a document id
+    or a judged (query, doc) pair recurs there."""
     lines = data.splitlines(keepends=True)
     return b"".join(lines[:1] + lines)
 
@@ -166,10 +169,9 @@ def command_argv(command: str, f: dict[str, str], out: Path) -> list[str]:
                      "--out", str(out)]}[command]
 
 
-@pytest.fixture(scope="module")
-def pipeline_dir(tmp_path_factory):
-    """Run the full pipeline once; individual tests inspect the artifacts."""
-    root = tmp_path_factory.mktemp("pipeline")
+def run_pipeline(root: Path) -> None:
+    """Run every subcommand in pipeline order inside root; criteria 8 and 9
+    and the frozen pipeline outputs of tests/test_acceptance.py run it too."""
     cwd = os.getcwd()
     os.chdir(root)
     try:
@@ -191,6 +193,13 @@ def pipeline_dir(tmp_path_factory):
                      "--out", "report.csv"]) == 0
     finally:
         os.chdir(cwd)
+
+
+@pytest.fixture(scope="module")
+def pipeline_dir(tmp_path_factory):
+    """Run the full pipeline once; individual tests inspect the artifacts."""
+    root = tmp_path_factory.mktemp("pipeline")
+    run_pipeline(root)
     return root
 
 
@@ -229,6 +238,22 @@ class TestPipeline:
                      "--cache", str(pipeline_dir / "cache.jsonl"),
                      "--out", str(out2)]) == 0
         assert out2.read_bytes() == (pipeline_dir / "run_rr.txt").read_bytes()
+
+    def test_text_only_model_reranks_without_a_cache(self, pipeline_dir, tmp_path):
+        """A text-only model reads no subgraph, so rerank needs no --cache;
+        given one, it writes the same run."""
+        config = tmp_path / "train.json"
+        config.write_text(json.dumps({**absolute_train_config(pipeline_dir),
+                                      "model": {**TRAIN_CONFIG["model"], "text_only": True}}))
+        assert main(["train", "--config", str(config)]) == 0
+        files = {f: str(pipeline_dir / f) for f in INPUTS} | {
+            name: str(tmp_path / name) for name in ("ckpt.json", "model.json")}
+        argv = command_argv("rerank", files, tmp_path / "run_text.txt")
+        del argv[argv.index("--cache"):argv.index("--cache") + 2]
+        assert main(argv) == 0
+        assert main(command_argv("rerank", files, tmp_path / "run_cached.txt")) == 0
+        assert ((tmp_path / "run_text.txt").read_bytes()
+                == (tmp_path / "run_cached.txt").read_bytes())
 
     def test_other_line_ends_and_u2028_read_as_before(self, pipeline_dir, tmp_path):
         """\\r\\n and a lone \\r end a line as \\n does, and U+2028 inside a JSON
@@ -428,6 +453,7 @@ class TestErrorHandling:
         ("rerank", "model.json", lambda text: json.dumps({**json.loads(text),
                                                           "max_len": 10**12})),
         ("train", "train.json", with_setting(f'"epochs": {MAX_EPOCHS + 1}')),
+        ("eval", "task/qrels_test.txt", first_line_repeated),
     ], ids=["unknown config key", "truncated checkpoint", "checkpoint of another d_z",
             "checkpoint of another d_proj", "truncated index", "index without postings",
             "truncated training config", "misspelt training config key",
@@ -448,15 +474,16 @@ class TestErrorHandling:
             "cache relation an integer", "cache query id a bool",
             "model config of the removed node_init_seed", "run score NaN",
             "training config model too large to allocate",
-            "model config too large to allocate", "epochs above its maximum"])
+            "model config too large to allocate", "epochs above its maximum",
+            "repeated qrels pair"])
     def test_bad_json_artifact_exits_2(self, pipeline_dir, tmp_path, capsys,
                                        command, name, corrupt):
         """A malformed model config, checkpoint, index, training config,
         subgraph cache, run, qrels, KG or lexicon file, a checkpoint that does
-        not fit its config, or a subgraph cache that lacks a run pair when no
-        KG is given, exits 2 naming the file, and a line that is not UTF-8,
-        repeats a document id or holds a malformed subgraph-cache record
-        exits 2 naming the file and the line.
+        not fit its config, or a subgraph cache that lacks a run pair, exits 2
+        naming the file, and a line that is not UTF-8, repeats a document id
+        or a qrels pair or holds a malformed subgraph-cache record exits 2
+        naming the file and the line.
         Index and checkpoint archives and the line corruptions are made on
         bytes, the rest on text. The training config names its inputs by
         absolute path, so that the copy finds them."""
@@ -491,16 +518,43 @@ class TestErrorHandling:
         assert "Traceback" not in err
         assert os.listdir(tmp_path) == ["corpus.jsonl"]
 
-    def test_training_subgraph_cache_that_is_a_directory_exits_2(self, pipeline_dir, tmp_path,
-                                                                 capsys):
+    def test_training_config_path_that_is_a_directory_exits_2(self, pipeline_dir, tmp_path,
+                                                              capsys):
         config = tmp_path / "train.json"
         config.write_text(json.dumps({**absolute_train_config(pipeline_dir),
-                                      "subgraph_cache": str(tmp_path)}))
+                                      "lexicon": str(tmp_path)}))
         capsys.readouterr()
         assert main(["train", "--config", str(config)]) == 2
         err = capsys.readouterr().err
-        assert f"subgraph cache file is a directory: {tmp_path}" in err
+        assert f"lexicon file is a directory: {tmp_path}" in err
         assert "Traceback" not in err
+
+    def test_training_config_of_the_removed_subgraph_cache_exits_2(self, pipeline_dir, tmp_path,
+                                                                   capsys):
+        """train extracts every subgraph from the KG; a cache is read by
+        rerank alone."""
+        config = tmp_path / "train.json"
+        config.write_text(json.dumps({**absolute_train_config(pipeline_dir),
+                                      "subgraph_cache": str(pipeline_dir / "cache.jsonl")}))
+        capsys.readouterr()
+        assert main(["train", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert f"{config}: unknown training config key 'subgraph_cache'" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "ckpt.json").exists()
+
+    @pytest.mark.parametrize("flag", ["--kg", "--lexicon"])
+    def test_rerank_of_the_removed_graph_flags_exits_2(self, pipeline_dir, tmp_path, capsys,
+                                                       flag):
+        """rerank reads its subgraphs from the cache alone."""
+        files = {f: str(pipeline_dir / f) for f in INPUTS}
+        argv = command_argv("rerank", files, tmp_path / "out.txt") + [flag, files["task/kg.tsv"]]
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} " in capsys.readouterr().err
+        assert not (tmp_path / "out.txt").exists()
 
     @pytest.mark.parametrize("command,name,record,message", [
         ("index", "task/corpus.jsonl", {"id": "d 1", "text": "x"}, "document id 'd 1'"),
@@ -659,6 +713,24 @@ class TestSelftest:
         out = capsys.readouterr().out
         assert "[FAIL] metrics: brute-force agreement: " in out
         assert "[PASS]" not in out
+
+
+def test_readme_walkthrough_parses():
+    """Each `kgrank` command of README's sh blocks, lines continued by a
+    backslash joined, parses: the walkthrough runs every stage and names no
+    subcommand or flag the CLI lacks."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = [argv[1:] for block in re.findall(r"^```sh\n(.*?)^```", text, flags=re.M | re.S)
+                for line in block.replace("\\\n", " ").splitlines()
+                if (argv := shlex.split(line, comments=True))[:1] == ["kgrank"]]
+    assert {argv[0] for argv in commands} >= {"gen", "index", "retrieve", "subgraphs", "train",
+                                              "rerank", "eval"}
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: kgrank {shlex.join(argv)}")
 
 
 def test_public_names_resolve():

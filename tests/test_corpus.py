@@ -328,10 +328,15 @@ class TestFileFormats:
         ('{"id": true, "text": "y"}', "{name} id must be a string or an integer, not True"),
         ('{"id": 1.5, "text": "y"}', "{name} id must be a string or an integer, not 1.5"),
         ('{"id": null, "text": "y"}', "{name} id must be a string or an integer, not None"),
-    ], ids=["no-break space", "bool", "float", "null"])
+        ('{"id": "b", "text": null}', "{name} text must hold str, not None"),
+        ('{"id": "b", "text": ["y"]}', "{name} text must hold str, not ['y']"),
+        ('{"id": "b", "text": 5}', "{name} text must hold str, not 5"),
+    ], ids=["no-break space", "bool", "float", "null", "null text", "list text", "number text"])
     def test_bad_id_names_its_line(self, tmp_path, load, name, record, message):
         """Documents and queries share one reader and so one set of checks;
-        tests/test_cli.py sends the ids "d 1", "" and "#q1" through it."""
+        tests/test_cli.py sends the ids "d 1", "" and "#q1" through it. A
+        text that is no JSON string used to load as its str(): null as the
+        word "None"."""
         path = tmp_path / "records.jsonl"
         path.write_text('{"id": "a", "text": "x"}\n' + record + "\n", encoding="utf-8")
         where = re.escape(f"{path}:2: {message.format(name=name)}")

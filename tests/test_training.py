@@ -476,12 +476,11 @@ class TestTrainModel:
         assert outs[0] != outs[1]
 
     def test_text_only_never_touches_the_graph(self):
-        """With no KG and an empty cache, any subgraph fetch would raise."""
+        """With no KG, any subgraph fetch would raise."""
         docs, queries, qrels, kg = tiny_task()
         cfg = self._cfg(docs, kg, text_only=True)
         model, stats = train_model(cfg, docs, queries, qrels, None, epochs=1,
-                                   batch_size=4, seed=3, negatives_per_positive=1,
-                                   cache={})
+                                   batch_size=4, seed=3, negatives_per_positive=1)
         assert len(stats) == 1
         # KL floor still reported: the bottleneck runs on the learned vectors
         assert stats[0].mean_kl >= 0.0
