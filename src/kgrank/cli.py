@@ -20,7 +20,8 @@ from pathlib import Path
 from . import corpus as cx
 from . import evaluation as ev
 from . import selftest
-from .errors import ConfigurationError, InputError, KgrankError, ValidationError
+from .errors import (ComputationError, ConfigurationError, InputError, KgrankError,
+                     ValidationError)
 from .fileio import check_json_type, load_json
 from .kg import load_kg, load_subgraph_cache, save_subgraph_cache
 from .model import ModelConfig, RankerModel, build_vocab
@@ -166,7 +167,11 @@ def cmd_rerank(args) -> int:
             raise ValidationError(f"{args.cache}: no subgraph for query {missing[0]!r}, "
                                   f"document {missing[1]!r}")
     provider = SubgraphProvider(None, queries, docs, cache)
-    reranked = rerank_run(model, run, queries, docs, provider)
+    try:
+        reranked = rerank_run(model, run, queries, docs, provider)
+    except ComputationError as exc:  # a saturated or non-finite score
+        raise ValidationError(f"{args.checkpoint}: checkpoint gives an unusable score: "
+                              f"{exc}") from exc
     for qid in run:
         if {d for d, _ in run[qid]} != {d for d, _ in reranked[qid]}:
             raise KgrankError(f"candidate set changed for query {qid!r}")  # invariant

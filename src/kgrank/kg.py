@@ -2,9 +2,9 @@
 
 A query-document subgraph keeps the linked entities of both texts plus every
 node bridging two of them through paths of length <= 2 (undirected), capped to
-a node budget. An interaction node is prepended and connected to every retained
-node in both directions with the reserved relation, giving the two modalities a
-single exchange point.
+a node budget, with the KG triples among them. An interaction node is
+prepended; the model ties it to every retained node in both directions with
+the reserved relation, giving the two modalities a single exchange point.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ DEFAULT_MAX_NODES = 10
 MAX_SURFACE_WORDS = 4
 NODE_INIT_STD = 0.02
 NODE_INIT_SEED = 0  # with the node's key, the entropy of each node vector's draw
+KG_PROVENANCE = ("both", "query-seed", "doc-seed", "bridge")  # seeds in capping priority
 
 
 @dataclass
@@ -102,12 +103,12 @@ class EntityMention:
 
 @dataclass
 class QuerySubgraph:
-    """Retained nodes (interaction node first) and the edges among them.
+    """Retained nodes (interaction node first) and the KG edges among them.
 
-    provenance[i] is one of interaction/query-seed/doc-seed/both/bridge;
-    edges are (source index, relation, target index) triples and include the
-    bidirectional interaction edges. Construction raises ValidationError unless
-    there is one provenance entry per node and every edge index is a node.
+    Node 0 alone is INTERACTION_NODE, of provenance "interaction"; the others
+    have one of KG_PROVENANCE. edges are the (source index, relation, target
+    index) KG triples among nodes 1..n-1; the model adds the interaction edges
+    and self-loops. Construction raises ValidationError for any other shape.
     """
 
     node_ids: list[str]
@@ -118,9 +119,21 @@ class QuerySubgraph:
         n = len(self.node_ids)
         if len(self.provenance) != n:
             raise ValidationError(f"{len(self.provenance)} provenance entries for {n} nodes")
-        bad = next((e for e in self.edges if not (0 <= e[0] < n and 0 <= e[2] < n)), None)
-        if bad is not None:
-            raise ValidationError(f"edge {bad} names a node index outside [0, {n})")
+        if n == 0 or (self.node_ids[0], self.provenance[0]) != (INTERACTION_NODE, "interaction"):
+            raise ValidationError(f"node 0 must be {INTERACTION_NODE!r} with provenance "
+                                  f"'interaction'")
+        for i in range(1, n):
+            if self.node_ids[i] == INTERACTION_NODE:
+                raise ValidationError(f"node {i} is {INTERACTION_NODE!r}, which only node 0 is")
+            if self.provenance[i] not in KG_PROVENANCE:
+                raise ValidationError(f"node {i} has provenance {self.provenance[i]!r}, "
+                                      f"not one of {KG_PROVENANCE}")
+        for edge in self.edges:
+            if not (1 <= edge[0] < n and 1 <= edge[2] < n):
+                raise ValidationError(f"edge {edge} names a node index outside the KG "
+                                      f"nodes [1, {n})")
+            if edge[1] in (INTERACTION_RELATION, SELF_RELATION):
+                raise ValidationError(f"edge {edge} has the reserved relation {edge[1]!r}")
 
     @property
     def num_nodes(self) -> int:
@@ -218,10 +231,6 @@ def link_entities(text: str, kg: KnowledgeGraph,
     return mentions
 
 
-def _provenance_rank(flag: str) -> int:
-    return {"both": 0, "query-seed": 1, "doc-seed": 2}[flag]
-
-
 def extract_subgraph(kg: KnowledgeGraph, v_q: set[str], v_d: set[str],
                      max_nodes: int = DEFAULT_MAX_NODES) -> QuerySubgraph:
     """Seeds plus all nodes on undirected length-<=2 paths between distinct seeds.
@@ -229,9 +238,9 @@ def extract_subgraph(kg: KnowledgeGraph, v_q: set[str], v_d: set[str],
     Capping priority: seeds first (both, then query-seed, then doc-seed), then
     bridge nodes by descending count of distinct adjacent seeds; all ties break
     by node id ascending. Retained edges are every KG triple among retained
-    nodes with its original direction. Bridges are found from the seeds'
-    neighbours, so the cost grows with the sum of the seeds' degrees, not
-    with the size of the graph.
+    nodes with its original direction, and no interaction edge. Bridges are
+    found from the seeds' neighbours, so the cost grows with the sum of the
+    seeds' degrees, not with the size of the graph.
     """
     if max_nodes < 1:
         raise ValidationError(f"max_nodes must be >= 1, got {max_nodes}")
@@ -254,7 +263,7 @@ def extract_subgraph(kg: KnowledgeGraph, v_q: set[str], v_d: set[str],
             return "both"
         return "query-seed" if node in v_q else "doc-seed"
 
-    ordered = sorted(seeds, key=lambda n: (_provenance_rank(seed_flag(n)), n))
+    ordered = sorted(seeds, key=lambda n: (KG_PROVENANCE.index(seed_flag(n)), n))
     ordered += sorted(bridge_scores, key=lambda n: (-bridge_scores[n], n))
     retained = ordered[:max_nodes]
 
@@ -270,9 +279,6 @@ def extract_subgraph(kg: KnowledgeGraph, v_q: set[str], v_d: set[str],
             if tail in position:
                 edges.append((position[head], rel, position[tail]))
     edges.sort()
-    for i in range(1, len(node_ids)):
-        edges.append((0, INTERACTION_RELATION, i))
-        edges.append((i, INTERACTION_RELATION, 0))
     return QuerySubgraph(node_ids=node_ids, provenance=provenance, edges=edges)
 
 
@@ -329,7 +335,8 @@ def save_subgraph_cache(path: str | Path,
 
 
 def load_subgraph_cache(path: str | Path) -> dict[tuple[str, str], QuerySubgraph]:
-    """Records as save_subgraph_cache writes them; a malformed one is a ParseError."""
+    """Records as save_subgraph_cache writes them. A malformed record, or a
+    second record of a pair, is a ParseError naming its line."""
     cache: dict[tuple[str, str], QuerySubgraph] = {}
     for lineno, obj in read_jsonl(path, "subgraph cache"):
         try:
@@ -343,6 +350,9 @@ def load_subgraph_cache(path: str | Path) -> dict[tuple[str, str], QuerySubgraph
                         check_json_type(t, 0, "edge end")) for s, r, t in edges],
             )
         except (KeyError, TypeError, ValueError, InputError) as exc:
-            raise ParseError(f"{path}:{lineno}: malformed subgraph record ({exc})") from exc
+            raise ParseError(f"{path}:{lineno}: malformed subgraph record ({exc}); rebuild "
+                             f"the cache with `kgrank subgraphs`") from exc
+        if (qid, did) in cache:
+            raise ParseError(f"{path}:{lineno}: duplicate (query, doc) pair ({qid!r}, {did!r})")
         cache[qid, did] = sub
     return cache

@@ -289,20 +289,23 @@ class RankerModel:
 
     def _join_graphs(self, graphs: list[QuerySubgraph]):
         """One node array for a batch of subgraphs: the first row of each graph
-        (its interaction node), the fixed node features, and the edges with
-        self-loops sorted by target, so that the in-edges of node i form
-        segment i."""
+        (its interaction node), the fixed node features, and the edges sorted
+        by target, so that the in-edges of node i form segment i: its KG
+        in-edges, its interaction edges (0 -> i, or every j -> 0 if i is 0)
+        and its self-loop."""
         offsets = np.cumsum([0] + [g.num_nodes for g in graphs[:-1]])
         feats = np.concatenate([init_node_embeddings(g, self.cfg.d_g) for g in graphs])
         src, dst, rel_ids = [], [], []
         for g, offset in zip(graphs, offsets):
-            loops = list(range(offset, offset + g.num_nodes))
-            src += [offset + s for s, _, _ in g.edges] + loops
-            dst += [offset + t for _, _, t in g.edges] + loops
+            nodes = list(range(offset, offset + g.num_nodes))
+            hub = [offset] * (g.num_nodes - 1)
+            src += [offset + s for s, _, _ in g.edges] + hub + nodes[1:] + nodes
+            dst += [offset + t for _, _, t in g.edges] + nodes[1:] + hub + nodes
             unknown = [rel for _, rel, _ in g.edges if rel not in self.rel2id]
             if unknown:
                 raise ValidationError(f"unknown relation in subgraph: {unknown[0]!r}")
             rel_ids += [self.rel2id[rel] for _, rel, _ in g.edges]
+            rel_ids += [self.rel2id[INTERACTION_RELATION]] * len(hub) * 2
             rel_ids += [self.rel2id[SELF_RELATION]] * g.num_nodes
         src, dst, rel_ids = (np.asarray(a, dtype=np.intp) for a in (src, dst, rel_ids))
         order = np.argsort(dst, kind="stable")  # in-edges of a node, in edge order

@@ -19,8 +19,8 @@ import math
 
 import numpy as np
 
-from .kg import (SELF_RELATION, EntityMention, KnowledgeGraph, empty_subgraph,
-                 init_node_embeddings)
+from .kg import (INTERACTION_RELATION, SELF_RELATION, EntityMention, KnowledgeGraph,
+                 empty_subgraph, init_node_embeddings)
 
 
 def ap_direct(ranking: list[str], relevant: set[str]) -> float:
@@ -330,7 +330,9 @@ def relevance_direct(model, query, doc, subgraph) -> float:
     h = p["tok_emb"][ids] + p["pos_emb"][:len(ids)]
     u = init_node_embeddings(subgraph, cfg.d_g)
     u[0] = p["graph_int_emb"][0]
-    edges = list(subgraph.edges) + [(i, SELF_RELATION, i) for i in range(subgraph.num_nodes)]
+    n = subgraph.num_nodes
+    hub = [(a, INTERACTION_RELATION, b) for i in range(1, n) for a, b in ((0, i), (i, 0))]
+    edges = list(subgraph.edges) + hub + [(i, SELF_RELATION, i) for i in range(n)]
     for layer in range(cfg.R):
         h = text_layer_direct(p, h, layer, cfg.heads)
     for s_i in range(cfg.S):

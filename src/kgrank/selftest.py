@@ -19,8 +19,8 @@ from . import evaluation as ev
 from . import oracles
 from . import tensor as tz
 from .corpus import Document, Query
-from .kg import (INTERACTION_NODE, INTERACTION_RELATION, KnowledgeGraph,
-                 QuerySubgraph, extract_subgraph, link_entities)
+from .kg import (INTERACTION_NODE, KnowledgeGraph, QuerySubgraph, extract_subgraph,
+                 link_entities)
 from .model import RESERVED_TOKENS, ModelConfig, RankerModel, kl_gaussian_std_normal
 from .tensor import Tensor, finite_diff_check
 from .training import loss_from_trace
@@ -96,13 +96,10 @@ def tiny_config(**overrides) -> ModelConfig:
 
 
 def tiny_subgraph() -> QuerySubgraph:
-    edges = [(1, "rel_a", 3), (3, "rel_b", 2)]
-    for i in (1, 2, 3):
-        edges += [(0, INTERACTION_RELATION, i), (i, INTERACTION_RELATION, 0)]
     return QuerySubgraph(
         node_ids=[INTERACTION_NODE, "n1", "n2", "n3"],
         provenance=["interaction", "query-seed", "doc-seed", "bridge"],
-        edges=edges)
+        edges=[(1, "rel_a", 3), (3, "rel_b", 2)])
 
 
 def tiny_model() -> RankerModel:
@@ -230,8 +227,7 @@ def check_subgraphs() -> CheckResult:
         expected_nodes = oracles.two_hop_nodes_direct(kg.triples, set(seeds))
         if set(sub.node_ids[1:]) != expected_nodes:
             failures.append(f"graph {trial}: node set differs from 2-hop enumeration")
-        got_edges = {(sub.node_ids[s], r, sub.node_ids[t]) for s, r, t in sub.edges
-                     if r != INTERACTION_RELATION}
+        got_edges = {(sub.node_ids[s], r, sub.node_ids[t]) for s, r, t in sub.edges}
         if got_edges != oracles.subgraph_edges_direct(kg.triples, expected_nodes):
             failures.append(f"graph {trial}: edge set differs from enumeration")
 
@@ -245,8 +241,6 @@ def check_subgraphs() -> CheckResult:
                             f"from the priority order")
         kept = [node for node, _ in expected]
         want_edges = oracles.subgraph_edges_direct(kg.triples, set(kept))
-        want_edges |= {(a, INTERACTION_RELATION, b) for node in kept
-                       for a, b in ((INTERACTION_NODE, node), (node, INTERACTION_NODE))}
         got_capped = [(capped.node_ids[s], r, capped.node_ids[t]) for s, r, t in capped.edges]
         if len(got_capped) != len(want_edges) or set(got_capped) != want_edges:
             failures.append(f"graph {trial}: cap {cap} edges differ from the triples among "

@@ -195,7 +195,7 @@ FROZEN_PIPELINE_SHA256 = {
     "task/queries_train.jsonl": "5795c252a3c2c597f1885495f75e7edc3a2112c849a222f84b2acf89e1645820",
     "index.json": "5d0c5623108d9c5255b122ba4bf7e0763fd4e4f0fce53a0a9303920e30bb0d4a",
     "run_bm25.txt": "b5ee1aaa4117794abc884b37d4bf5495eee05d9625836af899a9f6b7b68539e3",
-    "cache.jsonl": "7b3735369fef3dd1b023acd7967dc6b0c471ae02a5241b808f077fbacd1d73e5",
+    "cache.jsonl": "5fc4103eef9233d27519712dcc86a4aaccfbcc4733f258bef84d7c7e77744c59",
 }
 FROZEN_PIPELINE_PARAM_NORMS = [
     4.442163253951371e-13, 0.011390380896795093, 0.007467253921287958, 0.011098819183175896,

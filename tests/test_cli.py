@@ -26,7 +26,7 @@ from kgrank import selftest
 from kgrank.cli import build_parser, main
 from kgrank.evaluation import load_run
 from kgrank.fileio import save_arrays
-from kgrank.kg import INTERACTION_RELATION
+from kgrank.kg import INTERACTION_NODE, INTERACTION_RELATION, SELF_RELATION
 from kgrank.synth import KNOB_RANGES
 from kgrank.training import MAX_EPOCHS
 
@@ -43,6 +43,24 @@ def with_first_cache_record(change):
         change(record)
         return json.dumps(record).encode() + b"\n" + b"".join(rest)
     corrupt.lineno = 1
+    return corrupt
+
+
+def first_pair_stored_again(data: bytes) -> bytes:
+    """A subgraph-cache corruption: line 2 holds a second record of line 1's
+    pair, with the interaction node alone, and the error must name line 2."""
+    first, *rest = data.splitlines(keepends=True)
+    record = {**json.loads(first), "nodes": [INTERACTION_NODE], "provenance": ["interaction"],
+              "edges": []}
+    return first + json.dumps(record).encode() + b"\n" + b"".join(rest)
+
+
+first_pair_stored_again.lineno = 2
+
+
+def naming(message, corrupt):
+    """corrupt, whose error must also say message."""
+    corrupt.message = message
     return corrupt
 
 
@@ -114,6 +132,11 @@ first_line_repeated.lineno = 2
 
 def nan_first_parameter(arrays):
     arrays[min(arrays)].reshape(-1)[0] = np.nan
+
+
+def saturate_the_decoder(arrays):
+    """The true-token logits grow a millionfold, so p(true) rounds to 0 or 1."""
+    arrays["dec.out_w"][:, 0] *= 1e6
 
 
 FORMAT_1_INDEX = json.dumps({"format_version": 1, "num_docs": 0, "avg_doc_length": 0.0,
@@ -403,9 +426,9 @@ class TestErrorHandling:
         ("retrieve", "index.json", with_arrays(
             lambda a: a["docs"].__setitem__(0, len(a["doc_lengths"])))),
         ("rerank", "cache.jsonl", with_first_cache_record(
-            lambda r: r["edges"].append([0, INTERACTION_RELATION, len(r["nodes"])]))),
+            lambda r: r["edges"].append([1, "part_of", len(r["nodes"])]))),
         ("rerank", "cache.jsonl", with_first_cache_record(
-            lambda r: r["edges"].append([0, INTERACTION_RELATION, -1]))),
+            lambda r: r["edges"].append([1, "part_of", -1]))),
         ("rerank", "cache.jsonl", with_first_cache_record(lambda r: r["provenance"].pop())),
         ("rerank", "run_bm25.txt", lambda text: "q1 Q0 d1\n" + text),
         ("eval", "task/qrels_test.txt", lambda text: "q1 0 d1 high\n" + text),
@@ -440,9 +463,9 @@ class TestErrorHandling:
         ("rerank", "cache.jsonl", with_first_cache_record(
             lambda r: r.update(nodes=r["nodes"] + [5], provenance=r["provenance"] + ["bridge"]))),
         ("rerank", "cache.jsonl", with_first_cache_record(
-            lambda r: r["edges"].append([0, INTERACTION_RELATION, 0.5]))),
+            lambda r: r["edges"].append([1, "part_of", 0.5]))),
         ("rerank", "cache.jsonl", with_first_cache_record(
-            lambda r: r["edges"].append([True, INTERACTION_RELATION, 0]))),
+            lambda r: r["edges"].append([True, "part_of", 1]))),
         ("rerank", "cache.jsonl", with_first_cache_record(
             lambda r: r["edges"].append([0, 7, 0]))),
         ("rerank", "cache.jsonl", with_first_cache_record(lambda r: r.update(query_id=True))),
@@ -454,6 +477,22 @@ class TestErrorHandling:
                                                           "max_len": 10**12})),
         ("train", "train.json", with_setting(f'"epochs": {MAX_EPOCHS + 1}')),
         ("eval", "task/qrels_test.txt", first_line_repeated),
+        ("rerank", "ckpt.json", with_arrays(saturate_the_decoder)),
+        ("rerank", "cache.jsonl", first_pair_stored_again),
+        ("rerank", "cache.jsonl", with_first_cache_record(
+            lambda r: r.update(nodes=[], provenance=[]))),
+        ("rerank", "cache.jsonl", with_first_cache_record(
+            lambda r: r.update(nodes=r["nodes"][::-1], provenance=r["provenance"][::-1]))),
+        ("rerank", "cache.jsonl", with_first_cache_record(
+            lambda r: r["provenance"].__setitem__(1, "seed"))),
+        ("rerank", "cache.jsonl", naming(
+            "rebuild the cache with `kgrank subgraphs`", with_first_cache_record(
+                lambda r: r["edges"].append([0, INTERACTION_RELATION, 1])))),
+        ("rerank", "cache.jsonl", with_first_cache_record(
+            lambda r: r["edges"].append([1, SELF_RELATION, 1]))),
+        ("rerank", "cache.jsonl", with_first_cache_record(
+            lambda r: r.update(nodes=r["nodes"] + [INTERACTION_NODE],
+                               provenance=r["provenance"] + ["bridge"]))),
     ], ids=["unknown config key", "truncated checkpoint", "checkpoint of another d_z",
             "checkpoint of another d_proj", "truncated index", "index without postings",
             "truncated training config", "misspelt training config key",
@@ -475,15 +514,20 @@ class TestErrorHandling:
             "model config of the removed node_init_seed", "run score NaN",
             "training config model too large to allocate",
             "model config too large to allocate", "epochs above its maximum",
-            "repeated qrels pair"])
+            "repeated qrels pair", "checkpoint that saturates a score",
+            "cache pair stored twice", "cache of no nodes",
+            "cache first node not the interaction node", "cache provenance unknown",
+            "cache interaction edge of the old format", "cache self-loop between KG nodes",
+            "cache interaction node at index 2"])
     def test_bad_json_artifact_exits_2(self, pipeline_dir, tmp_path, capsys,
                                        command, name, corrupt):
         """A malformed model config, checkpoint, index, training config,
         subgraph cache, run, qrels, KG or lexicon file, a checkpoint that does
-        not fit its config, or a subgraph cache that lacks a run pair, exits 2
-        naming the file, and a line that is not UTF-8, repeats a document id
-        or a qrels pair or holds a malformed subgraph-cache record exits 2
-        naming the file and the line.
+        not fit its config or saturates a score, or a subgraph cache that
+        lacks a run pair, exits 2 naming the file, and a line that is not
+        UTF-8, repeats a document id, a qrels pair or a cached pair, or holds
+        a malformed subgraph-cache record exits 2 naming the file and the
+        line, and a corruption with a message says it too.
         Index and checkpoint archives and the line corruptions are made on
         bytes, the rest on text. The training config names its inputs by
         absolute path, so that the copy finds them."""
@@ -498,6 +542,7 @@ class TestErrorHandling:
         assert main(command_argv(command, files, tmp_path / "out.txt")) == 2
         err = capsys.readouterr().err
         assert (str(bad) if lineno is None else f"{bad}:{lineno}: ") in err
+        assert getattr(corrupt, "message", "") in err
         assert "Traceback" not in err
         assert not (tmp_path / "out.txt").exists()
 

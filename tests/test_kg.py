@@ -11,7 +11,7 @@ import pytest
 
 from kgrank import selftest
 from kgrank.errors import ParseError, ValidationError
-from kgrank.kg import (INTERACTION_NODE, INTERACTION_RELATION, KnowledgeGraph,
+from kgrank.kg import (INTERACTION_NODE, INTERACTION_RELATION, SELF_RELATION, KnowledgeGraph,
                        QuerySubgraph, _node_key, extract_subgraph, init_node_embeddings,
                        link_entities, load_kg, load_subgraph_cache, save_subgraph_cache)
 
@@ -196,12 +196,15 @@ class TestExtractSubgraph:
         with pytest.raises(ValidationError, match="ghost"):
             extract_subgraph(kg, {"ghost"}, set())
 
-    def test_interaction_edges_bidirectional_and_complete(self):
-        kg = KnowledgeGraph.from_triples([("a", "r", "w"), ("w", "r", "b")])
-        sub = extract_subgraph(kg, {"a"}, {"b"})
-        int_edges = {(s, t) for s, r, t in sub.edges if r == INTERACTION_RELATION}
-        n = len(sub.node_ids)
-        assert int_edges == {(0, i) for i in range(1, n)} | {(i, 0) for i in range(1, n)}
+    def test_no_edge_touches_the_interaction_node(self):
+        """The model wires the interaction node; a subgraph stores KG edges only."""
+        rng = np.random.default_rng(67)
+        for _ in range(50):
+            kg, nodes = random_kg(rng, max_nodes=25)
+            seeds = [str(s) for s in rng.choice(nodes, size=3, replace=False)]
+            sub = extract_subgraph(kg, set(seeds[:2]), set(seeds[1:]))
+            for s, r, t in sub.edges:
+                assert 0 not in (s, t) and r in kg.relations
 
     def test_capping_never_drops_seed_for_bridge(self):
         rng = np.random.default_rng(59)
@@ -256,8 +259,7 @@ class TestExtractSubgraph:
         assert sub.node_ids == [INTERACTION_NODE, "a", "lonely", "b", "w"]
         assert sub.provenance == ["interaction", "query-seed", "query-seed", "doc-seed",
                                   "bridge"]
-        assert {(s, r, t) for s, r, t in sub.edges if r != INTERACTION_RELATION} == \
-            {(1, "r", 4), (4, "r", 3)}
+        assert sub.edges == [(1, "r", 4), (4, "r", 3)]
 
 
 class TestQuerySubgraph:
@@ -270,6 +272,35 @@ class TestQuerySubgraph:
     def test_provenance_of_another_length_raises(self):
         with pytest.raises(ValidationError, match="provenance"):
             QuerySubgraph([INTERACTION_NODE, "a"], ["interaction"], [])
+
+    @pytest.mark.parametrize("nodes,provenance,message", [
+        ([], [], "node 0 must be"),
+        (["n1", "n2", "n3", "n4"], ["interaction", "query-seed", "doc-seed", "bridge"],
+         "node 0 must be"),
+        ([INTERACTION_NODE, "n1", "n2", "n3"], ["query-seed", "query-seed", "doc-seed", "bridge"],
+         "node 0 must be"),
+        ([INTERACTION_NODE, "n1", INTERACTION_NODE, "n3"],
+         ["interaction", "query-seed", "doc-seed", "bridge"], "which only node 0 is"),
+        ([INTERACTION_NODE, "n1", "n2", "n3"], ["interaction", "query-seed", "seed", "bridge"],
+         "provenance 'seed'"),
+        ([INTERACTION_NODE, "n1", "n2", "n3"],
+         ["interaction", "query-seed", "interaction", "bridge"], "provenance 'interaction'"),
+    ], ids=["no nodes", "no interaction node", "node 0 of another provenance",
+            "second interaction node", "unknown provenance", "second interaction provenance"])
+    def test_node_outside_the_shape_raises(self, nodes, provenance, message):
+        with pytest.raises(ValidationError, match=message):
+            QuerySubgraph(nodes, provenance, [])
+
+    @pytest.mark.parametrize("edge,message", [
+        ((0, INTERACTION_RELATION, 1), "outside"), ((2, "rel_a", 0), "outside"),
+        ((1, INTERACTION_RELATION, 2), "reserved relation '<int>'"),
+        ((1, SELF_RELATION, 1), "reserved relation '<self>'"),
+    ], ids=["interaction edge out", "KG edge into node 0", "interaction relation",
+            "self-loop"])
+    def test_edge_the_model_adds_raises(self, edge, message):
+        sub = selftest.tiny_subgraph()
+        with pytest.raises(ValidationError, match=message):
+            QuerySubgraph(sub.node_ids, sub.provenance, sub.edges + [edge])
 
 
 class TestNodeEmbeddings:

@@ -187,9 +187,9 @@ class TestGnnLayer:
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
     def test_matches_dense_reference_on_path_graph(self):
-        """Two joined graphs (a 3-node path plus interaction edges, and
-        parallel edges of two relations) against the node-by-node reference
-        on each graph alone."""
+        """Two joined graphs (a 3-node path, and parallel edges of two
+        relations) against the node-by-node reference on each graph alone,
+        given the interaction edges and self-loops the model adds."""
         cfg = tiny_config()
         model = RankerModel.build(cfg, seed=6)
         p = plain(model)
@@ -199,10 +199,32 @@ class TestGnnLayer:
         got = model.gnn_layer(model.params, Tensor(u), edges, 0).data
         for g, lo in zip(graphs, offsets):
             rows = slice(lo, lo + g.num_nodes)
-            loops = [(i, SELF_RELATION, i) for i in range(g.num_nodes)]
-            expected = oracles.gnn_layer_direct(p, u[rows], list(g.edges) + loops,
+            wiring = [(a, INTERACTION_RELATION, b) for i in range(1, g.num_nodes)
+                      for a, b in ((0, i), (i, 0))]
+            wiring += [(i, SELF_RELATION, i) for i in range(g.num_nodes)]
+            expected = oracles.gnn_layer_direct(p, u[rows], list(g.edges) + wiring,
                                                 model.rel2id, 0)
             np.testing.assert_allclose(got[rows], expected, atol=1e-10)
+
+    def test_join_adds_interaction_edges_and_self_loops(self, tiny_model):
+        """Each graph gets its KG edges once, 0 -> i and i -> 0 once for every
+        node i >= 1 and one self-loop per node; node t's segment holds its KG
+        in-edges in stored order, then its interaction edges, then its
+        self-loop."""
+        graphs = [tiny_subgraph(), empty_subgraph(), capped_subgraph()]
+        offsets, _, (src, dst, rel_ids, starts) = tiny_model._join_graphs(graphs)
+        expected = []
+        for g, lo in zip(graphs, offsets):
+            for t in range(g.num_nodes):
+                segment = [(s, r) for s, r, target in g.edges if target == t]
+                segment += [(0, INTERACTION_RELATION)] if t else \
+                    [(i, INTERACTION_RELATION) for i in range(1, g.num_nodes)]
+                segment.append((t, SELF_RELATION))
+                expected += [(lo + s, tiny_model.rel2id[r], lo + t) for s, r in segment]
+        assert list(zip(src.tolist(), rel_ids.tolist(), dst.tolist())) == expected
+        assert starts.tolist() == [k for k, edge in enumerate(expected)
+                                   if k == 0 or edge[2] != expected[k - 1][2]]
+        assert len(starts) == sum(g.num_nodes for g in graphs)
 
     def test_unknown_relation_rejected(self, tiny_model):
         sub = tiny_subgraph()
@@ -472,12 +494,8 @@ class TestForward:
 
 
 def linked_subgraph(provenance: list[str], edges: list[tuple[int, str, int]]) -> QuerySubgraph:
-    """The interaction node plus one node per provenance entry, each tied to
-    the interaction node in both directions."""
+    """The interaction node plus one node per provenance entry, and the KG edges."""
     n = len(provenance)
-    edges = list(edges)
-    for i in range(1, n + 1):
-        edges += [(0, INTERACTION_RELATION, i), (i, INTERACTION_RELATION, 0)]
     return QuerySubgraph(node_ids=[INTERACTION_NODE] + [f"m{i}" for i in range(1, n + 1)],
                          provenance=["interaction"] + provenance, edges=edges)
 

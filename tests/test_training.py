@@ -11,8 +11,7 @@ from conftest import tiny_config
 from kgrank import selftest
 from kgrank.corpus import Document, Query
 from kgrank.errors import ComputationError, ConfigurationError, UsageError, ValidationError
-from kgrank.kg import (INTERACTION_NODE, INTERACTION_RELATION, KnowledgeGraph,
-                       QuerySubgraph, empty_subgraph)
+from kgrank.kg import INTERACTION_NODE, KnowledgeGraph, QuerySubgraph, empty_subgraph
 from kgrank.model import ForwardTrace, RankerModel
 from kgrank.oracles import adam_direct
 from kgrank.tensor import Tensor, backward, load_checkpoint, save_checkpoint
@@ -225,8 +224,7 @@ def frozen_step():
     model = selftest.tiny_model()
     two_nodes = QuerySubgraph(
         node_ids=[INTERACTION_NODE, "n1", "n2"], provenance=["interaction", "query-seed", "doc-seed"],
-        edges=[(1, "rel_b", 2), (0, INTERACTION_RELATION, 1), (1, INTERACTION_RELATION, 0),
-               (0, INTERACTION_RELATION, 2), (2, INTERACTION_RELATION, 0)])
+        edges=[(1, "rel_b", 2)])
     queries = [Query("q1", "alpha beta"), Query("q2", "delta"), Query("q1", "alpha beta")]
     docs = [Document("d1", "gamma delta alpha"), Document("d2", "beta"),
             Document("d3", "epsilon gamma gamma delta beta alpha zeta")]
