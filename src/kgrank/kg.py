@@ -106,9 +106,10 @@ class QuerySubgraph:
     """Retained nodes (interaction node first) and the KG edges among them.
 
     Node 0 alone is INTERACTION_NODE, of provenance "interaction"; the others
-    have one of KG_PROVENANCE. edges are the (source index, relation, target
-    index) KG triples among nodes 1..n-1; the model adds the interaction edges
-    and self-loops. Construction raises ValidationError for any other shape.
+    are distinct and have one of KG_PROVENANCE. edges are the (source index,
+    relation, target index) KG triples among nodes 1..n-1; the model adds the
+    interaction edges and self-loops. Construction raises ValidationError for
+    any other shape.
     """
 
     node_ids: list[str]
@@ -128,6 +129,10 @@ class QuerySubgraph:
             if self.provenance[i] not in KG_PROVENANCE:
                 raise ValidationError(f"node {i} has provenance {self.provenance[i]!r}, "
                                       f"not one of {KG_PROVENANCE}")
+        if len(set(self.node_ids)) != n:
+            first = next(i for i, node in enumerate(self.node_ids)
+                         if node in self.node_ids[:i])
+            raise ValidationError(f"node {first} repeats node id {self.node_ids[first]!r}")
         for edge in self.edges:
             if not (1 <= edge[0] < n and 1 <= edge[2] < n):
                 raise ValidationError(f"edge {edge} names a node index outside the KG "

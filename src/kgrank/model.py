@@ -8,7 +8,8 @@ decoder cross-attends over the final token states and emits the probability of
 the true token, which is the document's relevance score.
 
 Every layer is written once, over a batch of pairs: the prompts are padded
-into one (B x L x d_l) array with the padded keys masked, and the subgraphs
+into one (B x L x d_l) array with the padded keys masked, each multi-head
+attention runs all its heads in one tz.attention op, and the subgraphs
 are joined into one node array whose graph attention is a softmax over each
 node's in-edges. The layers read their weights from a dict p: the parameter
 Tensors record on the autodiff tape (forward, forward_batch, training), their
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -43,8 +44,8 @@ RESERVED_TOKENS = (PAD, UNK, T_INT, TRUE_TOK, FALSE_TOK, START_TOK,
 INIT_STD = 0.02
 EMB_STD = 0.1
 SIGMA_BIAS_INIT = -2.0
-# Elements in one head's (candidates x L x L) attention-score array of the
-# batched scorer; a query's candidates are scored in chunks that fit in it.
+# Elements per head of the (candidates x heads x L x L) attention-score array
+# of the batched scorer; a query's candidates are scored in chunks that fit.
 ATTENTION_BUDGET = 1 << 18
 # Parameter values a model may hold: 2^27 float64 values are 1 GiB per copy,
 # and training keeps four flat copies (parameters, gradients, Adam's m and v).
@@ -106,7 +107,9 @@ class ModelConfig:
                                      f"over the {MAX_PARAM_VALUES} that fit")
 
     def save(self, path: str | Path) -> None:
-        atomic_write(path, json.dumps(asdict(self), sort_keys=True))
+        # read the fields in place: asdict would deep-copy the vocabulary
+        atomic_write(path, json.dumps({f.name: getattr(self, f.name) for f in fields(self)},
+                                      sort_keys=True))
 
     @classmethod
     def from_json(cls, values: dict) -> "ModelConfig":
@@ -318,16 +321,14 @@ class RankerModel:
     # Layers. Each runs on a whole batch and reads its weights from p: the
     # parameter Tensors on the tape, or their plain arrays without one.
 
-    def _attention(self, p, x, kv, prefix: str, key_bias: np.ndarray | None):
+    def _attention(self, p, x, kv, prefix: str, key_bias: np.ndarray):
         """Multi-head attention of the (B, Lq, d_l) queries x over the
         (B, Lk, d_l) keys and values kv; key_bias (B, 1, Lk) is -inf on
-        padded keys. Each head is a column slice (a view) of the projections."""
-        dh = self.cfg.d_l // self.cfg.heads
-        q = tz.linear(x, p[prefix + ".wq"], p[prefix + ".bq"]) * (1.0 / math.sqrt(dh))
-        k, v = (tz.linear(kv, p[f"{prefix}.w{c}"], p[f"{prefix}.b{c}"]) for c in "kv")
-        heads = [tz.split(t, [dh] * self.cfg.heads, axis=2) for t in (q, k, v)]
-        outs = [tz.softmax(qh @ tz.transpose(kh), key_bias) @ vh for qh, kh, vh in zip(*heads)]
-        return tz.linear(tz.concat(outs, axis=2), p[prefix + ".wo"], p[prefix + ".bo"])
+        padded keys. The heads run inside one tz.attention node."""
+        q, k, v = (tz.linear(t, p[f"{prefix}.w{c}"], p[f"{prefix}.b{c}"])
+                   for t, c in ((x, "q"), (kv, "k"), (kv, "v")))
+        return tz.linear(tz.attention(q, k, v, self.cfg.heads, key_bias),
+                         p[prefix + ".wo"], p[prefix + ".bo"])
 
     def encode_text_layer(self, p, h, key_bias: np.ndarray, layer: int):
         """Pre-norm transformer block over (B, L, d_l): self-attention then
@@ -463,7 +464,7 @@ class RankerModel:
                     subgraphs: list[QuerySubgraph | None]) -> np.ndarray:
         """p(true) for every candidate document of one query (eps = 0), from
         the plain parameter arrays, so no tape is built. Candidates are scored
-        in chunks, in order, so that one head's attention scores stay within
+        in chunks, in order, so that each head's attention scores stay within
         ATTENTION_BUDGET elements. Every score must be finite and inside
         (0, 1); the per-op finite checks of the tape do not run here."""
         if len(docs) != len(subgraphs):

@@ -31,7 +31,7 @@ CheckResult = tuple[list[str], str]
 # The tape primitives, one gradient case each: (name, fn, leaf shapes, input
 # kind); fn takes one leaf per shape. "positive" keeps log away from its
 # domain edge.
-KEY_BIAS = np.array([[[0.0, 0.0, -np.inf, 0.0]], [[0.0, -np.inf, -np.inf, 0.0]]])
+KEY_BIAS = np.array([[[0.0, 0.0, -np.inf, 0.0, 0.0]], [[0.0, -np.inf, -np.inf, 0.0, 0.0]]])
 SEGMENT_STARTS = np.array([0, 1, 4])  # segments of 1, 3 and 2 entries
 PRIMITIVE_CASES = [
     ("add", lambda x, p: tz.add(x, p), ((3, 4), (3, 4)), "normal"),
@@ -39,11 +39,12 @@ PRIMITIVE_CASES = [
     ("matmul", lambda x, p: x @ p, ((3, 4), (4, 2)), "normal"),
     ("matmul_batched", lambda x, p: x @ p, ((2, 3, 4), (2, 4, 5)), "normal"),
     ("linear", lambda x, w, b: tz.linear(x, w, b), ((2, 3, 4), (4, 5), (1, 5)), "normal"),
-    ("transpose", lambda x: tz.transpose(x), ((3, 4),), "normal"),
-    ("transpose_batched", lambda x: tz.transpose(x), ((2, 3, 4),), "normal"),
     ("reshape", lambda x: tz.reshape(x, (4, 3)), ((3, 4),), "normal"),
     ("softmax", lambda x: tz.softmax(x), ((3, 4),), "normal"),
-    ("softmax_key_bias", lambda x: tz.softmax(x, KEY_BIAS), ((2, 3, 4),), "normal"),
+    ("attention", lambda q, k, v: tz.attention(q, k, v, 2, KEY_BIAS),
+     ((2, 3, 4), (2, 5, 4), (2, 5, 4)), "normal"),
+    ("attention_one_query", lambda q, k, v: tz.attention(q, k, v, 3, KEY_BIAS),
+     ((2, 1, 6), (2, 5, 6), (2, 5, 6)), "normal"),
     ("segment_softmax", lambda x: tz.segment_softmax(x, SEGMENT_STARTS), ((6,),), "normal"),
     ("segment_sum", lambda w, x: tz.segment_sum(w, x, SEGMENT_STARTS), ((6,), (6, 3)),
      "normal"),

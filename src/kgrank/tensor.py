@@ -8,8 +8,10 @@ Repeated backward calls keep adding until zero_grad().
 Every primitive also accepts plain numpy arrays. A Tensor is always
 differentiable and a plain array is always a constant: given no Tensor input,
 a primitive returns the plain result of the same kernel, records nothing and
-skips the per-op finite check; given a mix, the plain arrays are constants of
-the recorded op. The type of the arguments is the only switch between the two,
+skips the per-op finite check (layer_norm and gelu then also write their
+output over a temporary that only a backward would read, which saves a fresh
+array per call); given a mix, the plain arrays are constants of the recorded
+op. The type of the arguments is the only switch between the two,
 so one model body serves both training on the tape and tape-free inference.
 
 Randomness is never drawn inside a primitive: noise enters as an explicit
@@ -18,8 +20,8 @@ finite-difference checker at the bottom of this module.
 
 Design constraints: float64 everywhere; no broadcasting beyond Python scalars,
 except the (1, d) row weights of linear and layer_norm and the constant key
-bias of softmax (gather_rows repeats rows for any other expansion); non-finite
-values raise at the producing operation of a recorded op.
+bias of attention (gather_rows repeats rows for any other expansion);
+non-finite values raise at the producing operation of a recorded op.
 """
 
 from __future__ import annotations
@@ -168,18 +170,12 @@ def linear(x: Operand, w: Operand, b: Operand) -> Operand:
     if wd.ndim != 2 or xd.ndim < 2 or xd.shape[-1] != wd.shape[0] or bd.shape != (1, wd.shape[1]):
         raise ShapeError("linear", xd.shape, wd.shape, bd.shape)
     n_in, n_out = wd.shape
-    return _result("linear", xd @ wd + bd, (x, w, b),
+    y = xd @ wd
+    y += bd  # in place: no second output-sized array
+    return _result("linear", y, (x, w, b),
                    (lambda g: g @ wd.T,
                     lambda g: xd.reshape(-1, n_in).T @ g.reshape(-1, n_out),
                     lambda g: g.reshape(-1, n_out).sum(axis=0, keepdims=True)))
-
-
-def transpose(a: Operand) -> Operand:
-    """Swap the last two axes."""
-    ad = _data(a)
-    if ad.ndim < 2:
-        raise ShapeError("transpose", ad.shape)
-    return _result("transpose", _swap(ad), (a,), (_swap,))
 
 
 def reshape(a: Operand, shape: tuple[int, ...]) -> Operand:
@@ -273,18 +269,10 @@ def scatter_rows(a: Operand, indices, rows: Operand) -> Operand:
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
-def softmax(a: Operand, bias: np.ndarray | None = None) -> Operand:
-    """Softmax over the last axis of a + bias; rows sum to 1. bias is a plain
-    array that broadcasts against a, e.g. a (B, 1, L) key bias that is -inf on
-    padded keys, which then get weight exactly 0."""
+def softmax(a: Operand) -> Operand:
+    """Softmax over the last axis; rows sum to 1."""
     ad = _data(a)
-    if bias is None:
-        y = ad - ad.max(axis=-1, keepdims=True)
-    elif bias.ndim != ad.ndim or any(n not in (1, m) for n, m in zip(bias.shape, ad.shape)):
-        raise ShapeError("softmax", ad.shape, bias.shape)
-    else:  # one fresh array holds the whole computation
-        y = ad + bias
-        y -= y.max(axis=-1, keepdims=True)
+    y = ad - ad.max(axis=-1, keepdims=True)
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
 
@@ -292,6 +280,72 @@ def softmax(a: Operand, bias: np.ndarray | None = None) -> Operand:
         return y * (g - (g * y).sum(axis=-1, keepdims=True))
 
     return _result("softmax", y, (a,), (fn,))
+
+
+def attention(q: Operand, k: Operand, v: Operand, heads: int,
+              key_bias: np.ndarray) -> Operand:
+    """Multi-head scaled dot-product attention as one op: the (B, Lq, d)
+    queries q over the (B, Lk, d) keys k and values v. Head h owns columns
+    h*dh:(h+1)*dh of each (dh = d / heads) and of the (B, Lq, d) result; its
+    scores are q_h k_h^T / sqrt(dh) plus the plain (B, 1, Lk) key_bias, -inf on
+    padded keys, which then get weight exactly 0. The heads are strided views,
+    never copied out, and the tape keeps only the softmax weights."""
+    qd, kd, vd = _data(q), _data(k), _data(v)
+    if (qd.ndim != 3 or kd.ndim != 3 or kd.shape != vd.shape or kd.shape[0] != qd.shape[0]
+            or kd.shape[2] != qd.shape[2] or heads < 1 or qd.shape[2] % heads
+            or key_bias.shape != (qd.shape[0], 1, kd.shape[1])):
+        raise ShapeError("attention", qd.shape, kd.shape, vd.shape, key_bias.shape)
+    dh = qd.shape[2] // heads
+    scale = 1.0 / math.sqrt(dh)
+
+    def by_head(a: np.ndarray) -> np.ndarray:  # (B, L, d) -> a (B, H, L, dh) view
+        return a.reshape(a.shape[0], a.shape[1], heads, dh).transpose(0, 2, 1, 3)
+
+    def joined(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """A fresh (B, L, d) array and its by_head view, for a product to fill."""
+        out = np.empty(shape)
+        return out, by_head(out)
+
+    q4, k4, v4 = by_head(qd * scale), by_head(kd), by_head(vd)
+    att = q4 @ _swap(k4)
+    att += key_bias[:, None]
+    att -= att.max(axis=-1, keepdims=True)
+    np.exp(att, out=att)
+    att /= att.sum(axis=-1, keepdims=True)
+    out, out4 = joined(qd.shape)
+    np.matmul(att, v4, out=out4)
+
+    # backward runs one node's rules in a row, q's before k's: q's rule hands
+    # the scores' gradient to k's, so that it is made once and dies with the step
+    handed: list[np.ndarray] = []
+
+    def scores_grad(g: np.ndarray) -> np.ndarray:
+        ds = by_head(g) @ _swap(v4)
+        ds -= (ds * att).sum(axis=-1, keepdims=True)
+        ds *= att
+        return ds
+
+    def to_q(g: np.ndarray) -> np.ndarray:
+        ds = scores_grad(g)
+        if isinstance(k, Tensor):
+            handed.append(ds)
+        dq, dq4 = joined(qd.shape)
+        np.matmul(ds, k4, out=dq4)
+        dq *= scale
+        return dq
+
+    def to_k(g: np.ndarray) -> np.ndarray:
+        ds = handed.pop() if handed else scores_grad(g)
+        dk, dk4 = joined(kd.shape)
+        np.matmul(_swap(ds), q4, out=dk4)
+        return dk
+
+    def to_v(g: np.ndarray) -> np.ndarray:
+        dv, dv4 = joined(vd.shape)
+        np.matmul(_swap(att), by_head(g), out=dv4)
+        return dv
+
+    return _result("attention", out, (q, k, v), (to_q, to_k, to_v))
 
 
 def layer_norm(a: Operand, gain: Operand, shift: Operand) -> Operand:
@@ -304,14 +358,19 @@ def layer_norm(a: Operand, gain: Operand, shift: Operand) -> Operand:
     centered = ad - ad.sum(axis=-1, keepdims=True) / d  # how ndarray.mean computes
     inv = 1.0 / np.sqrt((centered * centered).sum(axis=-1, keepdims=True) / d
                         + LAYER_NORM_EPS)
-    y = centered * inv
+    y = centered  # centered is not needed past this point
+    y *= inv
 
     def to_a(g: np.ndarray) -> np.ndarray:
         gy = g * gd
         return inv * (gy - gy.mean(axis=-1, keepdims=True)
                       - y * (gy * y).mean(axis=-1, keepdims=True))
 
-    return _result("layer_norm", y * gd + sd, (a, gain, shift),
+    # without a tape no backward reads y, so the output may take its place
+    taped = isinstance(a, Tensor) or isinstance(gain, Tensor)
+    out = y * gd if taped else np.multiply(y, gd, out=y)
+    out += sd
+    return _result("layer_norm", out, (a, gain, shift),
                    (to_a, lambda g: (g * y).reshape(-1, d).sum(axis=0, keepdims=True),
                     lambda g: g.reshape(-1, d).sum(axis=0, keepdims=True)))
 
@@ -319,13 +378,21 @@ def layer_norm(a: Operand, gain: Operand, shift: Operand) -> Operand:
 def gelu(a: Operand) -> Operand:
     """tanh-form GELU with its exact analytic derivative."""
     x = _data(a)
-    t = np.tanh(_GELU_C * (x + 0.044715 * (x * x * x)))
+    t = x * x  # tanh(c * (x + 0.044715 * x^3)) in place, in the formula's order
+    t *= x
+    t *= 0.044715
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
 
     def fn(g: np.ndarray) -> np.ndarray:
         d_inner = _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
         return g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner)
 
-    return _result("gelu", 0.5 * x * (1.0 + t), (a,), (fn,))
+    # without a tape no backward reads t, so the output may take its place
+    y = t + 1.0 if isinstance(a, Tensor) else np.add(t, 1.0, out=t)
+    y *= 0.5 * x
+    return _result("gelu", y, (a,), (fn,))
 
 
 def softplus(a: Operand) -> Operand:

@@ -493,6 +493,9 @@ class TestErrorHandling:
         ("rerank", "cache.jsonl", with_first_cache_record(
             lambda r: r.update(nodes=r["nodes"] + [INTERACTION_NODE],
                                provenance=r["provenance"] + ["bridge"]))),
+        ("rerank", "cache.jsonl", naming("repeats node id", with_first_cache_record(
+            lambda r: r.update(nodes=r["nodes"] + [r["nodes"][1]],
+                               provenance=r["provenance"] + ["bridge"])))),
     ], ids=["unknown config key", "truncated checkpoint", "checkpoint of another d_z",
             "checkpoint of another d_proj", "truncated index", "index without postings",
             "truncated training config", "misspelt training config key",
@@ -518,7 +521,7 @@ class TestErrorHandling:
             "cache pair stored twice", "cache of no nodes",
             "cache first node not the interaction node", "cache provenance unknown",
             "cache interaction edge of the old format", "cache self-loop between KG nodes",
-            "cache interaction node at index 2"])
+            "cache interaction node at index 2", "cache node listed twice"])
     def test_bad_json_artifact_exits_2(self, pipeline_dir, tmp_path, capsys,
                                        command, name, corrupt):
         """A malformed model config, checkpoint, index, training config,

@@ -285,8 +285,11 @@ class TestQuerySubgraph:
          "provenance 'seed'"),
         ([INTERACTION_NODE, "n1", "n2", "n3"],
          ["interaction", "query-seed", "interaction", "bridge"], "provenance 'interaction'"),
+        ([INTERACTION_NODE, "n1", "n2", "n1"], ["interaction", "query-seed", "doc-seed", "bridge"],
+         "node 3 repeats node id 'n1'"),
     ], ids=["no nodes", "no interaction node", "node 0 of another provenance",
-            "second interaction node", "unknown provenance", "second interaction provenance"])
+            "second interaction node", "unknown provenance", "second interaction provenance",
+            "node id twice"])
     def test_node_outside_the_shape_raises(self, nodes, provenance, message):
         with pytest.raises(ValidationError, match=message):
             QuerySubgraph(nodes, provenance, [])
@@ -321,10 +324,13 @@ class TestNodeEmbeddings:
         np.testing.assert_array_equal(emb[0], np.zeros(8))
 
     def test_memoised_vector_equals_a_fresh_draw(self):
-        sub = QuerySubgraph(node_ids=[INTERACTION_NODE, "a", "b", "a"],
-                            provenance=["interaction", "query-seed", "doc-seed", "bridge"],
-                            edges=[])
-        for _ in range(2):  # the second call reads the memo
+        """Node "a" of the second subgraph is read from the memo that the
+        first one filled."""
+        first = QuerySubgraph(node_ids=[INTERACTION_NODE, "a", "b"],
+                              provenance=["interaction", "query-seed", "doc-seed"], edges=[])
+        second = QuerySubgraph(node_ids=[INTERACTION_NODE, "c", "a"],
+                               provenance=["interaction", "query-seed", "bridge"], edges=[])
+        for sub in (first, second, first):
             emb = init_node_embeddings(sub, d_g=16)
             for i, node in enumerate(sub.node_ids[1:], start=1):
                 rng = np.random.default_rng(np.random.SeedSequence([0, _node_key(node)]))

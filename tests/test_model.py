@@ -70,6 +70,15 @@ class TestModelConfig:
         cfg.save(tmp_path / "model.json")
         assert ModelConfig.load(tmp_path / "model.json") == cfg
 
+    def test_saved_bytes(self, tmp_path):
+        """model.json is sorted-key JSON of every field, byte for byte."""
+        tiny_config(text_only=True, alpha=0.5).save(tmp_path / "model.json")
+        assert (tmp_path / "model.json").read_text() == (
+            '{"R": 1, "S": 1, "alpha": 0.5, "d_g": 8, "d_l": 16, "d_proj": 8, "d_z": 4, '
+            '"heads": 2, "max_len": 24, "relations": ["rel_a", "rel_b"], "text_only": true, '
+            '"vocab": ["<pad>", "<unk>", "<int>", "<true>", "<false>", "<start>", "query:", '
+            '"document:", "relevant:", "alpha", "beta", "gamma", "delta", "epsilon"]}')
+
     def test_removed_node_init_seed_rejected_by_name(self, tmp_path):
         """node_init_seed is no longer a field; a saved config that holds it
         is refused like any unknown key."""
@@ -139,10 +148,20 @@ class TestTextLayer:
         p = plain(tiny_model)
         x = np.random.default_rng(0).normal(size=(1, 1, 16))
         got = tiny_model._attention(tiny_model.params, Tensor(x), Tensor(x), "enc0.attn",
-                                    None).data[0]
+                                    no_padding(1, 1)).data[0]
         v = x[0] @ p["enc0.attn.wv"] + p["enc0.attn.bv"]
         expected = v @ p["enc0.attn.wo"] + p["enc0.attn.bo"]
         np.testing.assert_allclose(got, expected, atol=1e-12)
+
+    def test_tape_nodes_per_forward(self, tiny_model, tiny_pair):
+        """Each attention is its q, k, v and output linears around one
+        attention node, so one forward of the tiny model records 167 nodes;
+        a head split back into its own ops would add to the count."""
+        query, doc = tiny_pair
+        trace = tiny_model.forward(query, doc, tiny_subgraph())
+        ops = [row[0] for row in tz.computation_record(trace.score_tensor)]
+        assert ops.count("attention") == 3  # R + S encoder layers, decoder cross
+        assert len(ops) == 167
 
     def test_zeroed_output_projections_make_identity(self, tiny_model):
         tiny_model.params["enc0.attn.wo"].data[:] = 0.0

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 import kgrank.tensor as tz
+from kgrank import oracles
 from kgrank.errors import ComputationError, ParseError, ShapeError, UsageError
-from kgrank.selftest import PRIMITIVE_CASES, primitive_objective
+from kgrank.selftest import (PRIMITIVE_CASES, primitive_case_seed, primitive_leaf,
+                             primitive_objective)
 from kgrank.tensor import (Tensor, backward, finite_diff_check,
                            load_checkpoint, save_checkpoint)
 
@@ -58,6 +60,50 @@ class TestForwardSemantics:
             tz.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
         with pytest.raises(ShapeError, match="split"):
             tz.split(Tensor(np.zeros((4, 2))), [1, 2], axis=0)
+
+
+def attention_per_head(q, k, v, heads, key_bias):
+    """The reference: one pair and one head at a time, through softmax_direct."""
+    dh = q.shape[2] // heads
+    out = np.empty_like(q)
+    for b in range(q.shape[0]):
+        for h in range(heads):
+            c = slice(h * dh, (h + 1) * dh)
+            scores = q[b][:, c] @ k[b][:, c].T / np.sqrt(dh) + key_bias[b]
+            out[b][:, c] = oracles.softmax_direct(scores) @ v[b][:, c]
+    return out
+
+
+class TestAttention:
+    @pytest.mark.parametrize("heads,lq", [(1, 4), (2, 3), (4, 1)])
+    def test_matches_per_head_reference(self, heads, lq):
+        rng = np.random.default_rng(17 + heads)
+        q = rng.normal(size=(3, lq, 8))
+        k, v = rng.normal(size=(2, 3, 6, 8))
+        key_bias = np.zeros((3, 1, 6))
+        key_bias[1, 0, 4:] = key_bias[2, 0, 1] = -np.inf
+        want = attention_per_head(q, k, v, heads, key_bias)
+        np.testing.assert_allclose(tz.attention(q, k, v, heads, key_bias), want,
+                                   rtol=0, atol=1e-12)
+        taped = tz.attention(Tensor(q), Tensor(k), Tensor(v), heads, key_bias)
+        np.testing.assert_array_equal(taped.data, tz.attention(q, k, v, heads, key_bias))
+
+    def test_padded_keys_get_no_gradient(self):
+        """With q a constant, k's rule makes the scores' gradient itself."""
+        rng = np.random.default_rng(18)
+        k, v = Tensor(rng.normal(size=(1, 3, 4))), Tensor(rng.normal(size=(1, 3, 4)))
+        key_bias = np.array([[[0.0, 0.0, -np.inf]]])
+        out = tz.attention(rng.normal(size=(1, 2, 4)), k, v, 2, key_bias)
+        backward(tz.tsum(out * rng.normal(size=(1, 2, 4))))
+        assert not k.grad[0, 2].any() and not v.grad[0, 2].any()
+        assert k.grad[0, :2].all() and v.grad[0, :2].all()
+
+    def test_shapes_checked(self):
+        q, kv, bias = np.zeros((2, 3, 4)), np.zeros((2, 5, 4)), np.zeros((2, 1, 5))
+        for args in [(q, kv, kv, 3, bias), (q, kv, kv, 2, bias[:, :, :4]),
+                     (q, kv, kv[:, :4], 2, bias), (q[0], kv[0], kv[0], 2, bias[0])]:
+            with pytest.raises(ShapeError, match="attention"):
+                tz.attention(*args)
 
 
 class TestBackward:
@@ -170,6 +216,19 @@ class TestPerPrimitiveGradients:
         f, params = primitive_objective(name, fn, shapes, kind)
         err = finite_diff_check(f, params, step=1e-5, max_coords=60, seed=1)
         assert err < 1e-6, f"{name}: {err}"
+
+    @pytest.mark.parametrize("name,fn,shapes,kind", PRIMITIVE_CASES,
+                             ids=[c[0] for c in PRIMITIVE_CASES])
+    def test_plain_arrays_give_the_taped_values(self, name, fn, shapes, kind):
+        """Without a tape, layer_norm and gelu write their output over their
+        own temporaries; every primitive still returns the taped op's values
+        bit for bit and writes none of its inputs."""
+        rng = np.random.default_rng(primitive_case_seed(name))
+        leaves = [primitive_leaf(rng, shape, kind) for shape in shapes]
+        arrays = [leaf.data.copy() for leaf in leaves]
+        np.testing.assert_array_equal(fn(*arrays), fn(*leaves).data)
+        for array, taped in zip(arrays, leaves):
+            np.testing.assert_array_equal(array, taped.data)
 
     def test_composite_gradcheck(self):
         rng = np.random.default_rng(78)
