@@ -1,5 +1,10 @@
 """Document storage, tokenization, inverted index, and BM25 retrieval.
 
+tokenize() splits one text. build_index and model.build_vocab instead
+tokenize the whole corpus in one numpy pass over its bytes (_corpus_terms),
+which gives the words tokenize() gives; oracles.postings_direct counts each
+document's tokenize() tokens and selftest.check_index compares the two.
+
 The index is the arrays of its file (INDEX_LAYOUT), held as they are stored:
 build_index makes them, save_index writes them and load_index reads and
 checks them; nothing converts between forms. It is immutable after it is
@@ -30,6 +35,8 @@ BM25_K1 = 1.2
 BM25_B = 0.75
 
 WORD_RE = re.compile(r"[a-z0-9]+")  # a word of lowercased text, for tokenize and kg
+WORD_BYTES = np.zeros(256, dtype=bool)  # the bytes of WORD_RE's words, for _corpus_terms
+WORD_BYTES[list(b"abcdefghijklmnopqrstuvwxyz0123456789")] = True
 
 
 @dataclass(frozen=True)
@@ -99,6 +106,64 @@ def tokenize(text: str) -> list[str]:
     return WORD_RE.findall(text.lower())
 
 
+def _corpus_terms(texts: list[str]) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """tokenize() over all the texts at once: (the sorted distinct terms, the
+    int64 rank in them of every token in corpus order, the int64 token count
+    of each text).
+
+    The lowercased texts are encoded, joined by a space into one buffer and
+    split where WORD_BYTES starts and stops; a non-ASCII character encodes
+    to bytes >= 0x80 and so separates words, as in WORD_RE. A token of up to
+    8 bytes is keyed by those bytes read as a big-endian uint64 with the
+    bytes past its end zeroed, which orders keys as the words sort, so one
+    sort of the keys ranks every token. A longer token shares its key with
+    its 8-byte prefix; it is ranked through its word and merged in."""
+    encoded = [text.lower().encode("utf-8", "surrogatepass") for text in texts]
+    # " text0 text1 ... " and 8 bytes of slack for the last key; text i ends
+    # before position text_ends[i]
+    text_ends = 1 + np.cumsum([len(b) + 1 for b in encoded], dtype=np.int64)
+    data = b" ".join([b"", *encoded, bytes(8)])
+    del encoded
+    word = WORD_BYTES[np.frombuffer(data, dtype=np.uint8)]
+    starts = np.flatnonzero(word[1:] > word[:-1]) + 1
+    stops = np.flatnonzero(word[1:] < word[:-1]) + 1
+    del word
+    counts = np.diff(np.searchsorted(starts, text_ends), prepend=0)
+    sizes = stops - starts
+    # every byte offset of data read as a big-endian uint64, through a stride-1 view
+    keys = np.ndarray(len(data) - 7, dtype=">u8", buffer=data, strides=(1,))[starts] \
+        .astype(np.uint64)
+    shift = (8 - np.minimum(sizes, 8)).astype(np.uint64) << np.uint64(3)
+    keys >>= shift
+    keys <<= shift
+    long = sizes > 8
+    words = [data[lo:hi].decode("ascii")
+             for lo, hi in zip(starts[long].tolist(), stops[long].tolist())]
+    del data, starts, stops, sizes, shift  # before the sort's temporaries
+    if not words:
+        unique, ranks = np.unique(keys, return_inverse=True)
+        return _key_words(unique), ranks, counts
+    unique, short_ranks = np.unique(keys[~long], return_inverse=True)
+    long_terms = sorted(set(words))
+    # a long term sorts after every short term whose key is <= its prefix's
+    before = np.searchsorted(unique, np.array([int.from_bytes(w[:8].encode(), "big")
+                                               for w in long_terms], dtype=np.uint64),
+                             side="right")
+    long_at = before + np.arange(len(long_terms))
+    short_at = np.arange(len(unique)) + np.searchsorted(before, np.arange(len(unique)),
+                                                        side="right")
+    ranks = np.empty(len(keys), dtype=np.int64)
+    ranks[~long] = short_at[short_ranks]
+    at = dict(zip(long_terms, long_at.tolist()))
+    ranks[long] = [at[w] for w in words]
+    return sorted(_key_words(unique) + long_terms), ranks, counts
+
+
+def _key_words(keys: np.ndarray) -> list[str]:
+    """The words of _corpus_terms keys of short tokens."""
+    return keys.astype(">u8").view("S8").astype("U8").tolist()
+
+
 def build_index(corpus: list[Document]) -> InvertedIndex:
     """Build an inverted index; rebuilding from the same corpus is bit-identical."""
     ordered = sorted(corpus, key=lambda doc: doc.id)
@@ -106,17 +171,9 @@ def build_index(corpus: list[Document]) -> InvertedIndex:
         if doc.id == after.id:
             raise ValidationError(f"duplicate document id: {doc.id!r}")
     n = len(ordered)
-    term_ids: dict[str, int] = {}
-    tokens = [np.fromiter([term_ids.setdefault(t, len(term_ids)) for t in tokenize(doc.text)],
-                          dtype=np.int64) for doc in ordered]
-    lengths = np.fromiter(map(len, tokens), dtype=np.int64, count=n)
-    terms = sorted(term_ids)
-    rank = np.empty(len(terms), dtype=np.int64)
-    rank[[term_ids[t] for t in terms]] = np.arange(len(terms))
-    # one key per token, ordered by (term rank, doc position)
-    keys = rank[np.concatenate(tokens)] * n + np.repeat(np.arange(n), lengths) if n \
-        else np.zeros(0, dtype=np.int64)
-    keys, tfs = np.unique(keys, return_counts=True)
+    terms, ranks, lengths = _corpus_terms([doc.text for doc in ordered])
+    # one key per token, ordered by (term rank, doc position); a key's tf is its count
+    keys, tfs = np.unique(ranks * n + np.repeat(np.arange(n), lengths), return_counts=True)
     term_of, docs = np.divmod(keys, max(n, 1))
     offsets = np.zeros(len(terms) + 1, dtype=np.int64)
     np.cumsum(np.bincount(term_of, minlength=len(terms)), out=offsets[1:])

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as tz
-from .corpus import Document, Query, tokenize
+from .corpus import Document, Query, _corpus_terms, tokenize
 from .errors import (ComputationError, ConfigurationError, ParseError, UsageError,
                      ValidationError)
 from .fileio import atomic_write, check_json_type, load_json
@@ -168,10 +168,7 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
 
 def build_vocab(corpus: list[Document]) -> list[str]:
     """Reserved tokens followed by the sorted corpus word types."""
-    words: set[str] = set()
-    for doc in corpus:
-        words.update(tokenize(doc.text))
-    return list(RESERVED_TOKENS) + sorted(words)
+    return list(RESERVED_TOKENS) + _corpus_terms([doc.text for doc in corpus])[0]
 
 
 @dataclass
@@ -275,20 +272,22 @@ class RankerModel:
         Document tokens are truncated first; markers and the query always
         survive. Out-of-vocabulary words map to <unk>.
         """
+        return self._prompts(query_text, [doc_text])[0]
+
+    def _prompts(self, query_text: str, doc_texts: list[str]) -> list[list[int]]:
+        """build_prompt for one query and each document, tokenizing the query once."""
         q_tokens = tokenize(query_text)
-        d_tokens = tokenize(doc_text)
         overhead = 4  # t_int + three markers
         if overhead + len(q_tokens) > self.cfg.max_len:
             raise ConfigurationError(
                 f"query of {len(q_tokens)} tokens does not fit in max_len={self.cfg.max_len}")
-        d_tokens = d_tokens[:self.cfg.max_len - overhead - len(q_tokens)]
+        room = self.cfg.max_len - overhead - len(q_tokens)
         unk = self.tok2id[UNK]
-        ids = [self.tok2id[T_INT], self.tok2id[MARK_QUERY]]
-        ids += [self.tok2id.get(t, unk) for t in q_tokens]
-        ids.append(self.tok2id[MARK_DOC])
-        ids += [self.tok2id.get(t, unk) for t in d_tokens]
-        ids.append(self.tok2id[MARK_REL])
-        return ids
+        head = [self.tok2id[T_INT], self.tok2id[MARK_QUERY]]
+        head += [self.tok2id.get(t, unk) for t in q_tokens]
+        head.append(self.tok2id[MARK_DOC])
+        return [head + [self.tok2id.get(t, unk) for t in tokenize(doc_text)[:room]]
+                + [self.tok2id[MARK_REL]] for doc_text in doc_texts]
 
     def _join_graphs(self, graphs: list[QuerySubgraph]):
         """One node array for a batch of subgraphs: the first row of each graph
@@ -469,9 +468,9 @@ class RankerModel:
         (0, 1); the per-op finite checks of the tape do not run here."""
         if len(docs) != len(subgraphs):
             raise UsageError(f"{len(docs)} documents but {len(subgraphs)} subgraphs")
-        prompts = [self.build_prompt(query.text, doc.text) for doc in docs]
-        if not prompts:
+        if not docs:
             return np.zeros(0)
+        prompts = self._prompts(query.text, [doc.text for doc in docs])
         longest = max(len(ids) for ids in prompts)
         chunk = max(1, ATTENTION_BUDGET // (longest * longest))
         p = {name: t.data for name, t in self.params.items()}

@@ -2,7 +2,9 @@
 
 Everything here is written directly from definitions and deliberately shares
 no code with the production implementations: metrics recount prefixes
-quadratically, BM25 rescans raw token lists, entity links try every surface
+quadratically, postings count each document's tokenize() tokens (the
+per-text tokenizer the index's corpus-wide pass must agree with), BM25
+rescans raw token lists, entity links try every surface
 name at every word, subgraph candidates come from a triple loop over node
 pairs, the KL term is integrated by Gauss-Hermite quadrature, Adam updates one
 scalar at a time, and the ranker network is
@@ -16,9 +18,11 @@ training tests compare against the network twins and the Adam loop.
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 
+from .corpus import tokenize
 from .kg import (INTERACTION_RELATION, SELF_RELATION, EntityMention, KnowledgeGraph,
                  empty_subgraph, init_node_embeddings)
 
@@ -49,6 +53,16 @@ def recall_direct(ranking: list[str], relevant: set[str], k: int, capped: bool) 
         return 0.0
     hits = len(set(ranking[:k]) & relevant)
     return hits / (min(k, len(relevant)) if capped else len(relevant))
+
+
+def postings_direct(docs) -> dict[str, list[tuple[str, int]]]:
+    """term -> [(doc id, tf), ...] in doc id order, terms sorted, by counting
+    each document's tokenize() tokens."""
+    postings: dict[str, list[tuple[str, int]]] = {}
+    for doc in sorted(docs, key=lambda d: d.id):
+        for term, tf in Counter(tokenize(doc.text)).items():
+            postings.setdefault(term, []).append((doc.id, tf))
+    return dict(sorted(postings.items()))
 
 
 def bm25_direct(doc_tokens: dict[str, list[str]], query_terms: list[str],

@@ -21,7 +21,8 @@ from . import tensor as tz
 from .corpus import Document, Query
 from .kg import (INTERACTION_NODE, KnowledgeGraph, QuerySubgraph, extract_subgraph,
                  link_entities)
-from .model import RESERVED_TOKENS, ModelConfig, RankerModel, kl_gaussian_std_normal
+from .model import (RESERVED_TOKENS, ModelConfig, RankerModel, build_vocab,
+                    kl_gaussian_std_normal)
 from .tensor import Tensor, finite_diff_check
 from .training import loss_from_trace
 
@@ -348,6 +349,74 @@ def check_bm25() -> CheckResult:
                       f"random corpora")
 
 
+# Words and separators of check_index's corpora, chosen where the index's
+# corpus-wide pass can drift from tokenize(): words of exactly 8 and 9 bytes,
+# an 8-byte word with two 9-byte words that extend it, longer words, digits
+# and capitals; U+212A and U+0130, which lower to ASCII ("k", and "i" with a
+# combining dot); other non-ASCII letters, a lone surrogate and a NUL.
+INDEX_WORDS = ["a", "b7", "zz", "0", "42", "abcdefgh", "abcdefghi", "abcdefgha", "ABCDEFGH",
+               "abcdefgz", "12345678", "123456789", "qqqqqqqqqqqqqqqq", "x" * 20, "Kelvin",
+               "\u212aelvin", "\u0130stanbul", "caf\u00e9"]
+INDEX_SEPARATORS = [" ", " ", "  ", "-", ", ", "\t", "\n", "\x00", "\ud800", "\u00e9",
+                    "\u65e5\u672c", "\u212a", "\u0130"]
+
+
+def index_corpus(rng) -> list[Document]:
+    """A random corpus for check_index: 0-11 texts of INDEX_WORDS, each
+    followed by one of INDEX_SEPARATORS or by nothing (so words also run
+    together), some texts of separators alone, and copies of some texts."""
+    docs = []
+    for i in range(int(rng.integers(0, 12))):
+        words = INDEX_SEPARATORS if rng.random() < 0.15 else INDEX_WORDS
+        text = "".join(str(rng.choice(words)) + str(rng.choice(INDEX_SEPARATORS + [""]))
+                       for _ in range(int(rng.integers(0, 12))))
+        docs.append(Document(f"d{i:02d}", text))
+    if docs:
+        for i in rng.integers(0, len(docs), size=int(rng.integers(0, 3))):
+            docs.append(Document(f"d{len(docs):02d}", docs[int(i)].text))
+    rng.shuffle(docs)
+    return docs
+
+
+def index_faults(docs: list[Document]) -> list[str]:
+    """How build_index and build_vocab over docs differ from
+    oracles.postings_direct: terms, postings, tfs, doc lengths and vocabulary."""
+    want = oracles.postings_direct(docs)
+    want_lengths = dict.fromkeys(sorted(d.id for d in docs), 0)
+    for entries in want.values():
+        for did, tf in entries:
+            want_lengths[did] += tf
+    index = cx.build_index(docs)
+    bounds = index.offsets.tolist()
+    ids = [index.doc_ids[i] for i in index.docs.tolist()]
+    got = {term: list(zip(ids[lo:hi], index.tfs[lo:hi].tolist()))
+           for term, lo, hi in zip(index.terms, bounds, bounds[1:])}
+    faults = []
+    if index.terms != list(want):
+        faults.append(f"terms {index.terms} differ from {list(want)}")
+    elif got != want:
+        faults.append("postings or tfs differ from the per-document count")
+    if dict(zip(index.doc_ids, index.lengths.tolist())) != want_lengths \
+            or index.doc_ids != list(want_lengths):
+        faults.append("doc ids or lengths differ from the per-document count")
+    if build_vocab(docs) != list(RESERVED_TOKENS) + list(want):
+        faults.append("build_vocab's words differ from the per-document count")
+    return faults
+
+
+def check_index() -> CheckResult:
+    """build_index and build_vocab against oracles.postings_direct, which
+    counts each document's tokenize() tokens, on 300 random corpora from
+    index_corpus: the same terms, postings, tfs, doc lengths and words."""
+    rng = np.random.default_rng(8080)
+    failures, tokens = [], 0
+    for trial in range(300):
+        docs = index_corpus(rng)
+        failures += [f"corpus {trial}: {fault}" for fault in index_faults(docs)]
+        tokens += sum(len(cx.tokenize(d.text)) for d in docs)
+    return failures, f"300 random corpora ({tokens} tokens), identical postings and words"
+
+
 CHECKS: list[tuple[str, Callable[[], CheckResult]]] = [
     ("gradient: primitives", check_primitive_gradients),
     ("gradient: full model", check_model_gradient),
@@ -355,5 +424,6 @@ CHECKS: list[tuple[str, Callable[[], CheckResult]]] = [
     ("metrics: brute-force agreement", check_metrics),
     ("subgraph: 2-hop enumeration", check_subgraphs),
     ("linking: every surface at every word", check_linking),
+    ("index: postings and vocabulary against a per-document count", check_index),
     ("bm25: exhaustive direct-formula table", check_bm25),
 ]

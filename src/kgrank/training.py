@@ -8,6 +8,7 @@ Gaussian mean (no noise).
 
 from __future__ import annotations
 
+import bisect
 import math
 import time
 from dataclasses import dataclass
@@ -57,21 +58,26 @@ def sample_training_set(qrels: dict[tuple[str, str], int], corpus_ids: list[str]
     corpus_sorted = sorted(corpus_ids)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5e6]))
     examples: list[TrainingExample] = []
-    eligible_cache: dict[str, list[str]] = {}
+    skip_cache: dict[str, np.ndarray] = {}
     for qid, did in sorted(k for k, grade in qrels.items() if grade > 0):
         examples.append(TrainingExample(qid, did, True))
         if negatives_per_positive == 0:
             continue
-        eligible = eligible_cache.get(qid)
-        if eligible is None:
-            eligible = [d for d in corpus_sorted if d not in relevant[qid]]
-            eligible_cache[qid] = eligible
-        if len(eligible) < negatives_per_positive:
+        skip = skip_cache.get(qid)
+        if skip is None:
+            # the corpus positions of the query's relevant documents, each less
+            # the number of them before it: the eligible documents before it
+            at = sorted(i for d in relevant[qid] for i in range(
+                bisect.bisect_left(corpus_sorted, d), bisect.bisect_right(corpus_sorted, d)))
+            skip = skip_cache[qid] = np.array(at, dtype=np.int64) - np.arange(len(at))
+        eligible = len(corpus_sorted) - len(skip)
+        if eligible < negatives_per_positive:
             raise ValidationError(
                 f"corpus too small to sample {negatives_per_positive} negatives for query {qid!r}")
-        picks = rng.choice(len(eligible), size=negatives_per_positive, replace=False)
-        for i in sorted(picks):
-            examples.append(TrainingExample(qid, eligible[i], False))
+        picks = np.sort(rng.choice(eligible, size=negatives_per_positive, replace=False))
+        # eligible document i follows every relevant one with at most i eligible before it
+        examples += [TrainingExample(qid, corpus_sorted[at], False)
+                     for at in (picks + np.searchsorted(skip, picks, side="right")).tolist()]
     return examples
 
 

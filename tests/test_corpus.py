@@ -10,8 +10,10 @@ import re
 import numpy as np
 import pytest
 
-from kgrank.corpus import (Document, Query, build_index, load_documents, load_qrels,
-                           load_queries, retrieve_topk, save_index, load_index, tokenize)
+from kgrank import selftest
+from kgrank.corpus import (Document, Query, _corpus_terms, build_index, load_documents,
+                           load_qrels, load_queries, retrieve_topk, save_index, load_index,
+                           tokenize)
 from kgrank.errors import InputError, ParseError, ValidationError
 from kgrank.oracles import bm25_direct
 
@@ -154,6 +156,46 @@ class TestBuildIndex:
         save_index(tmp_path / "b.json", index2)
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
         assert_same_index(load_index(tmp_path / "a.json"), index1)
+
+
+class TestCorpusWidePass:
+    """build_index and build_vocab tokenize the whole corpus in one pass over
+    its bytes (corpus._corpus_terms); tokenize() of each text is the oracle."""
+
+    @pytest.mark.parametrize("texts, terms", [
+        pytest.param(["abcdefgh 12345678", "abcdefghi 123456789 abcdefgh"],
+                     ["12345678", "123456789", "abcdefgh", "abcdefghi"], id="8-and-9-bytes"),
+        pytest.param(["abcdefghi abcdefgh", "abcdefgha ABCDEFGH abcdefghi", "abcdefg"],
+                     ["abcdefg", "abcdefgh", "abcdefgha", "abcdefghi"], id="shared-8-byte-prefix"),
+        pytest.param(["\u212aelvin and \u212a", "\u0130stanbul"],
+                     ["and", "i", "k", "kelvin", "stanbul"], id="non-ascii-lowering-to-ascii"),
+        pytest.param(["a\ud800b", "c\x00d\ud800", " -, \t\n\u00e9", "\ud800", ""],
+                     ["a", "b", "c", "d"], id="surrogate-nul-and-separators-only"),
+        pytest.param([], [], id="empty-corpus"),
+        pytest.param(["x y x", "x y x", "zzzzzzzzzz y"], ["x", "y", "zzzzzzzzzz"],
+                     id="duplicate-texts"),
+    ])
+    def test_named_cases_match_the_per_document_count(self, texts, terms):
+        docs = [Document(f"d{i}", text) for i, text in enumerate(texts)]
+        assert selftest.index_faults(docs) == []
+        assert build_index(docs).terms == terms
+
+    def test_random_corpora_match_the_per_document_count(self):
+        failures, _ = selftest.check_index()
+        assert failures == []
+
+    def test_tokens_in_corpus_order(self):
+        """The kernel's ranks, read back through its terms and cut by its
+        counts, are tokenize() of each text, token for token."""
+        rng = np.random.default_rng(17)
+        for trial in range(100):
+            texts = [d.text for d in selftest.index_corpus(rng)]
+            terms, ranks, counts = _corpus_terms(texts)
+            words = [terms[r] for r in ranks.tolist()]
+            ends = np.cumsum(counts).tolist()
+            assert [words[lo:hi] for lo, hi in zip([0] + ends, ends)] == \
+                [tokenize(text) for text in texts], f"trial {trial}"
+            assert (ranks.dtype, counts.dtype) == (np.int64, np.int64)
 
 
 class TestBm25Score:

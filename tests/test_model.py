@@ -594,6 +594,30 @@ class TestScoreBatch:
     def test_empty_batch(self, tiny_model):
         assert tiny_model.score_batch(Query("q", "alpha"), [], []).shape == (0,)
 
+    def test_tokenizes_the_query_once(self, monkeypatch):
+        """One tokenize() of the query per call, and each candidate's prompt
+        is the one build_prompt gives for the pair, truncation included."""
+        model = RankerModel.build(tiny_config(), seed=31)
+        query = Query("q", "alpha zebra beta")
+        docs = [Document(f"d{i}", text) for i, text in enumerate(MIXED_DOCS)]
+        want = [model.build_prompt(query.text, doc.text) for doc in docs]
+        seen, prompts = [], []
+        tokenize = model_module.tokenize
+        monkeypatch.setattr(model_module, "tokenize",
+                            lambda text: seen.append(text) or tokenize(text))
+        run = model._run
+        monkeypatch.setattr(model, "_run",
+                            lambda p, ids, *rest: prompts.extend(ids) or run(p, ids, *rest))
+        model.score_batch(query, docs, [tiny_subgraph()] * len(docs))
+        assert seen.count(query.text) == 1
+        assert prompts == want
+
+    def test_query_overflow_rejected(self):
+        model = RankerModel.build(tiny_config(max_len=8), seed=0)
+        with pytest.raises(ConfigurationError, match="query of 10 tokens does not fit"):
+            model.score_batch(Query("q", "alpha " * 10), [Document("d", "beta")],
+                              [tiny_subgraph()])
+
     def test_length_mismatch_rejected(self, tiny_model):
         with pytest.raises(UsageError):
             tiny_model.score_batch(Query("q", "alpha"), [Document("d", "beta")], [])

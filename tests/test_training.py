@@ -52,6 +52,49 @@ class TestSampleTrainingSet:
         b = sample_training_set(self.QRELS, self.CORPUS, 3, seed=11)
         assert a == b
 
+    @staticmethod
+    def list_reference(qrels, corpus_ids, negatives, seed):
+        """Sampling over each query's list of eligible documents, as the
+        function was first written."""
+        relevant: dict[str, set[str]] = {}
+        for (qid, did), grade in qrels.items():
+            if grade > 0:
+                relevant.setdefault(qid, set()).add(did)
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5e6]))
+        examples = []
+        for qid, did in sorted(k for k, grade in qrels.items() if grade > 0):
+            examples.append(TrainingExample(qid, did, True))
+            eligible = [d for d in sorted(corpus_ids) if d not in relevant[qid]]
+            for i in sorted(rng.choice(len(eligible), size=negatives, replace=False)):
+                examples.append(TrainingExample(qid, eligible[i], False))
+        return examples
+
+    def test_equals_the_list_reference(self):
+        """300 random qrels over shuffled corpora: relevant documents at the
+        first and last corpus positions, runs of them, judged documents
+        outside the corpus and zero grades."""
+        rng = np.random.default_rng(99)
+        edges = 0
+        for trial in range(300):
+            n = int(rng.integers(3, 30))
+            corpus = [f"d{i:02d}" for i in range(n)]
+            qrels = {}
+            for q in range(int(rng.integers(1, 4))):
+                picks = rng.choice(n + 2, size=int(rng.integers(1, n)), replace=False)
+                for i in picks.tolist():  # d{n}, d{n+1} are not in the corpus
+                    qrels[(f"q{q}", f"d{i:02d}")] = int(rng.integers(0, 3))
+                qrels[(f"q{q}", corpus[(0, -1)[q % 2]])] = 1
+            edges += sum(1 for qid, did in qrels if did in (corpus[0], corpus[-1]))
+            rng.shuffle(corpus)
+            positives = {}
+            for (qid, did), grade in qrels.items():
+                positives[qid] = positives.get(qid, 0) + (grade > 0 and did in corpus)
+            negatives = int(rng.integers(1, n - max(positives.values()) + 1))
+            seed = int(rng.integers(1000))
+            assert sample_training_set(qrels, corpus, negatives, seed=seed) == \
+                self.list_reference(qrels, corpus, negatives, seed), f"trial {trial}"
+        assert edges >= 300
+
 
 def make_trace(w: Tensor, kl_leaves: list[Tensor]) -> ForwardTrace:
     """A one-pair trace with score logistic(w); differentiable through one leaf."""
