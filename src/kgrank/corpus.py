@@ -35,8 +35,8 @@ BM25_K1 = 1.2
 BM25_B = 0.75
 
 WORD_RE = re.compile(r"[a-z0-9]+")  # a word of lowercased text, for tokenize and kg
-WORD_BYTES = np.zeros(256, dtype=bool)  # the bytes of WORD_RE's words, for _corpus_terms
-WORD_BYTES[list(b"abcdefghijklmnopqrstuvwxyz0123456789")] = True
+# the bytes of WORD_RE's words, for _corpus_terms
+WORD_BYTES = np.array([WORD_RE.fullmatch(chr(b)) is not None for b in range(256)])
 
 
 @dataclass(frozen=True)
@@ -140,23 +140,23 @@ def _corpus_terms(texts: list[str]) -> tuple[list[str], np.ndarray, np.ndarray]:
     words = [data[lo:hi].decode("ascii")
              for lo, hi in zip(starts[long].tolist(), stops[long].tolist())]
     del data, starts, stops, sizes, shift  # before the sort's temporaries
-    if not words:
-        unique, ranks = np.unique(keys, return_inverse=True)
-        return _key_words(unique), ranks, counts
-    unique, short_ranks = np.unique(keys[~long], return_inverse=True)
+    unique, ranks = np.unique(keys, return_inverse=True)
+    del keys
+    # the keys of short terms: those that not only long tokens have
+    short = np.bincount(ranks, minlength=len(unique)) \
+        > np.bincount(ranks[long], minlength=len(unique))
     long_terms = sorted(set(words))
     # a long term sorts after every short term whose key is <= its prefix's
-    before = np.searchsorted(unique, np.array([int.from_bytes(w[:8].encode(), "big")
-                                               for w in long_terms], dtype=np.uint64),
+    before = np.searchsorted(unique[short], np.array([int.from_bytes(w[:8].encode(), "big")
+                                                      for w in long_terms], dtype=np.uint64),
                              side="right")
-    long_at = before + np.arange(len(long_terms))
-    short_at = np.arange(len(unique)) + np.searchsorted(before, np.arange(len(unique)),
-                                                        side="right")
-    ranks = np.empty(len(keys), dtype=np.int64)
-    ranks[~long] = short_at[short_ranks]
-    at = dict(zip(long_terms, long_at.tolist()))
+    # the position of each short term among all terms, at its key's index
+    at_short = np.cumsum(short) - 1
+    at_short += np.searchsorted(before, at_short, side="right")
+    ranks = at_short[ranks]
+    at = dict(zip(long_terms, (before + np.arange(len(long_terms))).tolist()))
     ranks[long] = [at[w] for w in words]
-    return sorted(_key_words(unique) + long_terms), ranks, counts
+    return sorted(_key_words(unique[short]) + long_terms), ranks, counts
 
 
 def _key_words(keys: np.ndarray) -> list[str]:
